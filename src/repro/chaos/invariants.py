@@ -35,6 +35,11 @@ invariant: directory lists are conservative over-approximations.)
 **Idle hygiene** (periodic sweep): a processor with no running
 transaction has clean signatures, CSTs, and overlay.
 
+**Flash index** (periodic sweep): each L1 array's and victim buffer's
+T-state index names exactly the lines held in TMI/TI.  A flash visits
+only the indexed lines, so a line missing from the index would keep its
+T bit across a commit or abort.
+
 **Irrevocable mutex** (periodic sweep, only when a degradation
 controller is installed): at most one thread holds the irrevocability
 token, and while serial mode is active no other registered transaction
@@ -146,6 +151,7 @@ class InvariantChecker:
         self._check_plain_exclusivity(machine)
         self._check_owner_listing(machine)
         self._check_idle_hygiene(machine)
+        self._check_flash_index(machine)
         self._check_irrevocable_mutex(machine)
         self._check_htm_sw_mutex(machine)
 
@@ -215,6 +221,33 @@ class InvariantChecker:
                     "idle-hygiene",
                     f"idle proc {proc.proc_id} holds {len(proc.overlay)} "
                     f"speculative overlay values",
+                )
+
+    def _check_flash_index(self, machine) -> None:
+        for proc in machine.processors:
+            array = proc.l1.array
+            indexed = {line.line_address: line for line in array.transactional_lines()}
+            scanned = {line.line_address: line for line in array.valid_lines() if line.t_bit}
+            if indexed != scanned:
+                raise InvariantViolation(
+                    "flash-index",
+                    f"proc {proc.proc_id} indexes T-state lines "
+                    f"{sorted(map(hex, indexed))} but holds "
+                    f"{sorted(map(hex, scanned))}",
+                )
+            victims = proc.l1.victims
+            indexed_victims = sorted(victims._transactional)
+            scanned_victims = sorted(
+                address
+                for address, state in victims._entries.items()
+                if state.is_transactional
+            )
+            if indexed_victims != scanned_victims:
+                raise InvariantViolation(
+                    "flash-index",
+                    f"proc {proc.proc_id} indexes T-state victims "
+                    f"{list(map(hex, indexed_victims))} but holds "
+                    f"{list(map(hex, scanned_victims))}",
                 )
 
     def _check_irrevocable_mutex(self, machine) -> None:

@@ -26,7 +26,7 @@ argues for.  The hooks are:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.coherence.directory import Directory
 from repro.coherence.messages import AccessKind, AccessResult, RequestType, ResponseKind
@@ -150,7 +150,6 @@ class L1Controller:
                 # pays a couple of cycles, not the L2 round trip.
                 self.directory.writeback(self.proc_id, line.line_address)
                 line.state = LineState.TMI
-                line.t_bit = True
                 self.stats.counter("l1.m_to_tmi_flush").increment()
                 return AccessResult(
                     cycles=2 + self.params.l1_hit_cycles, state=LineState.TMI, hit=True
@@ -184,7 +183,7 @@ class L1Controller:
         grant = outcome.grant
         if grant is LineState.TI:
             if kind is AccessKind.TLOAD:
-                self._install_or_update(line_address, LineState.TI, t_bit=True)
+                self._install_or_update(line_address, LineState.TI)
             else:
                 # Strong isolation: a plain Load that was threatened
                 # reads the committed value but leaves the line uncached
@@ -195,14 +194,13 @@ class L1Controller:
                 result.threatened_uncached = True
                 result.state = LineState.I
         else:
-            self._install_or_update(line_address, grant, t_bit=grant is LineState.TMI)
+            self._install_or_update(line_address, grant)
         return result
 
-    def _install_or_update(self, line_address: int, state: LineState, t_bit: bool) -> None:
+    def _install_or_update(self, line_address: int, state: LineState) -> None:
         existing = self.array.peek(line_address)
         if existing is not None:
             existing.state = state
-            existing.t_bit = t_bit
             return
         self._install(line_address, state)
 
@@ -210,9 +208,7 @@ class L1Controller:
         victim = self.array.choose_victim(line_address, pinned=lambda l: l.line_address in self._pinned)
         if victim is not None:
             self.evict(victim)
-        line = self.array.install(line_address, state)
-        line.t_bit = state.is_transactional
-        return line
+        return self.array.install(line_address, state)
 
     # --------------------------------------------------------------- eviction
 
@@ -355,48 +351,31 @@ class L1Controller:
             line.a_bit = False
 
     def flash_commit(self) -> int:
-        """CAS-Commit success path: TMI -> M, TI -> I (flash-clear T bits)."""
-        swept = self.array.flash_transform(self._commit_line)
-        self._sweep_victims(commit=True)
-        return swept
+        """CAS-Commit success path: TMI -> M, TI -> I (flash-clear T bits).
+
+        Returns the number of T-state lines the flash touched in the
+        array: the transaction's cached footprint.
+        """
+        return self._flash(LineState.after_commit)
 
     def flash_abort(self) -> int:
         """Abort path: TMI -> I, TI -> I."""
-        swept = self.array.flash_transform(self._abort_line)
-        self._sweep_victims(commit=False)
-        return swept
+        return self._flash(LineState.after_abort)
 
-    @staticmethod
-    def _commit_line(line: CacheLine) -> None:
-        line.state = line.state.after_commit()
-        line.t_bit = False
-
-    @staticmethod
-    def _abort_line(line: CacheLine) -> None:
-        line.state = line.state.after_abort()
-        line.t_bit = False
-
-    def _sweep_victims(self, commit: bool) -> None:
-        """The flash transforms also cover the victim buffers."""
-        stale = []
-        for address in list(self.victims._entries):
-            state = self.victims._entries[address]
-            new_state = state.after_commit() if commit else state.after_abort()
-            if new_state is LineState.I:
-                stale.append(address)
-            elif new_state is not state:
-                self.victims._entries[address] = new_state
-        for address in stale:
-            self.victims.invalidate(address)
+    def _flash(self, transform: Callable[[LineState], LineState]) -> int:
+        """The flash transforms cover the array and the victim buffers."""
+        swept = self.array.flash_transform(transform)
+        self.victims.flash_transform(transform)
         if self.tmi_victims is not None:
             # The TMI side buffer drains entirely: on commit its values
             # are globally visible (the line is simply uncached now); on
             # abort they are discarded.
             self.tmi_victims.clear()
+        return swept
 
     def speculative_lines(self):
         """All locally buffered TMI lines (cache + TMI side buffer)."""
-        for line in self.array.valid_lines():
+        for line in self.array.transactional_lines():
             if line.state is LineState.TMI:
                 yield line.line_address
         if self.tmi_victims is not None:

@@ -179,8 +179,7 @@ class FlexTMProcessor:
         victim = self.l1.array.choose_victim(line_address)
         if victim is not None:
             self.l1.evict(victim)
-        line = self.l1.array.install(line_address, LineState.TMI)
-        line.t_bit = True
+        self.l1.array.install(line_address, LineState.TMI)
         self.stats.counter("ot.refills").increment()
         if self.tracer.enabled:
             self.tracer.overflow(

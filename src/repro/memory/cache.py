@@ -1,42 +1,75 @@
 """A set-associative cache array with LRU replacement.
 
 The array stores :class:`CacheLine` records carrying the coherence state
-bits of Figure 2: the MESI state is encoded by the protocol layer; the
-``T`` (transactional/TMI or TI) and ``A`` (alert-on-update mark) bits
-live here so the flash-clear commit/abort operations can sweep them.
+bits of Figure 2: the MESI state is encoded by the protocol layer, the
+``T`` bit (transactional: TMI or TI) is part of that encoding (Figure 1),
+and the ``A`` (alert-on-update mark) bit lives here.
+
+The flash hardware clears every T bit in one cycle.  A simulator that
+finds those lines by scanning the whole array pays host time for every
+valid line on every commit, so the array also keeps an index of its
+T-state lines.  A line's ``state`` setter maintains the index, and
+:meth:`CacheArray.flash_transform` visits only the indexed lines: its
+host cost is proportional to the transaction's footprint, not to the
+array's size.  The simulated cost of a flash is unchanged.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.coherence.states import LineState
 from repro.errors import ProtocolError
 
+_TMI = LineState.TMI
+_TI = LineState.TI
 
-@dataclasses.dataclass
+
 class CacheLine:
-    """One L1 line: tag + coherence and FlexTM state bits."""
+    """One L1 line: tag + coherence and FlexTM state bits.
 
-    line_address: int
-    state: LineState = LineState.I
-    # FlexTM bits (Figure 2): T marks TMI/TI encodings, A marks AOU lines.
-    t_bit: bool = False
-    a_bit: bool = False
-    # SMT owner id for TMI lines (unused on single-threaded cores).
-    owner_context: int = 0
-    # Monotonic timestamp for LRU.
-    last_use: int = 0
+    Assigning ``state`` keeps the owning array's T-state index current,
+    so every state change, protocol or test, goes through the setter.
+    """
+
+    __slots__ = ("line_address", "_state", "a_bit", "last_use", "_t_index")
+
+    def __init__(
+        self,
+        line_address: int,
+        state: LineState,
+        last_use: int,
+        t_index: Dict[int, "CacheLine"],
+    ):
+        self.line_address = line_address
+        #: A marks alert-on-update lines (Figure 2).
+        self.a_bit = False
+        #: Monotonic timestamp for LRU.
+        self.last_use = last_use
+        #: The owning array's T-state index, kept current by ``state``.
+        self._t_index = t_index
+        self.state = state
 
     @property
-    def is_speculative(self) -> bool:
-        """True for TMI (speculatively written) lines."""
-        return self.state is LineState.TMI
+    def state(self) -> LineState:
+        return self._state
+
+    @state.setter
+    def state(self, state: LineState) -> None:
+        self._state = state
+        if state is _TMI or state is _TI:
+            self._t_index[self.line_address] = self
+        else:
+            self._t_index.pop(self.line_address, None)
+
+    @property
+    def t_bit(self) -> bool:
+        """The T bit of Figure 1's encoding: set exactly in TMI and TI."""
+        return self._state.is_transactional
 
     def __repr__(self) -> str:
         flags = ("T" if self.t_bit else "") + ("A" if self.a_bit else "")
-        return f"CacheLine(0x{self.line_address:x}, {self.state.name}{',' + flags if flags else ''})"
+        return f"CacheLine(0x{self.line_address:x}, {self._state.name}{',' + flags if flags else ''})"
 
 
 class CacheArray:
@@ -55,6 +88,8 @@ class CacheArray:
         self.num_sets = num_sets
         self.associativity = associativity
         self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(num_sets)]
+        #: The lines in TMI or TI, by address (maintained by CacheLine.state).
+        self._t_lines: Dict[int, CacheLine] = {}
         self._use_tick = 0
 
     def _set_for(self, line_address: int) -> Dict[int, CacheLine]:
@@ -66,7 +101,7 @@ class CacheArray:
     def lookup(self, line_address: int) -> Optional[CacheLine]:
         """Find a valid line (state != I), updating LRU on hit."""
         line = self._set_for(line_address).get(line_address)
-        if line is None or line.state is LineState.I:
+        if line is None or line._state is LineState.I:
             return None
         self._use_tick += 1
         line.last_use = self._use_tick
@@ -75,7 +110,7 @@ class CacheArray:
     def peek(self, line_address: int) -> Optional[CacheLine]:
         """Find a line without touching LRU state (snoops, asserts)."""
         line = self._set_for(line_address).get(line_address)
-        if line is None or line.state is LineState.I:
+        if line is None or line._state is LineState.I:
             return None
         return line
 
@@ -88,7 +123,7 @@ class CacheArray:
         the caller can take its slow path.
         """
         cache_set = self._set_for(line_address)
-        valid = [line for line in cache_set.values() if line.state is not LineState.I]
+        valid = [line for line in cache_set.values() if line._state is not LineState.I]
         if len(valid) < self.associativity:
             return None
         candidates = valid
@@ -102,51 +137,50 @@ class CacheArray:
         """Place a line; the set must have room (caller evicts first)."""
         cache_set = self._set_for(line_address)
         existing = cache_set.get(line_address)
-        if existing is not None and existing.state is not LineState.I:
+        if existing is not None and existing._state is not LineState.I:
             raise ProtocolError(f"line 0x{line_address:x} already present as {existing.state.name}")
-        valid = sum(1 for line in cache_set.values() if line.state is not LineState.I)
+        valid = sum(1 for line in cache_set.values() if line._state is not LineState.I)
         if valid >= self.associativity:
             raise ProtocolError(f"set for 0x{line_address:x} is full; evict first")
         self._use_tick += 1
-        line = CacheLine(line_address=line_address, state=state, last_use=self._use_tick)
+        line = CacheLine(line_address, state, self._use_tick, self._t_lines)
         cache_set[line_address] = line
         return line
 
     def remove(self, line_address: int) -> None:
         """Drop a line entirely (post-eviction cleanup)."""
         self._set_for(line_address).pop(line_address, None)
+        self._t_lines.pop(line_address, None)
 
     def valid_lines(self) -> Iterator[CacheLine]:
         """All lines whose state is not I."""
         for cache_set in self._sets:
             for line in cache_set.values():
-                if line.state is not LineState.I:
+                if line._state is not LineState.I:
                     yield line
+
+    def transactional_lines(self) -> List[CacheLine]:
+        """The lines in TMI or TI (the T-bit index), oldest entry first."""
+        return list(self._t_lines.values())
 
     def occupancy(self) -> int:
         return sum(1 for _ in self.valid_lines())
 
     def set_occupancy(self, line_address: int) -> int:
         cache_set = self._set_for(line_address)
-        return sum(1 for line in cache_set.values() if line.state is not LineState.I)
+        return sum(1 for line in cache_set.values() if line._state is not LineState.I)
 
-    def flash_transform(self, transform: Callable[[CacheLine], None]) -> int:
-        """Apply a state transform to every valid line; returns lines touched.
+    def flash_transform(self, transform: Callable[[LineState], LineState]) -> int:
+        """Apply a state transform to every T-state line; returns lines touched.
 
         Models the flash commit/abort hardware: a single-cycle sweep
-        conditioned on the T bits.
+        conditioned on the T bits.  Only the indexed T-state lines are
+        visited (the transforms leave every other state unchanged), and
+        lines the transform leaves in I are dropped.
         """
-        touched = 0
-        for cache_set in self._sets:
-            dead = []
-            for line in cache_set.values():
-                if line.state is LineState.I:
-                    dead.append(line.line_address)
-                    continue
-                transform(line)
-                touched += 1
-                if line.state is LineState.I:
-                    dead.append(line.line_address)
-            for address in dead:
-                cache_set.pop(address, None)
-        return touched
+        lines = self.transactional_lines()
+        for line in lines:
+            line.state = transform(line._state)
+            if line._state is LineState.I:
+                self._set_for(line.line_address).pop(line.line_address, None)
+        return len(lines)

@@ -73,15 +73,11 @@ def test_remove_frees_slot():
 
 def test_flash_transform_sweeps_and_prunes():
     cache = CacheArray(4, 2)
-    cache.install(0, LineState.TMI).t_bit = True
-    cache.install(1, LineState.TI).t_bit = True
+    cache.install(0, LineState.TMI)
+    cache.install(1, LineState.TI)
     cache.install(2, LineState.M)
 
-    def commit(line):
-        line.state = line.state.after_commit()
-        line.t_bit = False
-
-    cache.flash_transform(commit)
+    assert cache.flash_transform(LineState.after_commit) == 2
     assert cache.peek(0).state is LineState.M
     assert cache.peek(1) is None  # TI -> I, pruned
     assert cache.peek(2).state is LineState.M

@@ -16,15 +16,12 @@ correctness on:
   kind staged at a ``stage_wound``/``force_abort`` site exists in
   ``repro.runtime.tmtypes.WOUND_KIND_REGISTRY``, and no registered
   kind of either registry is dead;
-* **protocol exhaustiveness** (``SIM-P3xx``) — the (LineState x
-  coherence-message) dispatch extracted from ``coherence/l1.py``,
-  ``coherence/directory.py`` and ``core/processor.py`` matches the
-  machine-readable Figure 1/3 spec in ``repro.coherence.spec``;
 * **model-checked protocol safety** (``SIM-M4xx``) — an exhaustive
-  explicit-state exploration of the spec tables themselves (SWMR, CST
-  dual-update symmetry, lost conflict responses, TSW legality,
-  quiescence) with minimal counterexamples bridged onto the real
-  simulator; run through ``python -m repro.harness modelcheck`` or
+  explicit-state exploration of the ``repro.coherence.spec`` tables
+  (SWMR, CST dual-update symmetry, lost conflict responses, TSW
+  legality, quiescence) with minimal counterexamples bridged onto the
+  real simulator.  The controllers execute the same tables, compiled
+  by ``repro.coherence.tables``; run through ``python -m repro.harness modelcheck`` or
   ``analyze --modelcheck``.
 
 Run it with ``python -m repro.harness analyze``; see docs/ANALYSIS.md.
@@ -47,7 +44,6 @@ from repro.analysis import modelcheck  # noqa: F401
 from repro.analysis import rules_determinism  # noqa: F401
 from repro.analysis import rules_events  # noqa: F401
 from repro.analysis import rules_hooks  # noqa: F401
-from repro.analysis import rules_protocol  # noqa: F401
 from repro.analysis import rules_wounds  # noqa: F401
 
 __all__ = [

@@ -4,8 +4,9 @@ The checker explores *every* reachable interleaving of the protocol
 tables in :mod:`repro.coherence.spec` for one cache line across N
 caches plus a directory, and verifies the declared invariant catalog
 (``spec.INVARIANTS``, rules SIM-M401..407).  It consumes only the spec
-tables — never the implementation — so a hole in the spec cannot hide
-behind a correct controller, and vice versa.
+tables, never the implementation; the controllers execute the same
+tables (compiled by :mod:`repro.coherence.tables`), so what it verifies
+is the protocol the simulator runs.
 
 Abstract state
 --------------

@@ -24,7 +24,7 @@ Fault sites and their graceful-degradation story:
 ``signature.false_negative``  a signature check misses a real hit (unsafe:
                       the serializability oracle must diagnose the damage)
 ``overflow.walk_fail``  an OT walk FSM pass fails and is retried (latency)
-``l1.evict``          cache pressure: a random unpinned line is evicted
+``l1.evict``          cache pressure: a random other line is evicted
 ``sched.preempt``     adversarial context-switch storm (forced preempt)
 ==================  ========================================================
 

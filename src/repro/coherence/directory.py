@@ -20,11 +20,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coherence.messages import RequestType, ResponseKind
 from repro.coherence.states import LineState
+from repro.coherence.tables import GRANT_RULES
 from repro.errors import ProtocolError
 from repro.memory.cache import CacheArray
 from repro.obs.tracer import NULL_TRACER
 from repro.params import SystemParams
 from repro.sim.stats import StatsRegistry
+
+
+#: Grants recorded in the owner vector: the states with Figure 1's M
+#: bit set.  Every other grant lists the requestor as a sharer.
+_OWNER_GRANTS = (LineState.E, LineState.M, LineState.TMI)
 
 
 @dataclasses.dataclass
@@ -111,6 +117,9 @@ class Directory:
         self.summary_conflict_check: Optional[Callable] = None
         # NACK filter: lines in a committed overflow table mid-copy-back.
         self.nack_check: Optional[Callable] = None
+        # Cores-Summary stickiness: a descheduled transaction's
+        # processor stays listed (installed by the virtualization layer).
+        self.sticky_check: Optional[Callable] = None
         # Observability hooks (installed by FlexTMMachine.set_tracer):
         # the tracer itself and a processor-clock accessor for stamps.
         self.tracer = NULL_TRACER
@@ -249,10 +258,7 @@ class Directory:
 
     def _sticky(self, line_address: int, processor: int) -> bool:
         """Cores-Summary stickiness for descheduled transactions."""
-        # Installed by the virtualization layer; absent means no
-        # descheduled transactions exist.
-        checker = getattr(self, "sticky_check", None)
-        return bool(checker and checker(line_address, processor))
+        return self.sticky_check is not None and self.sticky_check(line_address, processor)
 
     def _grant_and_record(
         self,
@@ -262,31 +268,24 @@ class Directory:
         entry: DirectoryEntry,
         responses: List[Tuple[int, ResponseKind]],
     ) -> LineState:
-        threatened = any(kind is ResponseKind.THREATENED for _, kind in responses)
-        if req_type is RequestType.GETS:
-            if threatened:
-                # TLoads install in TI (the L1 decides; plain Loads stay
-                # uncached).  Either way the requestor is recorded as a
-                # sharer so future TMI commits can invalidate its copy.
-                entry.add_sharer(requestor)
-                return LineState.TI
-            if entry.empty:
-                entry.add_owner(requestor)  # E grants exclusivity
-                return LineState.E
-            entry.add_sharer(requestor)
-            return LineState.S
-        if req_type is RequestType.GETX:
-            # Remote copies were invalidated by the forward loop, which
-            # also pruned holders with no remaining stake.  Holders that
-            # answered with a signature response, hold TMI, or are
-            # sticky (descheduled transactions, Cores Summary) stay
-            # listed so they keep receiving coherence requests.
+        """The first ``GRANT_RULES`` grant whose condition holds.
+
+        A GETS that was threatened grants TI (the L1 decides: TLoads
+        install it, plain Loads stay uncached).  Either way the requestor
+        is recorded as a sharer so future TMI commits can invalidate its
+        copy.  E/M/TMI grants make it an owner, plural for TMI; remote
+        copies were already invalidated by the forward loop, and holders
+        that answered with a signature response, hold TMI, or are sticky
+        stay listed so they keep receiving coherence requests.
+        """
+        for condition, grant in GRANT_RULES[req_type]:
+            if condition(entry, responses):
+                break
+        if grant in _OWNER_GRANTS:
             entry.add_owner(requestor)
-            return LineState.M
-        if req_type is RequestType.TGETX:
-            entry.add_owner(requestor)  # joins the (possibly plural) owners
-            return LineState.TMI
-        raise ProtocolError(f"unknown request type {req_type}")
+        else:
+            entry.add_sharer(requestor)
+        return grant
 
     # -- write-back / eviction notifications ----------------------------------
 

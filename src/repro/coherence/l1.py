@@ -4,7 +4,9 @@ Processor-side behaviour (Load/Store/TLoad/TStore against the six
 stable states), remote-request handling with signature-qualified
 responses, eviction policy (silent for E/S/TI, write-back for M,
 overflow-table spill for TMI), the flash commit/abort sweeps, and the
-alert-on-update machinery all live here.
+alert-on-update machinery all live here.  The state machine itself is
+the spec's: every next state, request and installed state is a lookup
+in :mod:`repro.coherence.tables`, and this module adds the side effects.
 
 TM-specific policy is injected through a small hook object so that the
 coherence layer itself stays TM-agnostic — the decoupling the paper
@@ -31,6 +33,13 @@ from typing import Callable, Optional, Tuple
 from repro.coherence.directory import Directory
 from repro.coherence.messages import AccessKind, AccessResult, RequestType, ResponseKind
 from repro.coherence.states import LineState
+from repro.coherence.tables import (
+    GRANT_INSTALL,
+    LOCAL_DISPATCH,
+    LOCAL_NEXT_STATE,
+    MISS_REQUESTS,
+    REMOTE_NEXT_STATE,
+)
 from repro.errors import ProtocolError
 from repro.memory.cache import CacheArray, CacheLine
 from repro.memory.victim import VictimBuffer
@@ -86,8 +95,6 @@ class L1Controller:
         #: lines keep the normal victim buffer.
         self.tmi_to_victim = tmi_to_victim
         self.tmi_victims = VictimBuffer(None) if tmi_to_victim else None
-        #: Set of line addresses pinned against eviction (OT remap aid).
-        self._pinned = set()
         #: Cycles accumulated by evictions performed inside an access.
         self._eviction_cycles = 0
 
@@ -101,19 +108,15 @@ class L1Controller:
             self._chaos_evict(line_address)
         line = self.array.lookup(line_address)
         if line is not None:
-            hit = self._try_hit(kind, line)
-            if hit is None:
-                hit = self._upgrade(kind, line)
+            hit = self._dispatch(kind, line)
         else:
             refill = self.victims.extract(line_address)
             if refill is None and self.tmi_victims is not None:
                 refill = self.tmi_victims.extract(line_address)
             if refill is not None:
-                line = self._install(line_address, refill)
+                line = self.install(line_address, refill)
                 self.stats.counter("l1.victim_hits").increment()
-                hit = self._try_hit(kind, line)
-                if hit is None:
-                    hit = self._upgrade(kind, line)
+                hit = self._dispatch(kind, line)
                 hit.cycles += 1  # victim-buffer lookup penalty
             else:
                 hit = self._miss(kind, line_address)
@@ -121,27 +124,18 @@ class L1Controller:
         self._eviction_cycles = 0
         return hit
 
-    def _try_hit(self, kind: AccessKind, line: CacheLine) -> Optional[AccessResult]:
-        """Resolve the access locally when the state permits."""
+    def _dispatch(self, kind: AccessKind, line: CacheLine) -> AccessResult:
+        """An access to a present line, as ``LOCAL_DISPATCH`` directs."""
         state = line.state
-        if kind in (AccessKind.LOAD, AccessKind.TLOAD) and state.readable:
-            return AccessResult(cycles=self.params.l1_hit_cycles, state=state, hit=True)
-        if kind is AccessKind.TSTORE and state is LineState.TMI:
-            return AccessResult(cycles=self.params.l1_hit_cycles, state=state, hit=True)
-        if kind is AccessKind.STORE:
-            if state is LineState.M:
-                return AccessResult(cycles=self.params.l1_hit_cycles, state=state, hit=True)
-            if state is LineState.E:
-                line.state = LineState.M  # silent upgrade
-                return AccessResult(cycles=self.params.l1_hit_cycles, state=LineState.M, hit=True)
-            if state is LineState.TMI:
-                raise ProtocolError("non-transactional Store to a local TMI line")
-        return None
-
-    def _upgrade(self, kind: AccessKind, line: CacheLine) -> AccessResult:
-        """In-place state upgrades that need protocol actions."""
-        state = line.state
-        if kind is AccessKind.TSTORE:
+        outcome = LOCAL_DISPATCH[kind, state]
+        if outcome == "request":
+            # An upgrade that needs new permissions (GETX / TGETX).
+            return self._request(kind, MISS_REQUESTS[kind], line.line_address)
+        if outcome == "error":
+            raise ProtocolError(f"illegal {kind.value} to a local {state.name} line")
+        next_state = LOCAL_NEXT_STATE[kind, state]
+        cycles = self.params.l1_hit_cycles
+        if next_state is not state:
             if state is LineState.M:
                 # Figure 1: M --TStore/Flush--> TMI.  The modified data
                 # is written back so later Loads see the latest
@@ -149,26 +143,16 @@ class L1Controller:
                 # (drains through the write buffer), so the store only
                 # pays a couple of cycles, not the L2 round trip.
                 self.directory.writeback(self.proc_id, line.line_address)
-                line.state = LineState.TMI
+                line.state = next_state
                 self.stats.counter("l1.m_to_tmi_flush").increment()
-                return AccessResult(
-                    cycles=2 + self.params.l1_hit_cycles, state=LineState.TMI, hit=True
-                )
-            if state in (LineState.E, LineState.S, LineState.TI):
-                return self._request(AccessKind.TSTORE, RequestType.TGETX, line.line_address)
-        if kind is AccessKind.STORE and state in (LineState.S, LineState.TI):
-            return self._request(AccessKind.STORE, RequestType.GETX, line.line_address)
-        raise ProtocolError(f"no upgrade path for {kind} in {state}")
+                cycles += 2
+            else:
+                line.state = next_state  # the silent E -> M upgrade
+        return AccessResult(cycles=cycles, state=next_state, hit=True)
 
     def _miss(self, kind: AccessKind, line_address: int) -> AccessResult:
-        request = {
-            AccessKind.LOAD: RequestType.GETS,
-            AccessKind.TLOAD: RequestType.GETS,
-            AccessKind.STORE: RequestType.GETX,
-            AccessKind.TSTORE: RequestType.TGETX,
-        }[kind]
         self.stats.counter("l1.misses").increment()
-        return self._request(kind, request, line_address)
+        return self._request(kind, MISS_REQUESTS[kind], line_address)
 
     def _request(self, kind: AccessKind, request: RequestType, line_address: int) -> AccessResult:
         outcome = self.directory.request(self.proc_id, request, line_address)
@@ -180,21 +164,18 @@ class L1Controller:
         if outcome.nacked:
             result.nacked = True
             return result
-        grant = outcome.grant
-        if grant is LineState.TI:
-            if kind is AccessKind.TLOAD:
-                self._install_or_update(line_address, LineState.TI)
-            else:
-                # Strong isolation: a plain Load that was threatened
-                # reads the committed value but leaves the line uncached
-                # so that it serializes before the writing transaction.
-                existing = self.array.peek(line_address)
-                if existing is not None and not existing.state.is_transactional:
-                    self._drop_line(existing)
-                result.threatened_uncached = True
-                result.state = LineState.I
+        installed = GRANT_INSTALL.get((kind, outcome.grant), outcome.grant)
+        if installed is LineState.I:
+            # Strong isolation: a plain Load that was threatened reads
+            # the committed value but leaves the line uncached so that
+            # it serializes before the writing transaction.
+            existing = self.array.peek(line_address)
+            if existing is not None and not existing.state.is_transactional:
+                self._drop_line(existing)
+            result.threatened_uncached = True
+            result.state = installed
         else:
-            self._install_or_update(line_address, grant)
+            self._install_or_update(line_address, installed)
         return result
 
     def _install_or_update(self, line_address: int, state: LineState) -> None:
@@ -202,10 +183,11 @@ class L1Controller:
         if existing is not None:
             existing.state = state
             return
-        self._install(line_address, state)
+        self.install(line_address, state)
 
-    def _install(self, line_address: int, state: LineState) -> CacheLine:
-        victim = self.array.choose_victim(line_address, pinned=lambda l: l.line_address in self._pinned)
+    def install(self, line_address: int, state: LineState) -> CacheLine:
+        """Place a line, evicting the LRU line of its set if it is full."""
+        victim = self.array.choose_victim(line_address)
         if victim is not None:
             self.evict(victim)
         return self.array.install(line_address, state)
@@ -249,7 +231,7 @@ class L1Controller:
         self.array.remove(line.line_address)
 
     def _chaos_evict(self, line_address: int) -> None:
-        """Cache-pressure fault: evict one unpinned line, policy intact.
+        """Cache-pressure fault: evict one other line, policy intact.
 
         Exercises the TMI-spill and silent-eviction paths under
         adversarial pressure; the victim goes through :meth:`evict`, so
@@ -261,20 +243,12 @@ class L1Controller:
             line
             for line in self.array.valid_lines()
             if line.line_address != line_address
-            and line.line_address not in self._pinned
         ]
         if not candidates:
             return
         victim = candidates[self.chaos.pick(len(candidates))]
         self.stats.counter("l1.chaos_evictions").increment()
         self.evict(victim)
-
-    def pin(self, line_address: int) -> None:
-        """Protect a line from eviction (OT remap service routine)."""
-        self._pinned.add(line_address)
-
-    def unpin(self, line_address: int) -> None:
-        self._pinned.discard(line_address)
 
     # ----------------------------------------------------------------- remote
 
@@ -287,33 +261,23 @@ class L1Controller:
         the directory whether we still hold a stake in the line.
         """
         kind = self.hooks.classify_remote(requestor, req_type, line_address)
+        # REMOTE_NEXT_STATE: TMI lines never yield (the speculative value
+        # stays private), exclusive requests invalidate every other
+        # state, GETS demotes M/E to S.
         line = self.array.peek(line_address)
-        in_victims = self.victims.contains(line_address)
-
-        if line is not None and line.state is LineState.TMI:
-            # TMI lines never yield: the speculative value stays private
-            # and the response (Threatened, via Wsig) was computed above.
-            return kind, True
-
-        if req_type.is_exclusive:
-            if line is not None:
-                if line.state is LineState.M:
-                    self.stats.counter("l1.remote_flushes").increment()
+        if line is not None:
+            state = line.state
+            next_state = REMOTE_NEXT_STATE[req_type, state]
+            if state is LineState.M:
+                self.stats.counter("l1.remote_flushes").increment()
+            if next_state is LineState.I:
                 self._drop_line(line)
-            if in_victims:
-                self.victims.invalidate(line_address)
-        else:  # GETS
-            if line is not None:
-                if line.state is LineState.M:
-                    self.stats.counter("l1.remote_flushes").increment()
-                    line.state = LineState.S
-                elif line.state is LineState.E:
-                    line.state = LineState.S
-            elif in_victims:
-                refill = self.victims.extract(line_address)
-                if refill in (LineState.M, LineState.E):
-                    refill = LineState.S
-                self.victims.insert(line_address, refill)
+            elif next_state is not state:
+                line.state = next_state
+        elif self.victims.contains(line_address):
+            # Re-inserting in I drops the entry.
+            state = self.victims.extract(line_address)
+            self.victims.insert(line_address, REMOTE_NEXT_STATE[req_type, state])
 
         # A responder whose signature matched retains a conflict-
         # detection stake in the line even when its cached copy is gone

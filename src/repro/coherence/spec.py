@@ -1,22 +1,22 @@
 """Machine-readable TMESI protocol specification (Figure 1 / Figure 3).
 
 The tables in this module transcribe the paper's protocol figures
-(Shriraman et al., TR #925 / ISCA 2008) into data that tools can
-consume:
+(Shriraman et al., TR #925 / ISCA 2008) into data.  They are the
+protocol's only description:
 
-* the ``simcheck`` static pass (``repro.analysis.rules_protocol``)
-  extracts the actual (state x message) dispatch from
-  ``coherence/l1.py``, ``coherence/directory.py`` and
-  ``core/processor.py`` and diffs it against these tables, reporting
-  unhandled pairs and dead transitions at lint time;
-* ``tests/coherence/test_spec_crosscheck.py`` pins the executable
-  :class:`~repro.coherence.states.LineState` predicates and encodings
-  against the same tables, so the spec, the enum, and the controllers
-  can never drift apart silently.
+* the simulator executes them: :mod:`repro.coherence.tables` compiles
+  them at import into enum-keyed dicts that the L1, processor and
+  directory controllers look every protocol decision up in, and
+  :class:`~repro.coherence.states.LineState` reads its encoding and
+  flash transforms from here;
+* the model checker (:mod:`repro.analysis.modelcheck`) explores every
+  interleaving of the same tables;
+* ``tests/coherence/test_figure1_conformance.py`` checks every cell
+  against a hand transcription of the paper on the real machine.
 
 Everything is expressed over plain strings (state / message / access
-names) so the spec itself imports nothing from the implementation —
-the cross-checks are what tie the two together.
+names), so the spec imports nothing from the implementation and the
+model checker can explore mutated copies of it.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ ENCODINGS: Dict[str, Tuple[int, int, int]] = {
     "TI": (0, 0, 1),
 }
 
-#: State predicates used by the controllers; ``simcheck`` expands
-#: ``state.<predicate>`` conditions through this table, and the
-#: cross-check test pins them against the ``LineState`` properties.
+#: State predicates over Figure 1's encoding (the model checker's
+#: SIM-M402 check derives them from the (M, V, T) bits).
 STATE_PREDICATES: Dict[str, FrozenSet[str]] = {
     "is_valid": frozenset({"S", "E", "M", "TMI", "TI"}),
     "is_transactional": frozenset({"TMI", "TI"}),  # T bit set
@@ -358,6 +357,16 @@ def _check_internal_consistency() -> None:
         assert outcome in ("local", "request", "error"), outcome
     assert set(LOCAL_DISPATCH) == {(a, s) for a in ACCESSES for s in STATES}
     assert set(REMOTE_NEXT_STATE) == {(r, s) for r in REQUESTS for s in STATES}
+    # An absent line misses and has nothing to yield: the controllers
+    # never look these cells up (an I line is not in the cache).
+    for access in ACCESSES:
+        assert LOCAL_DISPATCH[(access, INITIAL_STATE)] == "request", access
+    for request in REQUESTS:
+        assert REMOTE_NEXT_STATE[(request, INITIAL_STATE)] == INITIAL_STATE
+    # The flash hardware acts on T-bit lines only, and so does the cache
+    # array's flash, which visits just its TMI/TI lines.
+    for state in sorted(FINAL_LINE_STATES):
+        assert COMMIT_TRANSFORM[state] == state == ABORT_TRANSFORM[state], state
     for (request, category), response in RESPONSE_TABLE.items():
         assert request in REQUESTS and category in SIGNATURE_CATEGORIES
         assert response in RESPONSES

@@ -16,11 +16,17 @@ TI is "I with the T bit" — a transactional read of a line some remote
 processor holds in TMI; the local copy is the *pre-speculative* value
 and must revert to I on either commit or abort (the remote commit could
 make it stale).
+
+The encoding and the flash transforms are read from
+:mod:`repro.coherence.spec`, the protocol's one description.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Dict
+
+from repro.coherence import spec
 
 
 class LineState(enum.Enum):
@@ -36,7 +42,7 @@ class LineState(enum.Enum):
     @property
     def encoding(self) -> tuple[int, int, int]:
         """(M bit, V bit, T bit) hardware encoding from Figure 1."""
-        return _ENCODING[self]
+        return spec.ENCODINGS[self.name]
 
     @property
     def is_valid(self) -> bool:
@@ -48,41 +54,19 @@ class LineState(enum.Enum):
         """T bit set (TMI or TI)."""
         return self in (LineState.TMI, LineState.TI)
 
-    @property
-    def readable(self) -> bool:
-        """A local load can be satisfied from this state."""
-        return self in (LineState.S, LineState.E, LineState.M, LineState.TMI, LineState.TI)
+    def after_commit(self) -> LineState:
+        """Flash-commit transform (Figure 3): TMI -> M, TI -> I."""
+        return COMMIT_TRANSFORM[self]
 
-    @property
-    def writable(self) -> bool:
-        """A local (non-transactional) store can hit in this state."""
-        return self in (LineState.E, LineState.M)
-
-    @property
-    def tstore_hits(self) -> bool:
-        """A transactional store can proceed without a request."""
-        return self is LineState.TMI
-
-    def after_commit(self) -> "LineState":
-        """Flash-commit transform: TMI -> M, TI -> I, others unchanged."""
-        if self is LineState.TMI:
-            return LineState.M
-        if self is LineState.TI:
-            return LineState.I
-        return self
-
-    def after_abort(self) -> "LineState":
-        """Flash-abort transform: TMI -> I, TI -> I, others unchanged."""
-        if self in (LineState.TMI, LineState.TI):
-            return LineState.I
-        return self
+    def after_abort(self) -> LineState:
+        """Flash-abort transform (Figure 3): TMI -> I, TI -> I."""
+        return ABORT_TRANSFORM[self]
 
 
-_ENCODING = {
-    LineState.I: (0, 0, 0),
-    LineState.S: (0, 1, 0),
-    LineState.M: (1, 0, 0),
-    LineState.E: (1, 1, 0),
-    LineState.TMI: (1, 0, 1),
-    LineState.TI: (0, 0, 1),
+#: ``spec.COMMIT_TRANSFORM`` / ``spec.ABORT_TRANSFORM``, compiled.
+COMMIT_TRANSFORM: Dict[LineState, LineState] = {
+    LineState(state): LineState(target) for state, target in spec.COMMIT_TRANSFORM.items()
+}
+ABORT_TRANSFORM: Dict[LineState, LineState] = {
+    LineState(state): LineState(target) for state, target in spec.ABORT_TRANSFORM.items()
 }

@@ -19,6 +19,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.coherence.directory import Directory
 from repro.coherence.l1 import L1Controller
 from repro.coherence.messages import AccessKind, RequestType, ResponseKind
+from repro.coherence.states import LineState
+from repro.coherence.tables import REQUESTER_CST, RESPONDER_CST, RESPONSE_TABLE
 from repro.core.aou import AlertUnit
 from repro.core.cst import ConflictSummaryTables
 from repro.core.descriptor import SavedHardwareState, TransactionDescriptor
@@ -111,27 +113,34 @@ class FlexTMProcessor:
     def classify_remote(
         self, requestor: int, req_type: RequestType, line_address: int
     ) -> Optional[ResponseKind]:
-        """Signature checks for a forwarded request; sets responder CSTs."""
+        """Signature checks for a forwarded request; sets responder CSTs.
+
+        Wsig is consulted first: a Wsig hit answers regardless of Rsig.
+        Strong isolation's cells (a plain GETX) have no ``RESPONDER_CST``
+        entry: the requestor aborts this transaction outright instead
+        (Section 3.5).
+        """
         if self._sig_member("wsig", line_address):
-            if req_type is RequestType.GETS:
-                self.csts.w_r.set(requestor)
-                self.conflict_partners.add(requestor)
-            elif req_type is RequestType.TGETX:
-                self.csts.w_w.set(requestor)
-                self.conflict_partners.add(requestor)
-            # Non-transactional GETX: strong isolation — no CST bit, the
-            # requestor aborts this transaction outright (Section 3.5).
+            category = "wsig"
+        elif self._sig_member("rsig", line_address):
+            category = "rsig_only"
+        else:
+            return None
+        cst = RESPONDER_CST.get((req_type, category))
+        if cst is not None:
+            self._record_conflict(cst, requestor)
+        response = RESPONSE_TABLE[req_type, category]
+        if response is ResponseKind.THREATENED:
             self.stats.counter("cst.threatened_responses").increment()
-            return ResponseKind.THREATENED
-        if self._sig_member("rsig", line_address):
-            if req_type is RequestType.TGETX:
-                self.csts.r_w.set(requestor)
-                self.stats.counter("cst.exposed_read_responses").increment()
-                return ResponseKind.EXPOSED_READ
-            if req_type is RequestType.GETX:
-                return ResponseKind.INVALIDATED
-            return ResponseKind.SHARED
-        return None
+        elif response is ResponseKind.EXPOSED_READ:
+            self.stats.counter("cst.exposed_read_responses").increment()
+        return response
+
+    def _record_conflict(self, cst: str, processor: int) -> None:
+        """Set ``processor``'s bit in one CST; W-R/W-W name a partner."""
+        getattr(self.csts, cst).set(processor)
+        if cst != "r_w":
+            self.conflict_partners.add(processor)
 
     def holds_overflow(self, line_address: int) -> bool:
         return self.ot.lookup(line_address)
@@ -174,12 +183,7 @@ class FlexTMProcessor:
         # Reinstall as TMI; this may evict another line (possibly
         # spilling it right back — the pathological ping-pong a sane OT
         # geometry avoids).
-        from repro.coherence.states import LineState  # local to avoid cycle
-
-        victim = self.l1.array.choose_victim(line_address)
-        if victim is not None:
-            self.l1.evict(victim)
-        self.l1.array.install(line_address, LineState.TMI)
+        self.l1.install(line_address, LineState.TMI)
         self.stats.counter("ot.refills").increment()
         if self.tracer.enabled:
             self.tracer.overflow(
@@ -194,15 +198,9 @@ class FlexTMProcessor:
     ) -> None:
         """Requestor-side CST updates on conflicting responses."""
         for responder, response in conflicts:
-            if response is ResponseKind.THREATENED:
-                if kind is AccessKind.TLOAD:
-                    self.csts.r_w.set(responder)
-                elif kind is AccessKind.TSTORE:
-                    self.csts.w_w.set(responder)
-                    self.conflict_partners.add(responder)
-            elif response is ResponseKind.EXPOSED_READ and kind is AccessKind.TSTORE:
-                self.csts.w_r.set(responder)
-                self.conflict_partners.add(responder)
+            cst = REQUESTER_CST.get((kind, response))
+            if cst is not None:
+                self._record_conflict(cst, responder)
 
     # -- transaction lifecycle -------------------------------------------------
 

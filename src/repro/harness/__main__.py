@@ -78,10 +78,8 @@ subcommand::
 
     python -m repro.harness analyze [--format text|json|sarif]
 
-It gates determinism, hook-site hygiene, the tracer-event registry,
-and TMESI protocol exhaustiveness against the machine-readable spec in
-``repro.coherence.spec``; the exit status is non-zero on any new
-error-severity finding.  See ``python -m repro.harness analyze --help``
+It gates determinism, hook-site hygiene and the tracer-event registry;
+the exit status is non-zero on any new error-severity finding.  See ``python -m repro.harness analyze --help``
 and docs/ANALYSIS.md.
 
 The exhaustive protocol model checker runs through the ``modelcheck``

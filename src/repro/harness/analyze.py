@@ -4,7 +4,7 @@ Examples::
 
     python -m repro.harness analyze
     python -m repro.harness analyze --format sarif --out simcheck.sarif
-    python -m repro.harness analyze --rule SIM-P301 --rule SIM-P302
+    python -m repro.harness analyze --rule SIM-D001 --rule SIM-E203
     python -m repro.harness analyze --update-baseline
     python -m repro.harness analyze --prune-baseline
     python -m repro.harness analyze --list-rules --format json

@@ -114,24 +114,13 @@ class CacheArray:
             return None
         return line
 
-    def choose_victim(self, line_address: int, pinned: Optional[Callable[[CacheLine], bool]] = None) -> Optional[CacheLine]:
-        """LRU victim in ``line_address``'s set, or None if there is room.
-
-        ``pinned`` lines are skipped (used to keep one way free for
-        non-TMI lines during OT remapping, Section 4.1); if every way is
-        pinned the least-recently-used pinned line is returned anyway so
-        the caller can take its slow path.
-        """
+    def choose_victim(self, line_address: int) -> Optional[CacheLine]:
+        """LRU victim in ``line_address``'s set, or None if there is room."""
         cache_set = self._set_for(line_address)
         valid = [line for line in cache_set.values() if line._state is not LineState.I]
         if len(valid) < self.associativity:
             return None
-        candidates = valid
-        if pinned is not None:
-            unpinned = [line for line in valid if not pinned(line)]
-            if unpinned:
-                candidates = unpinned
-        return min(candidates, key=lambda line: line.last_use)
+        return min(valid, key=lambda line: line.last_use)
 
     def install(self, line_address: int, state: LineState) -> CacheLine:
         """Place a line; the set must have room (caller evicts first)."""

@@ -76,7 +76,7 @@ def test_rule_selection_and_unknown_rule(tmp_path, capsys):
 def test_list_rules(capsys):
     assert run_analyze_command(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("SIM-D001", "SIM-H101", "SIM-E201", "SIM-P301"):
+    for rule_id in ("SIM-D001", "SIM-H101", "SIM-E201", "SIM-E203"):
         assert rule_id in out
 
 

@@ -1,16 +1,24 @@
-"""Table-driven conformance against Figure 1's transition tables.
+"""Table-driven conformance against Figure 1's and Figure 3's tables.
 
 For every (local state, processor operation) and (local state, remote
-request) pair, build a two-processor machine, place the line in the
-required state at processor 0, apply the stimulus, and check the
-resulting local state against the figure.
+request) pair, build a small machine, place the line in the required
+state at processor 0, apply the stimulus, and check the resulting local
+state against the figure.  The response table, both sides of the CST
+dual update, strong isolation, the grant install exception and the
+flash transforms are checked the same way.
+
+The expected values are transcribed from the paper by hand, not read
+from ``repro.coherence.spec``: the controllers execute the spec's
+tables, so this file is the independent reference for them.
 """
 
 import pytest
 
+from repro.coherence import spec, tables
 from repro.coherence.messages import AccessKind, RequestType, ResponseKind
 from repro.coherence.states import LineState
 from repro.core.machine import FlexTMMachine
+from repro.errors import ProtocolError
 from repro.params import small_test_params
 from tests.helpers import begin_hardware_transaction
 
@@ -49,6 +57,13 @@ def _state_of(machine, proc, address):
     return cached.state if cached else LineState.I
 
 
+def _directory_requests(machine):
+    return sum(
+        machine.stats.counter(f"dir.requests.{request.value}").value
+        for request in RequestType
+    )
+
+
 def _ensure_txn(machine, proc):
     if machine.processors[proc].current is None:
         begin_hardware_transaction(machine, proc)
@@ -77,7 +92,32 @@ LOCAL_TRANSITIONS = [
     (LineState.TMI, AccessKind.TSTORE, LineState.TMI),
     (LineState.TI, AccessKind.LOAD, LineState.TI),
     (LineState.TI, AccessKind.TLOAD, LineState.TI),
+    (LineState.TI, AccessKind.STORE, LineState.M),
     (LineState.TI, AccessKind.TSTORE, LineState.TMI),
+]
+
+# The (start state, op) rows satisfied without a directory request.
+LOCAL_HITS = {
+    (LineState.S, AccessKind.LOAD),
+    (LineState.S, AccessKind.TLOAD),
+    (LineState.E, AccessKind.LOAD),
+    (LineState.E, AccessKind.TLOAD),
+    (LineState.E, AccessKind.STORE),
+    (LineState.M, AccessKind.LOAD),
+    (LineState.M, AccessKind.TLOAD),
+    (LineState.M, AccessKind.STORE),
+    (LineState.M, AccessKind.TSTORE),
+    (LineState.TMI, AccessKind.LOAD),
+    (LineState.TMI, AccessKind.TLOAD),
+    (LineState.TMI, AccessKind.TSTORE),
+    (LineState.TI, AccessKind.LOAD),
+    (LineState.TI, AccessKind.TLOAD),
+}
+
+# (start state, op) pairs that are architecturally illegal.
+LOCAL_ERRORS = [
+    # A plain Store would overwrite the pre-speculative image.
+    (LineState.TMI, AccessKind.STORE),
 ]
 
 
@@ -95,6 +135,7 @@ def test_local_transition(start, op, expected):
         AccessKind.LOAD: machine.load,
         AccessKind.TLOAD: machine.tload,
     }
+    requests = _directory_requests(machine)
     if op in dispatch:
         dispatch[op](0, address)
     elif op is AccessKind.STORE:
@@ -102,11 +143,36 @@ def test_local_transition(start, op, expected):
     else:
         machine.tstore(0, address, 9)
     assert _state_of(machine, 0, address) is expected
+    local = _directory_requests(machine) == requests
+    assert local == ((start, op) in LOCAL_HITS)
 
+
+@pytest.mark.parametrize(
+    "start,op", LOCAL_ERRORS, ids=[f"{s.name}-{o.value}" for s, o in LOCAL_ERRORS]
+)
+def test_illegal_local_access_raises(start, op):
+    machine = _machine()
+    address = _put_in_state(machine, start)
+    with pytest.raises(ProtocolError):
+        machine.processors[0].l1.access(op, machine.amap.line_of(address))
+    assert _state_of(machine, 0, address) is start
+
+
+# The access a requestor performs to send each request type.
+_ACCESS_FOR = {
+    RequestType.GETS: AccessKind.LOAD,
+    RequestType.GETX: AccessKind.STORE,
+    RequestType.TGETX: AccessKind.TSTORE,
+}
 
 # (holder state, remote request, expected holder state) — remote half.
-# Requests issue from processor 2 (processor 1 may be a TI/TMI party).
+# Requests issue from processor 2 (processor 1 may be a TI/TMI party)
+# straight through its L1, so a plain GETX is seen as the coherence
+# message alone, before the machine's strong-isolation abort.
 REMOTE_TRANSITIONS = [
+    (LineState.I, RequestType.GETS, LineState.I),
+    (LineState.I, RequestType.GETX, LineState.I),
+    (LineState.I, RequestType.TGETX, LineState.I),
     (LineState.S, RequestType.GETS, LineState.S),
     (LineState.S, RequestType.GETX, LineState.I),
     (LineState.S, RequestType.TGETX, LineState.I),
@@ -117,6 +183,7 @@ REMOTE_TRANSITIONS = [
     (LineState.M, RequestType.GETX, LineState.I),  # with flush
     (LineState.M, RequestType.TGETX, LineState.I),
     (LineState.TMI, RequestType.GETS, LineState.TMI),  # never yields
+    (LineState.TMI, RequestType.GETX, LineState.TMI),
     (LineState.TMI, RequestType.TGETX, LineState.TMI),
     (LineState.TI, RequestType.GETX, LineState.I),
     (LineState.TI, RequestType.TGETX, LineState.I),
@@ -132,43 +199,223 @@ REMOTE_TRANSITIONS = [
 def test_remote_transition(holder, request_type, expected):
     machine = _machine()
     address = _put_in_state(machine, holder)
-    if request_type is RequestType.GETS:
-        machine.load(2, address)
-    elif request_type is RequestType.GETX:
-        machine.store(2, address, 7)
-    else:
-        begin_hardware_transaction(machine, 2)
-        machine.tstore(2, address, 7)
+    line = machine.amap.line_of(address)
+    if holder is LineState.I:
+        # Listed at the directory without a copy (a silent eviction
+        # whose victim-buffer entry is gone), so the request reaches it.
+        machine.load(0, address)
+        machine.processors[0].l1.array.remove(line)
+    machine.processors[2].l1.access(_ACCESS_FOR[request_type], line)
     assert _state_of(machine, 0, address) is expected
+
+
+# (signature hit at the responder, request, response) — Figure 1's
+# response table.
+RESPONSES = [
+    ("wsig", RequestType.GETS, ResponseKind.THREATENED),
+    ("wsig", RequestType.GETX, ResponseKind.THREATENED),
+    ("wsig", RequestType.TGETX, ResponseKind.THREATENED),
+    ("rsig_only", RequestType.GETS, ResponseKind.SHARED),
+    ("rsig_only", RequestType.GETX, ResponseKind.INVALIDATED),
+    ("rsig_only", RequestType.TGETX, ResponseKind.EXPOSED_READ),
+]
+
+
+def _responder(machine, category):
+    """Processor 0 runs a transaction whose Wsig or Rsig holds a line."""
+    begin_hardware_transaction(machine, 0)
+    address = machine.allocate_words(1, line_aligned=True)
+    if category == "wsig":
+        machine.tstore(0, address, 1)
+    else:
+        machine.tload(0, address)
+    return address
 
 
 def test_response_table():
     """Figure 1's signature-response table, all six cells."""
-    # Wsig hit rows.
-    for request, expected in [
-        (RequestType.GETS, ResponseKind.THREATENED),
-        (RequestType.GETX, ResponseKind.THREATENED),
-        (RequestType.TGETX, ResponseKind.THREATENED),
-    ]:
+    for category, request, expected in RESPONSES:
         machine = _machine()
-        begin_hardware_transaction(machine, 0)
-        address = machine.allocate_words(1, line_aligned=True)
-        machine.tstore(0, address, 1)
+        address = _responder(machine, category)
         kind = machine.processors[0].classify_remote(
             2, request, machine.amap.line_of(address)
         )
-        assert kind is expected, request
-    # Rsig-only hit rows.
-    for request, expected in [
-        (RequestType.GETS, ResponseKind.SHARED),
-        (RequestType.GETX, ResponseKind.INVALIDATED),
-        (RequestType.TGETX, ResponseKind.EXPOSED_READ),
-    ]:
+        assert kind is expected, (category, request)
+
+
+def _cst_bits(processor):
+    csts = processor.csts
+    return {"r_w": csts.r_w.value, "w_r": csts.w_r.value, "w_w": csts.w_w.value}
+
+
+def _transactional_request(machine, proc, access, address):
+    begin_hardware_transaction(machine, proc)
+    if access is AccessKind.TLOAD:
+        return machine.tload(proc, address)
+    return machine.tstore(proc, address, 7)
+
+
+# (responder's signature hit, request, responder CST naming the requestor)
+RESPONDER_CSTS = [
+    ("wsig", RequestType.GETS, "w_r"),
+    ("wsig", RequestType.TGETX, "w_w"),
+    ("rsig_only", RequestType.TGETX, "r_w"),
+]
+
+
+@pytest.mark.parametrize(
+    "category,request_type,cst",
+    RESPONDER_CSTS,
+    ids=[f"{c}-{r.value}" for c, r, _ in RESPONDER_CSTS],
+)
+def test_responder_cst(category, request_type, cst):
+    machine = _machine()
+    address = _responder(machine, category)
+    access = AccessKind.TLOAD if request_type is RequestType.GETS else AccessKind.TSTORE
+    _transactional_request(machine, 2, access, address)
+    responder = machine.processors[0]
+    expected = {"r_w": 0, "w_r": 0, "w_w": 0}
+    expected[cst] = 1 << 2
+    assert _cst_bits(responder) == expected
+    # W-R and W-W conflicts name a partner for Figure 4's table.
+    assert (2 in responder.conflict_partners) == (cst != "r_w")
+
+
+# (requestor's access, response it receives, requestor CST naming the
+# responder) — the mirrored half of the dual update.
+REQUESTER_CSTS = [
+    (AccessKind.TLOAD, ResponseKind.THREATENED, "r_w"),
+    (AccessKind.TSTORE, ResponseKind.THREATENED, "w_w"),
+    (AccessKind.TSTORE, ResponseKind.EXPOSED_READ, "w_r"),
+]
+
+
+@pytest.mark.parametrize(
+    "access,response,cst",
+    REQUESTER_CSTS,
+    ids=[f"{a.value}-{r.value}" for a, r, _ in REQUESTER_CSTS],
+)
+def test_requester_cst(access, response, cst):
+    machine = _machine()
+    category = "wsig" if response is ResponseKind.THREATENED else "rsig_only"
+    address = _responder(machine, category)
+    result = _transactional_request(machine, 2, access, address)
+    assert result.conflicts == [(0, response)]
+    requester = machine.processors[2]
+    expected = {"r_w": 0, "w_r": 0, "w_w": 0}
+    expected[cst] = 1 << 0
+    assert _cst_bits(requester) == expected
+    assert (0 in requester.conflict_partners) == (cst != "r_w")
+
+
+# (responder's signature hit, response) for a plain GETX: strong
+# isolation aborts the responder instead of recording a conflict.
+STRONG_ISOLATION = [
+    ("wsig", ResponseKind.THREATENED),
+    ("rsig_only", ResponseKind.INVALIDATED),
+]
+
+
+@pytest.mark.parametrize(
+    "category,response", STRONG_ISOLATION, ids=[c for c, _ in STRONG_ISOLATION]
+)
+def test_strong_isolation_sets_no_cst(category, response):
+    machine = _machine()
+    address = _responder(machine, category)
+    line = machine.amap.line_of(address)
+    requester = machine.processors[2]
+    result = requester.l1.access(AccessKind.STORE, line)
+    assert result.conflicts == [(0, response)]
+    requester.note_request_conflicts(AccessKind.STORE, result.conflicts)
+    empty = {"r_w": 0, "w_r": 0, "w_w": 0}
+    assert _cst_bits(machine.processors[0]) == empty
+    assert _cst_bits(requester) == empty
+    # The machine's plain store resolves the conflict by aborting.
+    machine.store(3, address, 5)
+    assert machine.processors[0].current.wounded_by == 3
+
+
+# (access, granted state, installed state): grants the requestor does
+# not install as granted.
+GRANT_INSTALLS = [
+    (AccessKind.LOAD, LineState.TI, LineState.I),
+]
+
+
+@pytest.mark.parametrize(
+    "access,granted,installed",
+    GRANT_INSTALLS,
+    ids=[f"{a.value}-{g.name}" for a, g, _ in GRANT_INSTALLS],
+)
+def test_grant_install_exception(access, granted, installed):
+    """A plain Load granted TI reads the committed value uncached."""
+    machine = _machine()
+    begin_hardware_transaction(machine, 1)
+    address = machine.allocate_words(1, line_aligned=True)
+    machine.tstore(1, address, 1)  # a remote TMI copy: GETS grants TI
+    result = machine.processors[0].l1.access(access, machine.amap.line_of(address))
+    assert result.threatened_uncached
+    assert result.state is installed
+    assert _state_of(machine, 0, address) is installed
+
+
+# (state, after flash commit, after flash abort) — Figure 3.
+FLASH_TRANSFORMS = [
+    (LineState.I, LineState.I, LineState.I),
+    (LineState.S, LineState.S, LineState.S),
+    (LineState.E, LineState.E, LineState.E),
+    (LineState.M, LineState.M, LineState.M),
+    (LineState.TMI, LineState.M, LineState.I),  # speculation becomes real
+    (LineState.TI, LineState.I, LineState.I),  # copy may be stale
+]
+
+
+@pytest.mark.parametrize(
+    "start,committed,aborted",
+    FLASH_TRANSFORMS,
+    ids=[s.name for s, _, _ in FLASH_TRANSFORMS],
+)
+def test_flash_transform(start, committed, aborted):
+    for flash, expected in (("flash_commit", committed), ("flash_abort", aborted)):
         machine = _machine()
-        begin_hardware_transaction(machine, 0)
-        address = machine.allocate_words(1, line_aligned=True)
-        machine.tload(0, address)
-        kind = machine.processors[0].classify_remote(
-            2, request, machine.amap.line_of(address)
-        )
-        assert kind is expected, request
+        address = _put_in_state(machine, start)
+        getattr(machine.processors[0].l1, flash)()
+        assert _state_of(machine, 0, address) is expected, flash
+
+
+def test_case_lists_cover_every_spec_cell():
+    local = {(op.value, start.name) for start, op, _ in LOCAL_TRANSITIONS}
+    errors = {(op.value, start.name) for start, op in LOCAL_ERRORS}
+    assert local | errors == set(spec.LOCAL_DISPATCH)
+    assert {(op.value, start.name) for start, op in LOCAL_HITS} == {
+        cell for cell, outcome in spec.LOCAL_DISPATCH.items() if outcome == "local"
+    }
+    assert errors == {
+        cell for cell, outcome in spec.LOCAL_DISPATCH.items() if outcome == "error"
+    }
+    assert {(r.value, h.name) for h, r, _ in REMOTE_TRANSITIONS} == set(
+        spec.REMOTE_NEXT_STATE
+    )
+    assert {(r.value, c) for c, r, _ in RESPONSES} == set(spec.RESPONSE_TABLE)
+    assert {(r.value, c) for c, r, _ in RESPONDER_CSTS} == set(spec.RESPONDER_CST)
+    assert {(a.value, r.value) for a, r, _ in REQUESTER_CSTS} == set(
+        spec.REQUESTER_CST
+    )
+    assert {("GETX", c) for c, _ in STRONG_ISOLATION} == set(
+        spec.STRONG_ISOLATION_ABORTS
+    )
+    assert {(a.value, g.name) for a, g, _ in GRANT_INSTALLS} == set(spec.GRANT_INSTALL)
+    assert {s.name for s, _, _ in FLASH_TRANSFORMS} == set(spec.COMMIT_TRANSFORM)
+    assert {s.name for s, _, _ in FLASH_TRANSFORMS} == set(spec.ABORT_TRANSFORM)
+
+
+def test_machine_follows_a_patched_table_cell(monkeypatch):
+    """The compiled tables are live: the machine obeys a patched cell."""
+    monkeypatch.setitem(
+        tables.REMOTE_NEXT_STATE, (RequestType.GETS, LineState.E), LineState.I
+    )
+    machine = _machine()
+    address = _put_in_state(machine, LineState.E)
+    machine.load(2, address)
+    # Figure 1 demotes E to S on a remote GETS; the patched cell drops it.
+    assert _state_of(machine, 0, address) is LineState.I

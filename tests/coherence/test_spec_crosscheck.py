@@ -1,10 +1,11 @@
-"""Pin the executable LineState enum against the machine-readable spec.
+"""Pin the enum vocabulary and predicates against the machine-readable spec.
 
-Figure 1's encoding table and predicates exist twice by design: once as
-executable properties on :class:`repro.coherence.states.LineState` and
-once as plain data in :mod:`repro.coherence.spec` (which the simcheck
-protocol rules consume).  These tests are the bridge — if either copy
-drifts, the suite fails before the static pass ever runs.
+The controllers dispatch through tables compiled from
+:mod:`repro.coherence.spec` (:mod:`repro.coherence.tables`), and
+``LineState`` reads its encoding and flash transforms from the spec.
+What stays hand-written is the enum vocabulary and a few predicates
+(``is_valid``, ``is_transactional``, ``is_write``, ``is_exclusive``,
+``signals_conflict``); these tests pin them against the spec.
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ def test_spec_states_match_enum_members():
     assert set(spec.RESPONSES) == {response.value for response in ResponseKind}
 
 
-@pytest.mark.parametrize("state", list(LineState))
-def test_encodings_match_figure1(state):
-    assert state.encoding == spec.ENCODINGS[state.name]
-
-
 def test_encodings_are_distinct():
     encodings = [spec.ENCODINGS[name] for name in spec.STATES]
     assert len(set(encodings)) == len(encodings)
@@ -42,7 +38,8 @@ def test_encodings_are_distinct():
 
 @pytest.mark.parametrize("state", list(LineState))
 def test_state_predicates_match_spec(state):
-    for predicate, satisfying in spec.STATE_PREDICATES.items():
+    for predicate in ("is_valid", "is_transactional"):
+        satisfying = spec.STATE_PREDICATES[predicate]
         assert getattr(state, predicate) == (state.name in satisfying), (
             f"LineState.{state.name}.{predicate} disagrees with "
             f"spec.STATE_PREDICATES[{predicate!r}]"
@@ -56,12 +53,9 @@ def test_t_bit_is_exactly_the_transactional_predicate():
 
 def test_m_v_bits_match_predicates():
     for state in LineState:
-        m_bit, v_bit, t_bit = state.encoding
-        # Writable (exclusive, non-speculative) states are M-bit
-        # non-transactional states.
-        assert state.writable == (m_bit == 1 and t_bit == 0)
-        # I is the only state without a usable copy.
-        assert state.is_valid == (state is not LineState.I)
+        # I is the only state without a usable copy, and the only
+        # all-zero encoding.
+        assert state.is_valid == (state.encoding != (0, 0, 0))
 
 
 @pytest.mark.parametrize("kind", list(AccessKind))
@@ -75,12 +69,6 @@ def test_access_predicates_match_spec(kind):
 def test_request_predicates_match_spec(req_type):
     for predicate, satisfying in spec.REQUEST_PREDICATES.items():
         assert getattr(req_type, predicate) == (req_type.name in satisfying)
-
-
-@pytest.mark.parametrize("state", list(LineState))
-def test_flash_transforms_match_figure3(state):
-    assert state.after_commit().name == spec.COMMIT_TRANSFORM[state.name]
-    assert state.after_abort().name == spec.ABORT_TRANSFORM[state.name]
 
 
 def test_dual_cst_is_an_involution():

@@ -34,25 +34,6 @@ def test_abort_transform():
         assert state.after_abort() is state
 
 
-def test_readability():
-    assert LineState.TI.readable
-    assert LineState.TMI.readable
-    assert not LineState.I.readable
-
-
-def test_writability():
-    assert LineState.M.writable and LineState.E.writable
-    for state in (LineState.S, LineState.I, LineState.TI, LineState.TMI):
-        assert not state.writable
-
-
-def test_tstore_hits_only_in_tmi():
-    assert LineState.TMI.tstore_hits
-    for state in LineState:
-        if state is not LineState.TMI:
-            assert not state.tstore_hits
-
-
 def test_validity():
     assert not LineState.I.is_valid
     for state in LineState:

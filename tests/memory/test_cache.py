@@ -46,23 +46,6 @@ def test_choose_victim_none_when_room():
     assert cache.choose_victim(4) is None
 
 
-def test_choose_victim_skips_pinned():
-    cache = CacheArray(4, 2)
-    cache.install(0, LineState.S)
-    cache.install(4, LineState.S)
-    cache.lookup(0)
-    victim = cache.choose_victim(8, pinned=lambda line: line.line_address == 4)
-    assert victim.line_address == 0
-
-
-def test_choose_victim_falls_back_when_all_pinned():
-    cache = CacheArray(4, 2)
-    cache.install(0, LineState.S)
-    cache.install(4, LineState.S)
-    victim = cache.choose_victim(8, pinned=lambda line: True)
-    assert victim is not None
-
-
 def test_remove_frees_slot():
     cache = CacheArray(4, 1)
     cache.install(0, LineState.M)

@@ -14,7 +14,8 @@ accounting).  Each cell gets one of three verdicts:
     same, except the conflict schedule made the TM abort someone, which
     is the *correct* response to the interleaving;
 ``violates``
-    anything else: a crash, a wedge (missing commits at the cycle
+    anything else: a crash (also of the cell's worker process), a wedge
+    (missing commits at the cycle budget, or a cell over its wall-clock
     budget), a serializability or snapshot-consistency (opacity)
     violation, memory diverging from the serial witness, or an abort on
     a progressiveness schedule.
@@ -22,13 +23,17 @@ accounting).  Each cell gets one of three verdicts:
 Cells are fully deterministic: the schedule script consumes no RNG and
 the per-cell seed only offsets the unique write values, so the same
 (seed, backend, schedule) triple replays bit-identically — including
-across ``--jobs`` fan-out, which partitions by backend exactly like
-the chaos harness.
+across ``--jobs`` fan-out, where every cell is its own point of
+:func:`repro.harness.parallel.run_points` and rows keep their input
+order.  A cell whose worker dies or overruns the per-cell wall-clock
+budget (enforced at ``--jobs >= 2``) becomes a ``violates`` row with a
+``crash:`` or ``timeout:`` detail.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import zlib
 from typing import Dict, List, Optional, Sequence
@@ -40,6 +45,7 @@ from repro.chaos.invariants import InvariantChecker
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine
 from repro.errors import ReproError
+from repro.harness.matrix import lost_cell, run_cells
 from repro.params import small_test_params
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.txthread import TxThread
@@ -84,7 +90,8 @@ class ScheduleCell:
 
 
 def cell_seed(seed: int, backend: str, schedule: str) -> int:
-    """The replay seed for one cell (same mixing as the chaos harness)."""
+    """The replay seed for one matrix cell; the chaos and degrade
+    harnesses mix their per-profile fault seeds with it too."""
     return seed ^ zlib.crc32(f"{backend}:{schedule}".encode())
 
 
@@ -205,25 +212,6 @@ def run_schedule_cell(
 # ------------------------------------------------------------------ the matrix
 
 
-def run_backend_schedules(
-    backend_name: str,
-    schedules: Sequence[str],
-    seed: int,
-    cycle_limit: int = DEFAULT_CYCLE_LIMIT,
-    strict: bool = True,
-) -> List[ScheduleCell]:
-    """Every requested schedule on one backend, in catalog order."""
-    return [
-        run_schedule_cell(backend_name, schedule, seed, cycle_limit, strict)
-        for schedule in schedules
-    ]
-
-
-def _worker(payload) -> List[ScheduleCell]:
-    backend_name, schedules, seed, cycle_limit, strict = payload
-    return run_backend_schedules(backend_name, schedules, seed, cycle_limit, strict)
-
-
 def run_adversary_matrix(
     backends: Sequence[str],
     schedules: Sequence[str],
@@ -233,34 +221,29 @@ def run_adversary_matrix(
     strict: bool = True,
     progress=None,
 ) -> List[ScheduleCell]:
-    """The full matrix; one worker unit per backend, rows in input order.
+    """The full matrix; one point per cell, rows backend-major in input
+    order.
 
-    Partitioning by backend (not by cell) keeps the row order — and
-    every cell's seed and workload — identical at any ``--jobs`` value,
-    which the determinism tests lock.
+    A cell whose worker died or overran the per-cell budget becomes a
+    ``violates`` row with a ``crash:`` or ``timeout:`` detail.
     """
-    payloads = [
-        (name, tuple(schedules), seed, cycle_limit, strict)
-        for name in backends
-    ]
-    jobs = min(max(1, jobs), len(payloads))
-    if jobs == 1:
-        groups = []
-        for payload in payloads:
-            groups.append(_worker(payload))
-            if progress is not None:
-                progress(len(groups), len(payloads))
-    else:
-        import concurrent.futures
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context
-        ) as pool:
-            groups = []
-            for group in pool.map(_worker, payloads):
-                groups.append(group)
-                if progress is not None:
-                    progress(len(groups), len(payloads))
-    return [cell for group in groups for cell in group]
+    keys = [(backend, schedule) for backend in backends for schedule in schedules]
+    outcomes = run_cells(
+        [
+            (f"{backend}/{schedule}", functools.partial(
+                run_schedule_cell, backend, schedule, seed, cycle_limit, strict))
+            for backend, schedule in keys
+        ],
+        jobs, progress,
+    )
+    rows = []
+    for (backend, schedule), outcome in zip(keys, outcomes):
+        lost = lost_cell(outcome)
+        if lost is None:
+            rows.append(outcome.result)
+        else:
+            rows.append(ScheduleCell(
+                backend=backend, schedule=schedule, verdict=VIOLATES,
+                seed=cell_seed(seed, backend, schedule), detail=lost[1],
+            ))
+    return rows

@@ -9,14 +9,15 @@ any ``violates`` verdict — including opacity (zombie snapshot)
 violations and aborts on progressiveness schedules.
 
 The matrix is bit-identical across reruns and across ``--jobs`` values
-(workers partition by backend, preserving every cell's seed and row
-order), so a CI failure replays locally with the same command line.
+(every cell is one point of the shared executor, keeping its seed and
+its row position), so a CI failure replays locally with the same
+command line.  At ``--jobs >= 2`` a cell whose worker dies or overruns
+the per-cell wall-clock budget becomes a ``violates`` row with a
+``crash:`` or ``timeout:`` detail, and the exit status is 1.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from typing import Dict, List, Sequence
 
@@ -26,23 +27,23 @@ from repro.adversary.conformance import (
     run_adversary_matrix,
 )
 from repro.adversary.schedules import SCHEDULES
-from repro.harness.chaos import _comma_list, render_backend_list, resolve_backends
-from repro.harness.parallel import effective_jobs
+from repro.harness.matrix import (
+    comma_list,
+    conclude,
+    matrix_parser,
+    matrix_report,
+    render_backend_list,
+    resolve_backends,
+    resolve_names,
+)
+from repro.harness.parallel import effective_jobs, render_progress
 
 #: Schema tag for the JSON report.
 REPORT_SCHEMA = "repro.adversary/v1"
 
 
 def resolve_schedules(names: Sequence[str]) -> List[str]:
-    """Validate schedule names against the catalog (SystemExit on junk)."""
-    schedules = []
-    for name in names:
-        if name not in SCHEDULES:
-            raise SystemExit(
-                f"unknown schedule {name!r}; choose from {', '.join(SCHEDULES)}"
-            )
-        schedules.append(name)
-    return schedules
+    return resolve_names(names, SCHEDULES, "schedule")
 
 
 def list_schedules() -> str:
@@ -82,62 +83,35 @@ def build_report(
     cycle_limit: int,
     strict: bool,
 ) -> Dict[str, object]:
-    counts: Dict[str, int] = {}
-    for cell in rows:
-        counts[cell.verdict] = counts.get(cell.verdict, 0) + 1
-    return {
-        "schema": REPORT_SCHEMA,
-        "seed": seed,
-        "backends": list(backends),
-        "schedules": list(schedules),
-        "cycle_limit": cycle_limit,
-        "strict": strict,
-        "counts": counts,
-        "ok": all(cell.ok for cell in rows),
-        "cells": [cell.to_json() for cell in rows],
-    }
+    return matrix_report(
+        REPORT_SCHEMA, rows, "verdict",
+        seed=seed, backends=list(backends), schedules=list(schedules),
+        cycle_limit=cycle_limit, strict=strict,
+    )
 
 
 def run_adversary_command(argv=None) -> int:
     """``python -m repro.harness adversary`` — run the conformance matrix."""
-    from repro.harness.runner import SYSTEMS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness adversary",
-        description="Drive every TM backend through the named adversarial "
+    parser = matrix_parser(
+        "adversary",
+        "Drive every TM backend through the named adversarial "
         "schedules from the TM-theory literature, with strict invariants, "
         "opacity/zombie probes, and the serializability oracle armed; "
         "fail on any conformance violation.",
+        DEFAULT_CYCLE_LIMIT,
+        "write the repro.adversary/v1 JSON report here",
     )
-    parser.add_argument("--seed", type=int, default=1,
-                        help="master seed for the matrix (default 1)")
-    parser.add_argument("--backends", default=",".join(SYSTEMS),
-                        help="comma-separated backend names (default: all)")
-    parser.add_argument("--backend", action="append", default=None,
-                        metavar="NAME", dest="backend",
-                        help="run a single backend (repeatable; overrides "
-                        "--backends)")
     parser.add_argument("--schedules", default=",".join(SCHEDULES),
                         help="comma-separated schedule names (default: all)")
     parser.add_argument("--schedule", action="append", default=None,
                         metavar="NAME", dest="schedule",
                         help="run a single schedule (repeatable; overrides "
                         "--schedules)")
-    parser.add_argument("--cycles", type=int, default=DEFAULT_CYCLE_LIMIT,
-                        help="cycle budget per cell (wedge detector)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (0 = one per CPU; 1 = serial)")
     parser.add_argument("--no-strict", action="store_true",
                         help="drop strict invariants (wound-attribution "
                         "losses become silent instead of diagnosed)")
-    parser.add_argument("--report", metavar="FILE",
-                        help="write the repro.adversary/v1 JSON report here")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress on stderr")
     parser.add_argument("--list-schedules", action="store_true",
                         help="list the named schedules and exit")
-    parser.add_argument("--list-backends", action="store_true",
-                        help="list the TM backends and exit")
     args = parser.parse_args(argv)
 
     if args.list_schedules:
@@ -147,49 +121,25 @@ def run_adversary_command(argv=None) -> int:
         sys.stdout.write(render_backend_list())
         return 0
 
-    backends = resolve_backends(args.backend or _comma_list(args.backends))
-    schedules = resolve_schedules(args.schedule or _comma_list(args.schedules))
+    backends = resolve_backends(args.backend or comma_list(args.backends))
+    schedules = resolve_schedules(args.schedule or comma_list(args.schedules))
     strict = not args.no_strict
-
-    jobs = min(effective_jobs(args.jobs), len(backends))
     if not args.quiet:
         sys.stderr.write(
             f"adversary: seed {args.seed}, {len(backends)} backend(s) x "
-            f"{len(schedules)} schedule(s), {jobs} worker(s)\n"
+            f"{len(schedules)} schedule(s), {effective_jobs(args.jobs)} worker(s)\n"
         )
-    progress = None
-    if not args.quiet:
-        def progress(done, total):
-            sys.stderr.write(f"adversary: {done}/{total} backends done\n")
-
     rows = run_adversary_matrix(
-        backends, schedules, args.seed, jobs=jobs,
-        cycle_limit=args.cycles, strict=strict, progress=progress,
+        backends, schedules, args.seed, jobs=args.jobs,
+        cycle_limit=args.cycles, strict=strict,
+        progress=None if args.quiet else render_progress,
     )
     sys.stdout.write(render_matrix(rows))
-    report = build_report(
-        rows, args.seed, backends, schedules, args.cycles, strict
+    return conclude(
+        "adversary",
+        build_report(rows, args.seed, backends, schedules, args.cycles, strict),
+        args.report,
+        [f"{c.backend}/{c.schedule}: {c.detail or c.verdict}" for c in rows if not c.ok],
+        "every schedule conforms (or aborts exactly as the theory requires) "
+        "on every backend",
     )
-    counts = report["counts"]
-    summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    sys.stdout.write(f"\nadversary: {len(rows)} cells: {summary}\n")
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    failures = [cell for cell in rows if not cell.ok]
-    if failures:
-        sys.stdout.write(
-            "adversary: FAIL — "
-            + "; ".join(
-                f"{c.backend}/{c.schedule}: {c.detail or c.verdict}"
-                for c in failures
-            )
-            + "\n"
-        )
-        return 1
-    sys.stdout.write(
-        "adversary: every schedule conforms (or aborts exactly as the "
-        "theory requires) on every backend\n"
-    )
-    return 0

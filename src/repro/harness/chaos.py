@@ -21,19 +21,25 @@ oracle all armed, then classifies each cell:
     the damage: the robustness layer caught the fault.
 ``wedged``
     the run hit its cycle budget without committing every
-    transaction: a liveness failure.  **Test failure.**
+    transaction, or (at ``--jobs >= 2``) overran the per-cell
+    wall-clock budget: a liveness failure.  **Test failure.**
 ``silent-corruption``
     the history passed the checker but the final memory does not
     equal a serial replay of the witness, or some other undiagnosed
     divergence: exactly the outcome this layer exists to prevent.
     **Test failure.**
 ``crash``
-    a non-``ReproError`` escaped — a bug, not a diagnosis.
-    **Test failure.**
+    a non-``ReproError`` escaped, or the cell's worker process died —
+    a bug, not a diagnosis.  **Test failure.**
+
+Each backend's fault-free baseline and each (backend, profile) cell is
+one point of :func:`repro.harness.parallel.run_points`; cells are
+classified in the parent once every point has returned.
 
 Every cell is deterministic from ``(seed, backend, profile)``: per-cell
-chaos seeds are mixed with :func:`zlib.crc32` (stable across processes,
-unlike salted string hashes), thread bodies draw from
+chaos seeds are mixed by :func:`repro.adversary.conformance.cell_seed`
+(:func:`zlib.crc32`, stable across processes, unlike salted string
+hashes), thread bodies draw from
 :class:`~repro.sim.rng.DeterministicRng`, and the scheduler is
 timing-driven.  Re-running a failing cell with the same flags replays
 it bit-identically.
@@ -41,20 +47,32 @@ it bit-identically.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
+import functools
 import itertools
-import json
 import sys
-import zlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.adversary.conformance import cell_seed
 from repro.chaos import ChaosEngine, ChaosSpec, InvariantChecker, LivelockWatchdog, WatchdogSpec
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine
 from repro.errors import ReproError
-from repro.harness.parallel import effective_jobs
+from repro.harness.matrix import (
+    comma_list,
+    conclude,
+    lost_cell,
+    matrix_parser,
+    matrix_report,
+    positive_int,
+    render_backend_list,
+    resolve_backends,
+    resolve_names,
+    run_cells,
+)
+from repro.harness.parallel import effective_jobs, render_progress
 from repro.params import small_test_params
+from repro.resilience import ResilienceController
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.txthread import TxThread, WorkItem
 from repro.sim.rng import DeterministicRng
@@ -94,8 +112,7 @@ def profile_spec(profile: str, seed: int, backend: str) -> ChaosSpec:
     """The replayable ChaosSpec for one (seed, backend, profile) cell."""
     if profile not in FAULT_PROFILES:
         raise KeyError(f"unknown fault profile {profile!r}; have {sorted(FAULT_PROFILES)}")
-    mixed = seed ^ zlib.crc32(f"{backend}:{profile}".encode())
-    return ChaosSpec(seed=mixed, **FAULT_PROFILES[profile])
+    return ChaosSpec(seed=cell_seed(seed, backend, profile), **FAULT_PROFILES[profile])
 
 
 @dataclasses.dataclass
@@ -148,18 +165,26 @@ def _bodies(cells, rng, count, unique):
         yield WorkItem(make(tuple(reads), tuple(writes)))
 
 
-def _run_cell(
+def run_cell(
     backend_name: str,
     seed: int,
     spec: Optional[ChaosSpec],
     threads: int,
     txns: int,
     cycle_limit: int,
+    mode: ConflictMode = ConflictMode.EAGER,
+    controller: Optional[ResilienceController] = None,
 ) -> Dict[str, object]:
     """One instrumented run; returns raw observations (no classification).
 
+    ``spec`` arms the chaos engine, the invariant checker and the
+    livelock watchdog; ``None`` is the fault-free baseline.
+    ``controller`` additionally arms the degradation ladder (the
+    ``degrade`` harness).
+
     Keys: ``commits``/``aborts``/``cycles``/``aborts_by_kind``,
     ``injected`` (site.kind -> count), ``watchdog`` telemetry,
+    ``commits_by_rung``/``recovery`` ladder telemetry,
     ``serializable``/``memory_ok`` oracle verdicts, and ``error`` /
     ``error_kind`` when something was raised (``repro`` for structured
     ReproErrors, ``crash`` for everything else).
@@ -175,7 +200,11 @@ def _run_cell(
         engine = ChaosEngine(spec, stats=machine.stats)
         machine.set_chaos(engine)
         machine.set_invariants(InvariantChecker())
-    backend = RecordingBackend(SYSTEMS[backend_name](machine, ConflictMode.EAGER))
+    if controller is not None:
+        machine.set_resilience(controller)
+    backend = RecordingBackend(SYSTEMS[backend_name](machine, mode))
+    if controller is not None:
+        controller.bind_manager(getattr(backend.inner, "manager", None))
     line = machine.params.line_bytes
     cells = [machine.allocate(line, line_aligned=True) for _ in range(NUM_CELLS)]
     for index, cell in enumerate(cells):
@@ -197,6 +226,8 @@ def _run_cell(
         "injected": {},
         "watchdog": {},
         "invariant_checks": 0,
+        "commits_by_rung": {},
+        "recovery": {},
         "serializable": False,
         "memory_ok": False,
         "error": "",
@@ -233,6 +264,14 @@ def _run_cell(
         out["invariant_checks"] = (
             machine.invariants.inline_checks + machine.invariants.sweeps
         )
+    if controller is not None:
+        out["commits_by_rung"] = dict(controller.commits_by_rung)
+        recovery = machine.stats.histogram("resilience.recovery_cycles")
+        out["recovery"] = {
+            "count": recovery.count,
+            "mean": int(recovery.mean),
+            "max": recovery.maximum,
+        }
     if out["error_kind"]:
         return out
     # Oracle: the committed history must be conflict-serializable, and
@@ -255,31 +294,40 @@ def _run_cell(
     return out
 
 
-def _classify(run: Dict[str, object], baseline: Dict[str, object],
-              expected_commits: int) -> CellResult:
-    """Apply the classification ladder to one faulted run."""
-    injected = dict(run["injected"])
-    total = sum(injected.values())
-    classification = "degraded"
-    detail = ""
+def triage(run: Dict[str, object], expected_commits: int) -> Optional[Tuple[str, str]]:
+    """The head of every classification ladder, as ``(class, detail)``.
+
+    crash → diagnosed → wedged → silent-corruption; ``None`` when the
+    run passed all four, and the harness applies its own tail.
+    """
     if run["error_kind"] == "crash":
-        classification, detail = "crash", str(run["error"])
-    elif run["error_kind"] == "repro":
-        classification, detail = "diagnosed", str(run["error"])
-    elif run["commits"] < expected_commits:
-        classification = "wedged"
-        detail = f"{run['commits']}/{expected_commits} commits at cycle budget"
-    elif not run["memory_ok"]:
-        classification = "silent-corruption"
-        detail = "final memory diverges from serial witness replay"
-    elif total == 0:
-        classification = "clean"
-    elif (run["commits"], run["aborts"]) == (baseline["commits"], baseline["aborts"]):
-        classification = "masked"
+        return "crash", str(run["error"])
+    if run["error_kind"] == "repro":
+        return "diagnosed", str(run["error"])
+    if run["commits"] < expected_commits:
+        return "wedged", f"{run['commits']}/{expected_commits} commits at cycle budget"
+    if not run["memory_ok"]:
+        return "silent-corruption", "final memory diverges from serial witness replay"
+    return None
+
+
+def _classify(run: Dict[str, object], baseline: Dict[str, object],
+              expected_commits: int, backend: str = "",
+              profile: str = "") -> CellResult:
+    """Apply the classification ladder to one faulted run."""
+    verdict = triage(run, expected_commits)
+    if verdict is None:
+        if not sum(run["injected"].values()):
+            verdict = "clean", ""
+        elif (run["commits"], run["aborts"]) == (baseline["commits"], baseline["aborts"]):
+            verdict = "masked", ""
+        else:
+            verdict = "degraded", ""
+    classification, detail = verdict
     return CellResult(
-        backend="", profile="",
+        backend=backend, profile=profile,
         classification=classification,
-        injected=injected,
+        injected=dict(run["injected"]),
         commits=int(run["commits"]),
         aborts=int(run["aborts"]),
         cycles=int(run["cycles"]),
@@ -292,47 +340,8 @@ def _classify(run: Dict[str, object], baseline: Dict[str, object],
     )
 
 
-def run_backend_matrix(
-    backend_name: str,
-    profiles: Sequence[str],
-    seed: int,
-    threads: int = DEFAULT_THREADS,
-    txns: int = DEFAULT_TXNS,
-    cycle_limit: int = DEFAULT_CYCLE_LIMIT,
-) -> List[CellResult]:
-    """Baseline one backend, then run and classify every fault profile."""
-    expected = threads * txns
-    baseline = _run_cell(backend_name, seed, None, threads, txns, cycle_limit)
-    rows: List[CellResult] = []
-    if baseline["error_kind"] or baseline["commits"] < expected or not baseline["memory_ok"]:
-        detail = str(baseline["error"]) or (
-            f"{baseline['commits']}/{expected} commits"
-            if baseline["commits"] < expected
-            else "final memory diverges from serial witness replay"
-        )
-        rows.append(
-            CellResult(
-                backend=backend_name, profile="baseline",
-                classification="crash" if baseline["error_kind"] == "crash" else "silent-corruption",
-                injected={}, commits=int(baseline["commits"]),
-                aborts=int(baseline["aborts"]), cycles=int(baseline["cycles"]),
-                detail=f"fault-free baseline failed: {detail}",
-            )
-        )
-        return rows
-    for profile in profiles:
-        spec = profile_spec(profile, seed, backend_name)
-        run = _run_cell(backend_name, seed, spec, threads, txns, cycle_limit)
-        cell = _classify(run, baseline, expected)
-        cell.backend = backend_name
-        cell.profile = profile
-        rows.append(cell)
-    return rows
-
-
-def _worker(payload) -> List[CellResult]:
-    backend_name, profiles, seed, threads, txns, cycle_limit = payload
-    return run_backend_matrix(backend_name, profiles, seed, threads, txns, cycle_limit)
+#: How the chaos and degrade ladders label a cell the executor lost.
+LOST_CLASSIFICATION = {"timeout": "wedged", "crash": "crash"}
 
 
 def run_chaos_matrix(
@@ -345,83 +354,80 @@ def run_chaos_matrix(
     cycle_limit: int = DEFAULT_CYCLE_LIMIT,
     progress=None,
 ) -> List[CellResult]:
-    """The full matrix; one worker unit per backend, rows in input order."""
-    payloads = [
-        (name, tuple(profiles), seed, threads, txns, cycle_limit)
-        for name in backends
-    ]
-    jobs = min(max(1, jobs), len(payloads))
-    if jobs == 1:
-        groups = []
-        for payload in payloads:
-            groups.append(_worker(payload))
-            if progress is not None:
-                progress(len(groups), len(payloads))
-    else:
-        import concurrent.futures
-        import multiprocessing
+    """The full matrix, rows backend-major in input order.
 
-        context = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context
-        ) as pool:
-            groups = []
-            for group in pool.map(_worker, payloads):
-                groups.append(group)
-                if progress is not None:
-                    progress(len(groups), len(payloads))
-    return [cell for group in groups for cell in group]
+    Each backend's fault-free baseline and each of its profiles is one
+    point.  Classification happens here, once every point returned: a
+    backend whose baseline fails reports only its baseline row.
+    """
+    expected = threads * txns
+    cells = []
+    for name in backends:
+        cells.append((f"{name}/baseline", functools.partial(
+            run_cell, name, seed, None, threads, txns, cycle_limit)))
+        for profile in profiles:
+            cells.append((f"{name}/{profile}", functools.partial(
+                run_cell, name, seed, profile_spec(profile, seed, name),
+                threads, txns, cycle_limit)))
+    outcomes = iter(run_cells(cells, jobs, progress))
+    rows: List[CellResult] = []
+    for name in backends:
+        baseline = next(outcomes)
+        faulted = [next(outcomes) for _ in profiles]
+        lost = lost_cell(baseline)
+        failure = (
+            (LOST_CLASSIFICATION[lost[0]], lost[1]) if lost
+            else triage(baseline.result, expected)
+        )
+        if failure is not None:
+            run = baseline.result or {}
+            rows.append(CellResult(
+                backend=name, profile="baseline",
+                # A fault-free run has nothing to diagnose: a structured
+                # error there still fails the matrix.
+                classification=failure[0] if failure[0] in FAILING
+                else "silent-corruption",
+                injected={}, commits=run.get("commits", 0),
+                aborts=run.get("aborts", 0), cycles=run.get("cycles", 0),
+                detail=f"fault-free baseline failed: {failure[1]}",
+            ))
+            continue
+        for profile, outcome in zip(profiles, faulted):
+            lost = lost_cell(outcome)
+            if lost is not None:
+                rows.append(CellResult(
+                    backend=name, profile=profile,
+                    classification=LOST_CLASSIFICATION[lost[0]],
+                    injected={}, detail=lost[1],
+                ))
+            else:
+                rows.append(_classify(
+                    outcome.result, baseline.result, expected, name, profile
+                ))
+    return rows
 
 
 # -- CLI ----------------------------------------------------------------------
 
 
-def _comma_list(text: str) -> List[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def resolve_backends(names: Sequence[str]) -> List[str]:
-    """Case-insensitively canonicalize backend names (SystemExit on junk)."""
-    from repro.harness.runner import SYSTEMS
-
-    lowered = {key.lower(): key for key in SYSTEMS}
-    backends = []
-    for name in names:
-        key = lowered.get(name.lower())
-        if key is None:
-            raise SystemExit(
-                f"unknown backend {name!r}; choose from {', '.join(sorted(SYSTEMS))}"
-            )
-        backends.append(key)
-    if not backends:
-        # An empty filter (e.g. ``--backends ""``) must not silently
-        # produce a zero-cell matrix that trivially "passes".
-        raise SystemExit(
-            f"no backends selected; choose from {', '.join(sorted(SYSTEMS))}"
-        )
-    return backends
-
-
-def render_backend_list() -> str:
-    """``--list-backends`` text shared by the chaos/degrade/adversary CLIs."""
-    from repro.harness.runner import BACKEND_SUMMARIES, SYSTEMS
-
-    lines = ["backends:"]
-    for name in SYSTEMS:
-        lines.append(f"  {name:<10} {BACKEND_SUMMARIES.get(name, '')}")
-    return "\n".join(lines) + "\n"
-
-
 def resolve_profiles(names: Sequence[str]) -> List[str]:
-    """Validate fault-profile names (SystemExit on junk)."""
-    profiles = []
-    for name in names:
-        if name not in FAULT_PROFILES:
-            raise SystemExit(
-                f"unknown profile {name!r}; choose from {', '.join(FAULT_PROFILES)}"
-            )
-        profiles.append(name)
-    return profiles
+    return resolve_names(names, FAULT_PROFILES, "profile")
+
+
+def fault_matrix_parser(command: str, description: str, report: str):
+    """The matrix argument block plus the chaos/degrade fault options."""
+    parser = matrix_parser(command, description, DEFAULT_CYCLE_LIMIT, report)
+    parser.add_argument("--profiles", default=",".join(FAULT_PROFILES),
+                        help="comma-separated fault profiles (default: all)")
+    parser.add_argument("--profile", action="append", default=None,
+                        metavar="NAME", dest="profile",
+                        help="run a single fault profile (repeatable; "
+                        "overrides --profiles)")
+    parser.add_argument("--threads", type=positive_int, default=DEFAULT_THREADS,
+                        help="transactional threads per run")
+    parser.add_argument("--txns", type=positive_int, default=DEFAULT_TXNS,
+                        help="transactions per thread per run")
+    return parser
 
 
 def render_matrix(rows: List[CellResult]) -> str:
@@ -442,44 +448,15 @@ def render_matrix(rows: List[CellResult]) -> str:
 
 def run_chaos_command(argv=None) -> int:
     """``python -m repro.harness chaos`` — run the seeded fault matrix."""
-    from repro.harness.runner import SYSTEMS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness chaos",
-        description="Run every TM backend under seeded fault injection "
+    parser = fault_matrix_parser(
+        "chaos",
+        "Run every TM backend under seeded fault injection "
         "with invariants, watchdog, and serializability oracle armed; "
         "fail on any crash, wedge, or silent corruption.",
+        "write the JSON fault-matrix report here",
     )
-    parser.add_argument("--seed", type=int, default=1,
-                        help="master seed for the fault matrix (default 1)")
-    parser.add_argument("--backends", default=",".join(SYSTEMS),
-                        help="comma-separated backend names (default: all)")
-    parser.add_argument("--backend", action="append", default=None,
-                        metavar="NAME", dest="backend",
-                        help="run a single backend (repeatable; overrides "
-                        "--backends)")
-    parser.add_argument("--profiles", default=",".join(FAULT_PROFILES),
-                        help="comma-separated fault profiles (default: all)")
-    parser.add_argument("--profile", action="append", default=None,
-                        metavar="NAME", dest="profile",
-                        help="run a single fault profile (repeatable; "
-                        "overrides --profiles)")
-    parser.add_argument("--threads", type=int, default=DEFAULT_THREADS,
-                        help="transactional threads per run")
-    parser.add_argument("--txns", type=int, default=DEFAULT_TXNS,
-                        help="transactions per thread per run")
-    parser.add_argument("--cycles", type=int, default=DEFAULT_CYCLE_LIMIT,
-                        help="cycle budget per run (wedge detector)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (0 = one per CPU; 1 = serial)")
-    parser.add_argument("--report", metavar="FILE",
-                        help="write the JSON fault-matrix report here")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress on stderr")
     parser.add_argument("--list-profiles", action="store_true",
                         help="list the fault profiles and exit")
-    parser.add_argument("--list-backends", action="store_true",
-                        help="list the TM backends and exit")
     args = parser.parse_args(argv)
 
     if args.list_profiles:
@@ -492,53 +469,26 @@ def run_chaos_command(argv=None) -> int:
         sys.stdout.write(render_backend_list())
         return 0
 
-    backends = resolve_backends(args.backend or _comma_list(args.backends))
-    profiles = resolve_profiles(args.profile or _comma_list(args.profiles))
-
-    jobs = min(effective_jobs(args.jobs), len(backends))
+    backends = resolve_backends(args.backend or comma_list(args.backends))
+    profiles = resolve_profiles(args.profile or comma_list(args.profiles))
     if not args.quiet:
         sys.stderr.write(
             f"chaos: seed {args.seed}, {len(backends)} backend(s) x "
-            f"{len(profiles)} profile(s), {jobs} worker(s)\n"
+            f"{len(profiles)} profile(s), {effective_jobs(args.jobs)} worker(s)\n"
         )
-    progress = None
-    if not args.quiet:
-        def progress(done, total):
-            sys.stderr.write(f"chaos: {done}/{total} backends done\n")
-
     rows = run_chaos_matrix(
-        backends, profiles, args.seed, jobs=jobs, threads=args.threads,
-        txns=args.txns, cycle_limit=args.cycles, progress=progress,
+        backends, profiles, args.seed, jobs=args.jobs, threads=args.threads,
+        txns=args.txns, cycle_limit=args.cycles,
+        progress=None if args.quiet else render_progress,
     )
     sys.stdout.write(render_matrix(rows))
-    counts: Dict[str, int] = {}
-    for cell in rows:
-        counts[cell.classification] = counts.get(cell.classification, 0) + 1
-    failures = [cell for cell in rows if not cell.ok]
-    summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    sys.stdout.write(f"\nchaos: {len(rows)} cells: {summary}\n")
-    if args.report:
-        document = {
-            "seed": args.seed,
-            "backends": backends,
-            "profiles": profiles,
-            "threads": args.threads,
-            "txns": args.txns,
-            "cycle_limit": args.cycles,
-            "counts": counts,
-            "ok": not failures,
-            "cells": [cell.to_json() for cell in rows],
-        }
-        with open(args.report, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if failures:
-        sys.stdout.write(
-            "chaos: FAIL — "
-            + "; ".join(f"{c.backend}/{c.profile}: {c.classification}" for c in failures)
-            + "\n"
-        )
-        return 1
-    sys.stdout.write("chaos: every injected fault was masked, degraded "
-                     "gracefully, or diagnosed\n")
-    return 0
+    document = matrix_report(
+        "repro.chaos/v1", rows, "classification",
+        seed=args.seed, backends=backends, profiles=profiles,
+        threads=args.threads, txns=args.txns, cycle_limit=args.cycles,
+    )
+    return conclude(
+        "chaos", document, args.report,
+        [f"{c.backend}/{c.profile}: {c.classification}" for c in rows if not c.ok],
+        "every injected fault was masked, degraded gracefully, or diagnosed",
+    )

@@ -19,14 +19,19 @@ Classification per cell:
     the run (or its oracle) raised a structured
     :class:`~repro.errors.ReproError` naming the damage.
 ``wedged``
-    the cycle budget expired with transactions outstanding: the ladder
+    the cycle budget expired with transactions outstanding, or (at
+    ``--jobs >= 2``) the cell overran its wall-clock budget: the ladder
     failed to guarantee progress.  **Test failure.**
 ``silent-corruption``
     final memory does not replay from the serializability witness.
     **Test failure.**
 ``crash``
-    a non-``ReproError`` escaped.  **Test failure.**
+    a non-``ReproError`` escaped, or the cell's worker process died.
+    **Test failure.**
 
+Cells run through the chaos harness's cell runner
+(:func:`repro.harness.chaos.run_cell`) with a controller armed, one
+point each, and share its ladder head (:func:`repro.harness.chaos.triage`).
 Every cell is deterministic from ``(seed, backend, profile, mode)``:
 the controller draws no random numbers and the chaos streams are the
 same crc32-mixed ones the chaos harness replays.
@@ -34,48 +39,42 @@ same crc32-mixed ones the chaos harness replays.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import itertools
-import json
+import functools
 import sys
 from typing import Dict, List, Sequence
 
-from repro.chaos import ChaosEngine, InvariantChecker, LivelockWatchdog, WatchdogSpec
 from repro.core.descriptor import ConflictMode
-from repro.core.machine import FlexTMMachine
-from repro.errors import ReproError
 from repro.harness.chaos import (
     DEFAULT_CYCLE_LIMIT,
     DEFAULT_THREADS,
     DEFAULT_TXNS,
-    FAULT_PROFILES,
-    NUM_CELLS,
-    _bodies,
-    _comma_list,
+    FAILING,
+    LOST_CLASSIFICATION,
+    fault_matrix_parser,
     profile_spec,
+    resolve_profiles,
+    run_cell,
+    triage,
+)
+from repro.harness.matrix import (
+    comma_list,
+    conclude,
+    lost_cell,
+    matrix_report,
     render_backend_list,
     resolve_backends,
-    resolve_profiles,
+    run_cells,
 )
-from repro.harness.parallel import effective_jobs
-from repro.params import small_test_params
+from repro.harness.parallel import PointOutcome, effective_jobs, render_progress
 from repro.resilience import DegradeSpec, ResilienceController
-from repro.runtime.scheduler import Scheduler
-from repro.runtime.txthread import TxThread
-from repro.sim.rng import DeterministicRng
-from repro.verify.history import (
-    RecordingBackend,
-    SerializabilityViolation,
-    check_serializable,
-)
-
-#: Classifications that fail the harness (exit status 1).
-FAILING = ("crash", "wedged", "silent-corruption")
 
 #: The harness ladder is tighter than the library default so every
 #: profile actually exercises the rungs on a small workload.
 HARNESS_SPEC = DegradeSpec(boost_after=1, eager_after=2, irrevocable_after=3)
+
+#: Escalation counters that mean the ladder fired.
+LADDER_KEYS = ("boosts", "policy_flips", "sig_rotations", "irrevocable_grants")
 
 
 @dataclasses.dataclass
@@ -111,111 +110,38 @@ class DegradeCell:
         return dataclasses.asdict(self)
 
 
-def _run_degrade_cell(
-    backend_name: str,
-    profile: str,
-    seed: int,
-    spec: DegradeSpec,
-    mode: ConflictMode,
-    threads: int,
-    txns: int,
-    cycle_limit: int,
+def _degrade_row(
+    backend: str, profile: str, outcome: PointOutcome, expected: int
 ) -> DegradeCell:
-    """One ladder-armed instrumented run, classified."""
-    from repro.harness.runner import SYSTEMS
-    from repro.obs.metrics import MetricsHub
-
-    machine = FlexTMMachine(small_test_params(threads))
-    hub = MetricsHub()
-    machine.set_metrics(hub)
-    chaos = ChaosEngine(profile_spec(profile, seed, backend_name), stats=machine.stats)
-    machine.set_chaos(chaos)
-    machine.set_invariants(InvariantChecker())
-    controller = ResilienceController(spec)
-    machine.set_resilience(controller)
-    backend = RecordingBackend(SYSTEMS[backend_name](machine, mode))
-    controller.bind_manager(getattr(backend.inner, "manager", None))
-    line = machine.params.line_bytes
-    cells = [machine.allocate(line, line_aligned=True) for _ in range(NUM_CELLS)]
-    for index, cell in enumerate(cells):
-        machine.memory.write(cell, index)
-        backend.recorder.note_initial(cell, index)
-    unique = itertools.count(1000)
-    tx_threads = [
-        TxThread(i, backend, _bodies(cells, DeterministicRng(seed * 7919 + i), txns, unique))
-        for i in range(threads)
-    ]
-    expected = threads * txns
-    out = DegradeCell(
-        backend=backend_name, profile=profile,
-        classification="clean", injected={},
-    )
-    error = ""
-    error_kind = ""
-    try:
-        result = Scheduler(
-            machine, tx_threads, watchdog=LivelockWatchdog(WatchdogSpec())
-        ).run(cycle_limit=cycle_limit)
-        out.commits = result.commits
-        out.aborts = result.aborts
-        out.cycles = result.cycles
-        out.aborts_by_kind = dict(result.aborts_by_kind)
-        out.escalations = dict(result.escalations)
-        out.series = {
-            name: hub.series(name).to_dict()
-            for name in ("tx.commits", "tx.aborts")
-        }
-    except ReproError as exc:
-        error, error_kind = f"{type(exc).__name__}: {exc}", "repro"
-    except Exception as exc:  # noqa: BLE001 — a crash IS the finding
-        error, error_kind = f"{type(exc).__name__}: {exc}", "crash"
-    out.injected = dict(chaos.injected)
-    out.commits_by_rung = dict(controller.commits_by_rung)
-    recovery = machine.stats.histogram("resilience.recovery_cycles")
-    out.recovery = {
-        "count": recovery.count,
-        "mean": int(recovery.mean),
-        "max": recovery.maximum,
-    }
-    if error_kind == "crash":
-        out.classification, out.detail = "crash", error
-        return out
-    if error_kind == "repro":
-        out.classification, out.detail = "diagnosed", error
-        return out
-    if out.commits < expected:
-        out.classification = "wedged"
-        out.detail = f"{out.commits}/{expected} commits at cycle budget"
-        return out
-    try:
-        witness = check_serializable(backend.recorder)
-    except SerializabilityViolation as exc:
-        out.classification = "diagnosed"
-        out.detail = f"SerializabilityViolation: {exc}"
-        return out
-    replay = dict(backend.recorder.initial_values)
-    for txn in witness:
-        replay.update(txn.writes)
-    if not all(machine.memory.read(cell) == replay[cell] for cell in cells):
-        out.classification = "silent-corruption"
-        out.detail = "final memory diverges from serial witness replay"
-        return out
-    ladder_keys = (
-        "boosts", "policy_flips", "sig_rotations", "irrevocable_grants",
-    )
-    if any(out.escalations.get(key) for key in ladder_keys):
-        out.classification = "recovered"
-    return out
-
-
-def _worker(payload) -> List[DegradeCell]:
-    backend_name, profiles, seed, spec, mode, threads, txns, cycle_limit = payload
-    return [
-        _run_degrade_cell(
-            backend_name, profile, seed, spec, mode, threads, txns, cycle_limit
+    """Classify one ladder-armed cell: the shared ladder head, then
+    ``recovered`` if the ladder fired, else ``clean``."""
+    lost = lost_cell(outcome)
+    if lost is not None:
+        return DegradeCell(
+            backend=backend, profile=profile,
+            classification=LOST_CLASSIFICATION[lost[0]],
+            injected={}, detail=lost[1],
         )
-        for profile in profiles
-    ]
+    run = outcome.result
+    verdict = triage(run, expected)
+    if verdict is None:
+        fired = any(run["escalations"].get(key) for key in LADDER_KEYS)
+        verdict = ("recovered" if fired else "clean"), ""
+    classification, detail = verdict
+    return DegradeCell(
+        backend=backend, profile=profile,
+        classification=classification,
+        injected=dict(run["injected"]),
+        commits=int(run["commits"]),
+        aborts=int(run["aborts"]),
+        cycles=int(run["cycles"]),
+        aborts_by_kind=dict(run["aborts_by_kind"]),
+        commits_by_rung=dict(run["commits_by_rung"]),
+        escalations=dict(run["escalations"]),
+        series=dict(run["series"]),
+        recovery=dict(run["recovery"]),
+        detail=detail,
+    )
 
 
 def run_degrade_matrix(
@@ -230,32 +156,22 @@ def run_degrade_matrix(
     cycle_limit: int = DEFAULT_CYCLE_LIMIT,
     progress=None,
 ) -> List[DegradeCell]:
-    """The full ladder-armed matrix; one worker unit per backend."""
-    payloads = [
-        (name, tuple(profiles), seed, spec, mode, threads, txns, cycle_limit)
-        for name in backends
+    """The full ladder-armed matrix; one point per cell, rows
+    backend-major in input order."""
+    keys = [(backend, profile) for backend in backends for profile in profiles]
+    outcomes = run_cells(
+        [
+            (f"{backend}/{profile}", functools.partial(
+                run_cell, backend, seed, profile_spec(profile, seed, backend),
+                threads, txns, cycle_limit, mode, ResilienceController(spec)))
+            for backend, profile in keys
+        ],
+        jobs, progress,
+    )
+    return [
+        _degrade_row(backend, profile, outcome, threads * txns)
+        for (backend, profile), outcome in zip(keys, outcomes)
     ]
-    jobs = min(max(1, jobs), len(payloads))
-    if jobs == 1:
-        groups = []
-        for payload in payloads:
-            groups.append(_worker(payload))
-            if progress is not None:
-                progress(len(groups), len(payloads))
-    else:
-        import concurrent.futures
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context
-        ) as pool:
-            groups = []
-            for group in pool.map(_worker, payloads):
-                groups.append(group)
-                if progress is not None:
-                    progress(len(groups), len(payloads))
-    return [cell for group in groups for cell in group]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -287,38 +203,17 @@ def render_degrade_matrix(rows: List[DegradeCell]) -> str:
 
 def run_degrade_command(argv=None) -> int:
     """``python -m repro.harness degrade`` — ladder-armed fault matrix."""
-    from repro.harness.runner import SYSTEMS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness degrade",
-        description="Run every TM backend under seeded fault injection "
+    parser = fault_matrix_parser(
+        "degrade",
+        "Run every TM backend under seeded fault injection "
         "with the adaptive degradation ladder armed; report commits per "
         "rung and time-to-recovery; fail on any crash, wedge, or silent "
         "corruption (the forward-progress guarantee).",
+        "write the JSON degrade-matrix report here",
     )
-    parser.add_argument("--seed", type=int, default=1,
-                        help="master seed for the fault matrix (default 1)")
-    parser.add_argument("--backends", default=",".join(SYSTEMS),
-                        help="comma-separated backend names (default: all)")
-    parser.add_argument("--backend", action="append", default=None,
-                        metavar="NAME", dest="backend",
-                        help="run a single backend (repeatable; overrides "
-                        "--backends)")
-    parser.add_argument("--profiles", default=",".join(FAULT_PROFILES),
-                        help="comma-separated fault profiles (default: all)")
-    parser.add_argument("--profile", action="append", default=None,
-                        metavar="NAME", dest="profile",
-                        help="run a single fault profile (repeatable; "
-                        "overrides --profiles)")
     parser.add_argument("--mode", choices=("eager", "lazy"), default="lazy",
                         help="baseline conflict mode (lazy makes the "
                         "EAGER rung's policy flip observable; default lazy)")
-    parser.add_argument("--threads", type=int, default=DEFAULT_THREADS,
-                        help="transactional threads per run")
-    parser.add_argument("--txns", type=int, default=DEFAULT_TXNS,
-                        help="transactions per thread per run")
-    parser.add_argument("--cycles", type=int, default=DEFAULT_CYCLE_LIMIT,
-                        help="cycle budget per run (wedge detector)")
     parser.add_argument("--boost-after", type=int,
                         default=HARNESS_SPEC.boost_after,
                         help="abort streak before back-off boost")
@@ -328,22 +223,14 @@ def run_degrade_command(argv=None) -> int:
     parser.add_argument("--irrevocable-after", type=int,
                         default=HARNESS_SPEC.irrevocable_after,
                         help="abort streak before irrevocability")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (0 = one per CPU; 1 = serial)")
-    parser.add_argument("--report", metavar="FILE",
-                        help="write the JSON degrade-matrix report here")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress on stderr")
-    parser.add_argument("--list-backends", action="store_true",
-                        help="list the TM backends and exit")
     args = parser.parse_args(argv)
 
     if args.list_backends:
         sys.stdout.write(render_backend_list())
         return 0
 
-    backends = resolve_backends(args.backend or _comma_list(args.backends))
-    profiles = resolve_profiles(args.profile or _comma_list(args.profiles))
+    backends = resolve_backends(args.backend or comma_list(args.backends))
+    profiles = resolve_profiles(args.profile or comma_list(args.profiles))
     spec = dataclasses.replace(
         HARNESS_SPEC,
         boost_after=args.boost_after,
@@ -351,54 +238,26 @@ def run_degrade_command(argv=None) -> int:
         irrevocable_after=args.irrevocable_after,
     )
     mode = ConflictMode.EAGER if args.mode == "eager" else ConflictMode.LAZY
-
-    jobs = min(effective_jobs(args.jobs), len(backends))
     if not args.quiet:
         sys.stderr.write(
             f"degrade: seed {args.seed}, {len(backends)} backend(s) x "
-            f"{len(profiles)} profile(s), mode {args.mode}, {jobs} worker(s)\n"
+            f"{len(profiles)} profile(s), mode {args.mode}, "
+            f"{effective_jobs(args.jobs)} worker(s)\n"
         )
-    progress = None
-    if not args.quiet:
-        def progress(done, total):
-            sys.stderr.write(f"degrade: {done}/{total} backends done\n")
-
     rows = run_degrade_matrix(
-        backends, profiles, args.seed, spec=spec, mode=mode, jobs=jobs,
+        backends, profiles, args.seed, spec=spec, mode=mode, jobs=args.jobs,
         threads=args.threads, txns=args.txns, cycle_limit=args.cycles,
-        progress=progress,
+        progress=None if args.quiet else render_progress,
     )
     sys.stdout.write(render_degrade_matrix(rows))
-    counts: Dict[str, int] = {}
-    for cell in rows:
-        counts[cell.classification] = counts.get(cell.classification, 0) + 1
-    failures = [cell for cell in rows if not cell.ok]
-    summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    sys.stdout.write(f"\ndegrade: {len(rows)} cells: {summary}\n")
-    if args.report:
-        document = {
-            "seed": args.seed,
-            "backends": list(backends),
-            "profiles": list(profiles),
-            "mode": args.mode,
-            "threads": args.threads,
-            "txns": args.txns,
-            "cycle_limit": args.cycles,
-            "spec": dataclasses.asdict(spec),
-            "counts": counts,
-            "ok": not failures,
-            "cells": [cell.to_json() for cell in rows],
-        }
-        with open(args.report, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if failures:
-        sys.stdout.write(
-            "degrade: FAIL — "
-            + "; ".join(f"{c.backend}/{c.profile}: {c.classification}" for c in failures)
-            + "\n"
-        )
-        return 1
-    sys.stdout.write("degrade: forward progress held on every cell "
-                     "(no wedges, no corruption)\n")
-    return 0
+    document = matrix_report(
+        "repro.degrade/v1", rows, "classification",
+        seed=args.seed, backends=backends, profiles=profiles, mode=args.mode,
+        threads=args.threads, txns=args.txns, cycle_limit=args.cycles,
+        spec=dataclasses.asdict(spec),
+    )
+    return conclude(
+        "degrade", document, args.report,
+        [f"{c.backend}/{c.profile}: {c.classification}" for c in rows if not c.ok],
+        "forward progress held on every cell (no wedges, no corruption)",
+    )

@@ -23,6 +23,10 @@ module fans points out across CPU cores while guaranteeing:
 ``--jobs 1`` (the default for library callers) never forks: points run
 inline, preserving the exact serial code path.
 
+A point is either an experiment config or a matrix cell's task; the
+chaos, degrade and adversary matrices fan out one point per cell
+through :mod:`repro.harness.matrix`.
+
 The engine also measures what it runs: :func:`bench_payload` renders a
 machine-readable ``BENCH_sweep.json`` document (per-point wall time,
 totals, speedup vs. a serial estimate, host metadata) consumed by the
@@ -71,10 +75,15 @@ class PointSpec:
 
     Traces are written *inside* the worker (the tracer never crosses
     the process boundary), into ``trace_dir/trace_name.json``.
+
+    A matrix cell (see :mod:`repro.harness.matrix`) instead sets
+    ``task``, a zero-argument callable whose return value becomes the
+    outcome's ``result``; ``config`` and the artifact fields stay unset.
     """
 
-    config: ExperimentConfig
+    config: Optional[ExperimentConfig] = None
     label: str = ""
+    task: Optional[Callable[[], object]] = None
     trace_dir: Optional[str] = None
     trace_name: Optional[str] = None
     #: Metrics artifacts mirror traces: armed and written in the worker,
@@ -89,8 +98,8 @@ class PointOutcome:
 
     ``status`` is ``"ok"`` or one of the failure kinds:
 
-    * ``"exception"`` — the point raised inside ``run_experiment``
-      (deterministic; never retried).
+    * ``"exception"`` — the point raised inside ``run_experiment`` or
+      its task (deterministic; never retried).
     * ``"crash"`` — the worker process died without reporting
       (segfault, ``os._exit``, OOM kill).
     * ``"timeout"`` — the point exceeded the per-point budget and the
@@ -101,7 +110,8 @@ class PointOutcome:
     label: str
     ok: bool
     status: str
-    result: Optional[RunResult] = None
+    #: A RunResult for a config point; the task's return value for a cell.
+    result: Optional[object] = None
     error: str = ""
     attempts: int = 1
     wall_time: float = 0.0
@@ -147,6 +157,8 @@ def _run_one(spec: PointSpec):
 
     Returns ``(result, trace_path, metrics_path)``.
     """
+    if spec.task is not None:
+        return spec.task(), None, None
     config = spec.config
     tracer = None
     if spec.trace_dir:

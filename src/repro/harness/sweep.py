@@ -33,6 +33,7 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.descriptor import ConflictMode
+from repro.harness.matrix import comma_list, resolve_names
 from repro.harness.parallel import (
     PointOutcome,
     PointSpec,
@@ -252,23 +253,6 @@ def write_csv(
 # -- CLI ----------------------------------------------------------------------
 
 
-def _comma_list(text: str) -> List[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def _resolve_names(names: List[str], table, what: str) -> List[str]:
-    lowered = {key.lower(): key for key in table}
-    resolved = []
-    for name in names:
-        key = lowered.get(name.lower())
-        if key is None:
-            raise SystemExit(
-                f"unknown {what} {name!r}; choose from {', '.join(sorted(table))}"
-            )
-        resolved.append(key)
-    return resolved
-
-
 def run_sweep_command(argv=None) -> int:
     """``python -m repro.harness sweep`` — run a sweep from the shell."""
     from repro.harness.runner import SYSTEMS
@@ -323,13 +307,13 @@ def run_sweep_command(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = SweepSpec(
-        workloads=_resolve_names(_comma_list(args.workloads), WORKLOADS, "workload"),
-        systems=_resolve_names(_comma_list(args.systems), SYSTEMS, "system"),
-        thread_counts=tuple(int(part) for part in _comma_list(args.threads)),
+        workloads=resolve_names(comma_list(args.workloads), WORKLOADS, "workload"),
+        systems=resolve_names(comma_list(args.systems), SYSTEMS, "system"),
+        thread_counts=tuple(int(part) for part in comma_list(args.threads)),
         modes=tuple(
-            ConflictMode(part.lower()) for part in _comma_list(args.modes)
+            ConflictMode(part.lower()) for part in comma_list(args.modes)
         ),
-        seeds=tuple(int(part) for part in _comma_list(args.seeds)),
+        seeds=tuple(int(part) for part in comma_list(args.seeds)),
         cycle_limit=args.cycles,
     )
     configs = list(spec.configs())

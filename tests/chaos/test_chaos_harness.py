@@ -11,10 +11,10 @@ from repro.harness.chaos import (
     _classify,
     profile_spec,
     render_matrix,
-    run_backend_matrix,
     run_chaos_command,
     run_chaos_matrix,
 )
+from repro.harness.degrade import run_degrade_matrix
 
 
 def _run(**overrides):
@@ -100,8 +100,8 @@ def test_failing_set_is_locked():
 
 
 def test_backend_matrix_runs_and_classifies():
-    rows = run_backend_matrix(
-        "CGL", ["sched"], seed=2, threads=2, txns=3, cycle_limit=50_000_000
+    rows = run_chaos_matrix(
+        ["CGL"], ["sched"], seed=2, threads=2, txns=3, cycle_limit=50_000_000
     )
     assert [cell.profile for cell in rows] == ["sched"]
     assert all(cell.ok for cell in rows)
@@ -111,8 +111,8 @@ def test_backend_matrix_runs_and_classifies():
 
 def test_backend_matrix_is_deterministic():
     kwargs = dict(seed=4, threads=2, txns=3, cycle_limit=50_000_000)
-    first = run_backend_matrix("FlexTM", ["coherence"], **kwargs)
-    second = run_backend_matrix("FlexTM", ["coherence"], **kwargs)
+    first = run_chaos_matrix(["FlexTM"], ["coherence"], **kwargs)
+    second = run_chaos_matrix(["FlexTM"], ["coherence"], **kwargs)
     assert [c.to_json() for c in first] == [c.to_json() for c in second]
 
 
@@ -122,6 +122,26 @@ def test_matrix_order_independent_of_jobs():
     parallel = run_chaos_matrix(["CGL", "TL2"], ["sched"], 2, jobs=2,
                                 threads=2, txns=2)
     assert [c.to_json() for c in serial] == [c.to_json() for c in parallel]
+    serial = run_degrade_matrix(["CGL", "TL2"], ["sched", "aou"], 2, jobs=1,
+                                threads=2, txns=2)
+    parallel = run_degrade_matrix(["CGL", "TL2"], ["sched", "aou"], 2, jobs=2,
+                                  threads=2, txns=2)
+    assert [c.to_json() for c in serial] == [c.to_json() for c in parallel]
+    assert [(c.backend, c.profile) for c in parallel] == [
+        ("CGL", "sched"), ("CGL", "aou"), ("TL2", "sched"), ("TL2", "aou"),
+    ]
+
+
+def test_wedged_baseline_is_classified_wedged():
+    # 2 000 cycles cannot fit 40 CGL transactions: the fault-free
+    # baseline wedges, and only its row is reported.
+    rows = run_chaos_matrix(["CGL"], ["sched"], 1, cycle_limit=2_000)
+    assert [(c.profile, c.classification) for c in rows] == [
+        ("baseline", "wedged"),
+    ]
+    assert rows[0].detail.startswith("fault-free baseline failed: ")
+    assert "commits at cycle budget" in rows[0].detail
+    assert not rows[0].ok
 
 
 def test_render_matrix_marks_failures():

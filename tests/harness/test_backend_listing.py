@@ -62,3 +62,22 @@ def test_empty_backend_selection_fails_fast(command):
 def test_resolver_reports_the_valid_set():
     with pytest.raises(SystemExit, match="HTM-BE"):
         resolve_backends([])
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (run_chaos_command, "--threads"),
+        (run_chaos_command, "--txns"),
+        (run_chaos_command, "--cycles"),
+        (run_degrade_command, "--threads"),
+        (run_degrade_command, "--txns"),
+        (run_degrade_command, "--cycles"),
+        (run_adversary_command, "--cycles"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(command, flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        command([flag, "0", "--quiet"])
+    assert exit_info.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err

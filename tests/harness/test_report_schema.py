@@ -6,7 +6,7 @@ the windowed ``series``) uniformly, so downstream tooling never
 special-cases which harness produced a report.
 """
 
-from repro.harness.chaos import run_backend_matrix
+from repro.harness.chaos import run_chaos_matrix
 from repro.harness.degrade import run_degrade_matrix
 from repro.harness.metrics import (
     METRICS_REQUIRED_KEYS,
@@ -28,8 +28,8 @@ UNIFORM_CELL_KEYS = {
 
 
 def test_chaos_cell_schema_is_uniform():
-    cells = run_backend_matrix(
-        "FlexTM", ["storm"], seed=2, threads=2, txns=3,
+    cells = run_chaos_matrix(
+        ["FlexTM"], ["storm"], seed=2, threads=2, txns=3,
         cycle_limit=50_000_000,
     )
     doc = cells[0].to_json()
@@ -74,8 +74,8 @@ def test_metrics_artifact_totals_schema():
 
 
 def test_htmbe_cell_carries_fallback_telemetry():
-    cells = run_backend_matrix(
-        "HTM-BE", ["overflow"], seed=2, threads=2, txns=3,
+    cells = run_chaos_matrix(
+        ["HTM-BE"], ["overflow"], seed=2, threads=2, txns=3,
         cycle_limit=50_000_000,
     )
     doc = cells[0].to_json()

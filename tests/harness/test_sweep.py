@@ -6,7 +6,14 @@ import io
 import pytest
 
 from repro.core.descriptor import ConflictMode
-from repro.harness.sweep import ROW_FIELDS, SweepSpec, run_sweep, to_csv, write_csv
+from repro.harness.sweep import (
+    ROW_FIELDS,
+    SweepSpec,
+    run_sweep,
+    run_sweep_command,
+    to_csv,
+    write_csv,
+)
 from repro.params import small_test_params
 
 
@@ -49,3 +56,15 @@ def test_csv_roundtrip(spec, tmp_path):
     target = tmp_path / "sweep.csv"
     write_csv(rows, str(target))
     assert target.read_text() == text
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["--workloads", ",", "--systems", "FlexTM"], "workloads"),
+        (["--workloads", "HashTable", "--systems", ","], "systems"),
+    ],
+)
+def test_cli_rejects_an_empty_selection(argv, what):
+    with pytest.raises(SystemExit, match=f"no {what} selected"):
+        run_sweep_command(argv + ["--quiet"])

@@ -68,7 +68,7 @@ class ScheduleDirector:
                     return proc
             else:
                 self._apply(scheduler, step)
-        return scheduler._pick_processor(cycle_limit)
+        return scheduler.next_processor(cycle_limit)
 
     # -- directive interpretation --------------------------------------------
 
@@ -193,15 +193,12 @@ class ScheduleDirector:
             return False  # free core but the thread is unplaceable (done)
         # Every core is busy: park the lowest-processor bystander that is
         # neither the target nor pinned, then retry (deterministic order).
-        for proc in sorted(scheduler._running):
-            slot = scheduler._running[proc]
-            victim = slot.thread.thread_id
+        for _, victim in scheduler.running_threads():
             if victim == thread_id or victim in self._pinned:
                 continue
-            if scheduler.park(victim):
-                # Re-queue instead of leaving the bystander parked
-                # forever: run directives should not strand threads a
-                # later directive never mentions.
-                scheduler._ready.append(scheduler._parked.pop(victim))
+            # Re-queue instead of leaving the bystander parked forever:
+            # run directives should not strand threads a later
+            # directive never mentions.
+            if scheduler.park(victim, requeue=True):
                 return scheduler.place(thread_id)
         return False

@@ -20,7 +20,7 @@ from repro.coherence.directory import Directory
 from repro.coherence.messages import AccessKind, RequestType, ResponseKind
 from repro.core.descriptor import RunState, TransactionDescriptor
 from repro.core.processor import FlexTMProcessor
-from repro.core.tsw import TxStatus
+from repro.core.tsw import TxStatus, decode_status
 from repro.errors import ProtocolError
 from repro.memory.address import AddressMap
 from repro.memory.main_memory import MainMemory
@@ -603,8 +603,6 @@ class FlexTMMachine:
 
     def read_status(self, descriptor: TransactionDescriptor) -> TxStatus:
         """Debug/OS view of a TSW (no cache traffic)."""
-        from repro.core.tsw import decode_status
-
         return decode_status(self.memory.read(descriptor.tsw_address))
 
     def max_cycle(self) -> int:

@@ -28,9 +28,9 @@ class TxStatus(enum.IntEnum):
         return self in (TxStatus.COMMITTED, TxStatus.ABORTED)
 
 
+_BY_WORD = {status.value: status for status in TxStatus}
+
+
 def decode_status(word: int) -> TxStatus:
     """Interpret a raw memory word as a status (unknown -> INVALID)."""
-    try:
-        return TxStatus(word)
-    except ValueError:
-        return TxStatus.INVALID
+    return _BY_WORD.get(word, TxStatus.INVALID)

@@ -3,7 +3,13 @@
 The executor always steps the thread whose processor clock is furthest
 behind (ties broken by processor id), so simulated interleavings follow
 the relative progress of the cores — the property that makes contention
-pathologies reproducible (DESIGN.md §4).
+pathologies reproducible (DESIGN.md §4).  The policy is served by a
+min-heap of ``(clock, proc)`` entries with lazy re-keying: clocks only
+move forward, so a stored key is never ahead of its processor's clock,
+and :meth:`Scheduler.next_processor` refreshes an entry only when it
+reaches the top.  A step therefore costs O(log cores), not O(cores),
+and anything that advances a clock (an op, a switch cost, a director's
+``stall``) needs to tell the heap nothing.
 
 With more threads than processors (or an explicit quantum) the
 scheduler context-switches: the OS path spills the running
@@ -17,17 +23,19 @@ take over processor selection.  Each iteration the scheduler asks the
 director which processor to step instead of applying the
 least-advanced-clock policy, and the director can use the first-class
 control primitives — :meth:`Scheduler.park`, :meth:`Scheduler.place`,
-:meth:`Scheduler.release_parked`, :meth:`Scheduler.free_processors` —
-to pin exact interleavings.  The primitives reuse the same
-suspend/resume path as quantum preemption, so scripted context switches
-cost and behave exactly like organic ones.
+:meth:`Scheduler.release_parked`, :meth:`Scheduler.free_processors`,
+:meth:`Scheduler.running_threads` — to pin exact interleavings, falling
+back to :meth:`Scheduler.next_processor` when it has no opinion.  The
+primitives reuse the same suspend/resume path as quantum preemption, so
+scripted context switches cost and behave exactly like organic ones.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Dict, List, Optional
+import heapq
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.machine import FlexTMMachine, MemoryOpResult
 from repro.errors import InvariantViolation, SchedulerError, TransactionAborted
@@ -119,7 +127,15 @@ class Scheduler:
         if not available:
             raise SchedulerError("no processors available")
         self._procs = available
+        self._clocks = [processor.clock for processor in machine.processors]
         self._running: Dict[int, _Slot] = {}
+        #: Dispatch heap: one ``(clock, proc)`` entry per processor in
+        #: ``_keyed``.  Every running processor has an entry; a stored
+        #: clock may lag the live one (re-keyed lazily at the top), and
+        #: entries of processors that left ``_running`` are dropped when
+        #: they surface.
+        self._heap: List[Tuple[int, int]] = []
+        self._keyed: Set[int] = set()
         self._ready: collections.deque = collections.deque()
         #: thread_id -> slot, descheduled by a director and *not* in the
         #: ready queue: only an explicit place()/release_parked() (or
@@ -131,6 +147,7 @@ class Scheduler:
                 slot.thread.processor = proc
                 slot.slice_start = 0
                 self._running[proc] = slot
+                self._key(proc)
             else:
                 self._ready.append(slot)
         if len(self.slots) > len(available) and self.quantum is None:
@@ -151,7 +168,7 @@ class Scheduler:
             if director is not None:
                 proc = director.pick(self, cycle_limit)
             else:
-                proc = self._pick_processor(cycle_limit)
+                proc = self.next_processor(cycle_limit)
             if proc is None:
                 break
             self._step(proc, cycle_limit)
@@ -168,18 +185,31 @@ class Scheduler:
             invariants.check_machine(self.machine)
         return self._result(cycle_limit)
 
-    def _pick_processor(self, cycle_limit: int) -> Optional[int]:
-        """Least-advanced processor still under the limit with work."""
-        best, best_now = None, None
-        for proc, slot in self._running.items():
-            if slot.done:
+    def next_processor(self, cycle_limit: int) -> Optional[int]:
+        """Least-advanced running processor (lowest id on ties), or None
+        when it has already reached ``cycle_limit`` or nothing runs."""
+        heap = self._heap
+        running = self._running
+        clocks = self._clocks
+        while heap:
+            stored, proc = heap[0]
+            slot = running.get(proc)
+            if slot is None or slot.done:
+                heapq.heappop(heap)
+                self._keyed.discard(proc)
                 continue
-            now = self.machine.processors[proc].clock.now
-            if now >= cycle_limit:
+            now = clocks[proc]._now
+            if now != stored:
+                heapq.heapreplace(heap, (now, proc))
                 continue
-            if best_now is None or now < best_now or (now == best_now and proc < best):
-                best, best_now = proc, now
-        return best
+            return proc if now < cycle_limit else None
+        return None
+
+    def _key(self, proc: int) -> None:
+        """Give a newly running processor a heap entry if it has none."""
+        if proc not in self._keyed:
+            self._keyed.add(proc)
+            heapq.heappush(self._heap, (self._clocks[proc]._now, proc))
 
     def _step(self, proc: int, cycle_limit: int) -> None:
         slot = self._running[proc]
@@ -362,6 +392,7 @@ class Scheduler:
             metrics.on_sched(proc, clock.now, "dispatch")
         slot.slice_start = clock.now
         self._running[proc] = slot
+        self._key(proc)
 
     def _dispatch(self, proc: int) -> None:
         """Give a free processor to the next ready thread."""
@@ -387,19 +418,27 @@ class Scheduler:
                 return proc
         return None
 
+    def running_threads(self) -> Tuple[Tuple[int, int], ...]:
+        """``(proc, thread_id)`` of every running thread, in processor order."""
+        return tuple(sorted(
+            (proc, slot.thread.thread_id) for proc, slot in self._running.items()
+        ))
+
     def free_processors(self) -> List[int]:
         """Processors with no installed thread, in stable (sorted) order."""
         return sorted(proc for proc in self._procs if proc not in self._running)
 
-    def park(self, thread_id: int) -> bool:
+    def park(self, thread_id: int, requeue: bool = False) -> bool:
         """Deschedule a running thread without re-queueing it.
 
         The thread's state is spilled through the backend's normal
         ``suspend`` path (same OS cost as a quantum preempt) but the
         slot moves to the parked set instead of the ready queue, so
         *only* an explicit :meth:`place` or :meth:`release_parked`
-        makes it runnable again — exact-interleaving control.  Returns
-        False when the thread is not currently running.
+        makes it runnable again — exact-interleaving control.  With
+        ``requeue=True`` the slot goes to the tail of the ready queue
+        instead, and the freed processor stays free.  Returns False
+        when the thread is not currently running.
         """
         proc = self.processor_of(thread_id)
         if proc is None:
@@ -413,7 +452,10 @@ class Scheduler:
         if metrics is not None:
             metrics.on_sched(proc, now, "preempt")
         self._switch_out(proc, slot, "ctxsw.switches")
-        self._parked[thread_id] = slot
+        if requeue:
+            self._ready.append(slot)
+        else:
+            self._parked[thread_id] = slot
         return True
 
     def place(self, thread_id: int, proc: Optional[int] = None) -> bool:

@@ -28,12 +28,13 @@ argues for.  The hooks are:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.coherence.directory import Directory
 from repro.coherence.messages import AccessKind, AccessResult, RequestType, ResponseKind
 from repro.coherence.states import LineState
 from repro.coherence.tables import (
+    CLEAN_HITS,
     GRANT_INSTALL,
     LOCAL_DISPATCH,
     LOCAL_NEXT_STATE,
@@ -45,7 +46,32 @@ from repro.memory.cache import CacheArray, CacheLine
 from repro.memory.victim import VictimBuffer
 from repro.obs.tracer import NULL_TRACER
 from repro.params import SystemParams
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
+
+
+#: l1_hit_cycles -> access name -> state name -> the shared result.
+_SHARED_CLEAN_HITS: Dict[int, Dict[str, Dict[str, AccessResult]]] = {}
+
+
+def shared_clean_hits(cycles: int) -> Dict[str, Dict[str, AccessResult]]:
+    """The clean-hit results for a hit latency, one set per process.
+
+    Each ``CLEAN_HITS`` cell maps to ``AccessResult(cycles, state,
+    hit=True, conflicts=())``.  Every L1 with that latency returns the
+    same objects, so callers must not modify them.
+    """
+    table = _SHARED_CLEAN_HITS.get(cycles)
+    if table is None:
+        results = {
+            state: AccessResult(cycles=cycles, conflicts=(), state=state, hit=True)
+            for state in LineState
+        }
+        table = {
+            kind: {state: results[next_state] for state, next_state in row.items()}
+            for kind, row in CLEAN_HITS.items()
+        }
+        _SHARED_CLEAN_HITS[cycles] = table
+    return table
 
 
 class NullL1Hooks:
@@ -97,17 +123,37 @@ class L1Controller:
         self.tmi_victims = VictimBuffer(None) if tmi_to_victim else None
         #: Cycles accumulated by evictions performed inside an access.
         self._eviction_cycles = 0
+        #: access name -> its ``l1.access.*`` counter, bound on first
+        #: use: a counter created early would add a zero to the stats.
+        self._access_counters: Dict[str, Counter] = {}
+        self._clean_hits = shared_clean_hits(params.l1_hit_cycles)
 
     # ------------------------------------------------------------------ local
 
     def access(self, kind: AccessKind, line_address: int) -> AccessResult:
-        """Perform one processor memory operation; returns the outcome."""
-        self.stats.counter(f"l1.access.{kind.value}").increment()
+        """Perform one processor memory operation; returns the outcome.
+
+        A clean hit (a ``CLEAN_HITS`` cell, with no eviction cycles
+        accrued by this access) returns a shared, read-only result.
+        Everything else takes :meth:`_dispatch` or :meth:`_miss`.
+        """
+        name = kind._name_
+        counter = self._access_counters.get(name)
+        if counter is None:
+            counter = self.stats.counter(f"l1.access.{kind.value}")
+            self._access_counters[name] = counter
+        counter.increment()
         self._eviction_cycles = 0
         if self.chaos is not None and self.chaos.enabled and self.chaos.l1_pressure():
             self._chaos_evict(line_address)
         line = self.array.lookup(line_address)
         if line is not None:
+            if not self._eviction_cycles:
+                hit = self._clean_hits[name].get(line._state._name_)
+                if hit is not None:
+                    if line._state is not hit.state:
+                        line.state = hit.state  # the silent E -> M upgrade
+                    return hit
             hit = self._dispatch(kind, line)
         else:
             refill = self.victims.extract(line_address)

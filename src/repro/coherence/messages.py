@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import List, Tuple
+from typing import Sequence, Tuple
 
 
 class AccessKind(enum.Enum):
@@ -91,7 +91,8 @@ class AccessResult:
     Attributes:
         cycles: latency charged to the requesting core.
         conflicts: (responder_processor, ResponseKind) pairs for every
-            conflicting response; empty when the access was clean.
+            conflicting response; empty when the access was clean.  A
+            hit's is the immutable ``()``.
         state: resulting local L1 state of the line.
         hit: True when the access was satisfied without a directory
             request.
@@ -100,17 +101,14 @@ class AccessResult:
             (strong-isolation read path, Section 3.5).
         nacked: True when the access was refused (committed-OT copy-back
             in flight) and must be retried by the issuer.
-        aborted_remote: processors whose transactions were aborted as a
-            side effect (strong isolation on non-transactional stores).
     """
 
     cycles: int = 0
-    conflicts: List[Tuple[int, ResponseKind]] = dataclasses.field(default_factory=list)
+    conflicts: Sequence[Tuple[int, ResponseKind]] = dataclasses.field(default_factory=list)
     state: "object" = None
     hit: bool = False
     threatened_uncached: bool = False
     nacked: bool = False
-    aborted_remote: List[int] = dataclasses.field(default_factory=list)
 
     @property
     def conflicted(self) -> bool:

@@ -18,10 +18,15 @@ tables the simulator executes; there is no second copy to keep in sync.
 
 Signature categories (``"wsig"``/``"rsig_only"``) and CST names
 (``"r_w"``/``"w_r"``/``"w_w"``, the ``ConflictSummaryTables``
-attributes) stay strings.  A lookup keyed by a pair of enums calls
-``Enum.__hash__`` (Python code) twice, which is still cheaper than the
-``if state is ...`` chains these tables replaced; the L1 hit path does
-two such lookups per access, so keep them plain dict lookups.
+attributes) stay strings.
+
+A lookup keyed by a pair of enums calls ``Enum.__hash__``, which is
+Python code, twice.  That is fine off the hit path but not on it: an
+L1 hit is most of the accesses a run makes.  So the hit path reads
+:data:`CLEAN_HITS`, the same ``"local"`` cells keyed by the members'
+names.  A member's ``_name_`` is a plain string whose hash is cached,
+so that lookup runs no Python-level hash.  The enums keep their
+default hash, which fixes the iteration order of any set of members.
 """
 
 from __future__ import annotations
@@ -42,6 +47,20 @@ LOCAL_DISPATCH: Dict[Tuple[AccessKind, LineState], str] = {
 LOCAL_NEXT_STATE: Dict[Tuple[AccessKind, LineState], LineState] = {
     (AccessKind(access), LineState(state)): LineState(target)
     for (access, state), target in spec.LOCAL_NEXT_STATE.items()
+}
+
+#: access name -> state name -> next state, for every ``"local"`` cell
+#: that only changes the line's state: the L1's clean hits.  M -> TMI
+#: is left out, because its flush writes the line back first; it takes
+#: the full dispatch.
+CLEAN_HITS: Dict[str, Dict[str, LineState]] = {
+    kind._name_: {
+        state._name_: LOCAL_NEXT_STATE[kind, state]
+        for state in LineState
+        if LOCAL_DISPATCH.get((kind, state)) == "local"
+        and not (state is LineState.M and LOCAL_NEXT_STATE[kind, state] is not state)
+    }
+    for kind in AccessKind
 }
 
 #: access -> the directory request a "request" access issues.

@@ -25,18 +25,27 @@ class ConflictManagementTable:
         self._lists: List[List[TransactionDescriptor]] = [[] for _ in range(num_processors)]
 
     def register(self, processor: int, descriptor: TransactionDescriptor) -> None:
-        """Add a descriptor to a processor's active list (idempotent)."""
+        """Add a descriptor to a processor's active list (idempotent).
+
+        Membership is by identity: two transactions whose descriptors
+        happen to hold equal fields are still two entries.
+        """
         self._check(processor)
         active = self._lists[processor]
-        if descriptor not in active:
+        for entry in active:
+            if entry is descriptor:
+                break
+        else:
             active.append(descriptor)
         descriptor.last_processor = processor
 
     def unregister(self, descriptor: TransactionDescriptor) -> None:
         """Remove a descriptor from every list (commit/final abort)."""
         for active in self._lists:
-            if descriptor in active:
-                active.remove(descriptor)
+            for index, entry in enumerate(active):
+                if entry is descriptor:
+                    del active[index]
+                    break
 
     def move(self, descriptor: TransactionDescriptor, new_processor: int) -> None:
         """Re-home a descriptor (reschedule on a different processor)."""

@@ -13,8 +13,7 @@ that processor's clock, which is what interleaves the simulated threads.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.coherence.directory import Directory
 from repro.coherence.messages import AccessKind, RequestType, ResponseKind
@@ -37,15 +36,32 @@ SUMMARY_DESC_CHECK_CYCLES = 30
 WORD_BYTES = 8
 
 
-@dataclasses.dataclass
 class MemoryOpResult:
-    """Value + cycle cost + conflict report for one machine operation."""
+    """Value + cycle cost + conflict report for one machine operation.
 
-    value: int = 0
-    cycles: int = 0
-    conflicts: List[Tuple[int, ResponseKind]] = dataclasses.field(default_factory=list)
-    nacked: bool = False
-    success: bool = False  # CAS outcomes
+    ``conflicts`` is a sequence of (responder, ResponseKind) pairs: the
+    immutable ``()`` when there were none.
+    """
+
+    __slots__ = ("value", "cycles", "conflicts", "nacked", "success")
+
+    def __init__(
+        self,
+        value: int = 0,
+        cycles: int = 0,
+        conflicts: Sequence[Tuple[int, ResponseKind]] = (),
+        nacked: bool = False,
+        success: bool = False,  # CAS outcomes
+    ):
+        self.value = value
+        self.cycles = cycles
+        self.conflicts = conflicts
+        self.nacked = nacked
+        self.success = success
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"MemoryOpResult({fields})"
 
 
 class FlexTMMachine:
@@ -233,6 +249,12 @@ class FlexTMMachine:
         return cycles
 
     def _take_summary_conflicts(self) -> List[Tuple[int, ResponseKind]]:
+        """The summary handler's pending conflicts, consumed.
+
+        The list is machine-wide: the next operation that takes it gets
+        it, whichever processor issues it (``cas_commit`` never takes
+        it).  It is almost always empty, so callers test it first.
+        """
         taken, self._pending_summary_conflicts = self._pending_summary_conflicts, []
         return taken
 
@@ -241,7 +263,7 @@ class FlexTMMachine:
         proc: FlexTMProcessor,
         kind: AccessKind,
         address: int,
-        conflicts: List[Tuple[int, ResponseKind]],
+        conflicts: Sequence[Tuple[int, ResponseKind]],
     ) -> None:
         """Emit the (sampled) access and any CST-setting conflicts."""
         if not self.tracer.enabled:
@@ -260,7 +282,7 @@ class FlexTMMachine:
         self,
         proc: FlexTMProcessor,
         kind: AccessKind,
-        conflicts: List[Tuple[int, ResponseKind]],
+        conflicts: Sequence[Tuple[int, ResponseKind]],
     ) -> None:
         """Feed CST-setting conflicts to the hub (independent of tracing)."""
         metrics = self.metrics
@@ -309,7 +331,8 @@ class FlexTMMachine:
         proc = self.processors[proc_id]
         line = self.amap.line_of(address)
         result = proc.l1.access(AccessKind.LOAD, line)
-        self._take_summary_conflicts()  # plain reads don't act on them
+        if self._pending_summary_conflicts:
+            self._take_summary_conflicts()  # plain reads don't act on them
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles, nacked=True)
         value = self._read_value(proc, address, transactional=False)
@@ -325,7 +348,9 @@ class FlexTMMachine:
         proc = self.processors[proc_id]
         line = self.amap.line_of(address)
         result = proc.l1.access(AccessKind.STORE, line)
-        conflicts = result.conflicts + self._take_summary_conflicts()
+        conflicts = result.conflicts
+        if self._pending_summary_conflicts:
+            conflicts = [*conflicts, *self._take_summary_conflicts()]
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles, nacked=True)
         aborted = self._strong_isolation_aborts(proc_id, line, conflicts)
@@ -357,11 +382,14 @@ class FlexTMMachine:
         line = self.amap.line_of(address)
         refill_cycles = proc.ot_refill(line)
         result = proc.l1.access(AccessKind.TLOAD, line)
-        conflicts = result.conflicts + self._take_summary_conflicts()
+        conflicts = result.conflicts
+        if self._pending_summary_conflicts:
+            conflicts = [*conflicts, *self._take_summary_conflicts()]
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles + refill_cycles, nacked=True)
         proc.rsig.insert(line)
-        proc.note_request_conflicts(AccessKind.TLOAD, conflicts)
+        if conflicts:
+            proc.note_request_conflicts(AccessKind.TLOAD, conflicts)
         if self.invariants is not None:
             self.invariants.on_access_conflicts(
                 self, proc_id, AccessKind.TLOAD, result.conflicts
@@ -370,7 +398,8 @@ class FlexTMMachine:
             proc.current.accesses += 1
         if self.tracer.enabled:
             self._trace_access(proc, AccessKind.TLOAD, address, conflicts)
-        self._metric_conflicts(proc, AccessKind.TLOAD, conflicts)
+        if conflicts:
+            self._metric_conflicts(proc, AccessKind.TLOAD, conflicts)
         value = self._read_value(proc, address, transactional=True)
         return MemoryOpResult(value=value, cycles=result.cycles + refill_cycles, conflicts=conflicts)
 
@@ -382,11 +411,14 @@ class FlexTMMachine:
         line = self.amap.line_of(address)
         refill_cycles = proc.ot_refill(line)
         result = proc.l1.access(AccessKind.TSTORE, line)
-        conflicts = result.conflicts + self._take_summary_conflicts()
+        conflicts = result.conflicts
+        if self._pending_summary_conflicts:
+            conflicts = [*conflicts, *self._take_summary_conflicts()]
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles + refill_cycles, nacked=True)
         proc.wsig.insert(line)
-        proc.note_request_conflicts(AccessKind.TSTORE, conflicts)
+        if conflicts:
+            proc.note_request_conflicts(AccessKind.TSTORE, conflicts)
         if self.invariants is not None:
             self.invariants.on_access_conflicts(
                 self, proc_id, AccessKind.TSTORE, result.conflicts
@@ -396,7 +428,8 @@ class FlexTMMachine:
             proc.current.accesses += 1
         if self.tracer.enabled:
             self._trace_access(proc, AccessKind.TSTORE, address, conflicts)
-        self._metric_conflicts(proc, AccessKind.TSTORE, conflicts)
+        if conflicts:
+            self._metric_conflicts(proc, AccessKind.TSTORE, conflicts)
         return MemoryOpResult(value=value, cycles=result.cycles + refill_cycles, conflicts=conflicts)
 
     def cas(self, proc_id: int, address: int, expected: int, new: int) -> MemoryOpResult:
@@ -404,7 +437,9 @@ class FlexTMMachine:
         proc = self.processors[proc_id]
         line = self.amap.line_of(address)
         result = proc.l1.access(AccessKind.STORE, line)
-        conflicts = result.conflicts + self._take_summary_conflicts()
+        conflicts = result.conflicts
+        if self._pending_summary_conflicts:
+            conflicts = [*conflicts, *self._take_summary_conflicts()]
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles, nacked=True)
         self._strong_isolation_aborts(proc_id, line, conflicts)
@@ -476,7 +511,8 @@ class FlexTMMachine:
         proc = self.processors[proc_id]
         line = self.amap.line_of(address)
         result = proc.l1.aload(line)
-        self._take_summary_conflicts()
+        if self._pending_summary_conflicts:
+            self._take_summary_conflicts()
         proc.alerts.mark(line)
         value = self._read_value(proc, address, transactional=False)
         return MemoryOpResult(value=value, cycles=result.cycles)
@@ -552,7 +588,7 @@ class FlexTMMachine:
                 victim.flash_abort()
 
     def _strong_isolation_aborts(
-        self, requestor: int, line_address: int, conflicts: List[Tuple[int, ResponseKind]]
+        self, requestor: int, line_address: int, conflicts: Sequence[Tuple[int, ResponseKind]]
     ) -> List[int]:
         """Abort every transaction conflicting with a non-tx write."""
         issuer = self.processors[requestor]

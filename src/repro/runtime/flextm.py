@@ -283,15 +283,18 @@ class FlexTMRuntime(TMBackend):
         """Scheduler poll: has an enemy flipped our TSW?
 
         Models the AOU delivery — the alert raised by the TSW-line
-        invalidation makes the handler read the TSW and unwind.
+        invalidation makes the handler read the TSW and unwind.  The
+        raw word is compared, so every way ABORTED reaches the TSW
+        counts, whatever happened to the alert.
         """
         descriptor = thread.descriptor
         if descriptor is None or not thread.in_transaction:
             return False
-        proc = self.machine.processors[thread.processor]
-        if proc.alerts.has_pending:
-            proc.alerts.drain()
-        return self.machine.read_status(descriptor) is TxStatus.ABORTED
+        machine = self.machine
+        alerts = machine.processors[thread.processor].alerts
+        if alerts.has_pending:
+            alerts.drain()
+        return machine.memory.read(descriptor.tsw_address) == TxStatus.ABORTED
 
     def retry_backoff(self, aborts_in_a_row: int) -> int:
         return self.manager.retry_backoff(aborts_in_a_row)

@@ -46,8 +46,11 @@ class Signature:
 
     def insert(self, address: int) -> None:
         """``insert [%r], Sig`` — add an address to the signature."""
-        for bank, index in enumerate(self._family.indices(address)):
-            self._banks[bank] |= 1 << index
+        banks = self._banks
+        bank = 0
+        for index in self._family.indices(address):
+            banks[bank] |= 1 << index
+            bank += 1
         self._inserted += 1
 
     def member(self, address: int) -> bool:

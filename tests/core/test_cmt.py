@@ -73,3 +73,18 @@ def test_all_descriptors_deduplicates():
     # Manually force a second listing (reschedule invariant).
     cmt._lists[1].append(descriptor)
     assert len(list(cmt.all_descriptors())) == 1
+
+
+def test_membership_is_by_identity():
+    """Two field-equal descriptors are two transactions, not one."""
+    cmt = ConflictManagementTable(4)
+    first = _descriptor(1)
+    second = _descriptor(1)
+    cmt.register(0, first)
+    second.last_processor = 0  # now equal to ``first`` field by field
+    assert first == second and first is not second
+    cmt.register(0, second)
+    assert len(cmt.active_on(0)) == 2
+    cmt.unregister(first)
+    remaining = cmt.active_on(0)
+    assert len(remaining) == 1 and remaining[0] is second

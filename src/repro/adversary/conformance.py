@@ -118,7 +118,7 @@ def run_schedule_cell(
     mixed = cell_seed(seed, backend_name, schedule)
     machine = FlexTMMachine(small_test_params(max(spec.threads, 2)))
     hub = MetricsHub()
-    machine.set_metrics(hub)
+    machine.set_tracer(hub)
     machine.set_invariants(InvariantChecker(strict=strict))
     probe = OpacityProbe()
     machine.set_probes(probe)

@@ -1,12 +1,13 @@
 """SIM-H1xx — hook-site hygiene rules.
 
-Observability (``tracer``, ``metrics``), fault injection (``chaos``)
-and adaptive degradation (``resilience``) are *opt-in* layers: the core
-simulator must run bit-identically with all of them absent.  That only
-holds if every hook use in ``core/``, ``coherence/`` and ``runtime/``
-is behind its guard:
+Observability (the ``tracer``, which also carries the metrics hub,
+and ``probes``), fault injection (``chaos``) and adaptive degradation
+(``resilience``) are *opt-in* layers: the core simulator must run
+bit-identically with all of them absent.  That only holds if every
+hook use in ``core/``, ``coherence/`` and ``runtime/`` is behind its
+guard:
 
-* ``chaos`` / ``metrics`` / ``resilience`` attributes are ``None`` by
+* ``chaos`` / ``resilience`` / ``probes`` attributes are ``None`` by
   default, so any member access must be dominated by an ``is not None``
   check on the same expression (``SIM-H101``);
 * the tracer is a shared ``NULL_TRACER`` whose methods are no-ops, so a
@@ -14,6 +15,9 @@ is behind its guard:
   attribute read per potential event) and the layering contract (core
   code never does work on behalf of a disabled layer) require every
   emit call to be dominated by an ``.enabled`` test (``SIM-H102``).
+  Every observer subscribes through the tracer (a
+  :func:`~repro.obs.tracer.tee` fans one call out to several), so
+  this one guard per site covers them all.
 
 "Dominated" is computed per enclosing function with a conservative
 structural walk that understands ``if X is not None:`` bodies,
@@ -34,7 +38,7 @@ from repro.analysis.engine import Finding, ModuleUnit, Rule, dotted_name, regist
 HOOK_SCOPE = ("repro/core/", "repro/coherence/", "repro/runtime/")
 
 #: Optional hooks that default to None.
-OPTIONAL_HOOKS = ("chaos", "metrics", "resilience", "probes")
+OPTIONAL_HOOKS = ("chaos", "resilience", "probes")
 
 
 def _in_scope(unit: ModuleUnit) -> bool:

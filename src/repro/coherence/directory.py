@@ -120,14 +120,13 @@ class Directory:
         # Cores-Summary stickiness: a descheduled transaction's
         # processor stays listed (installed by the virtualization layer).
         self.sticky_check: Optional[Callable] = None
-        # Observability hooks (installed by FlexTMMachine.set_tracer):
-        # the tracer itself and a processor-clock accessor for stamps.
+        # Observability hook (installed by FlexTMMachine.set_tracer).
         self.tracer = NULL_TRACER
+        # Processor-clock accessor for event stamps (installed by
+        # FlexTMMachine at construction).
         self.clock_of: Optional[Callable] = None
         # Fault injection (installed by FlexTMMachine.set_chaos).
         self.chaos = None
-        # Metrics hub (installed by FlexTMMachine.set_metrics).
-        self.metrics = None
 
     def entry(self, line_address: int) -> DirectoryEntry:
         if line_address not in self._entries:
@@ -229,9 +228,6 @@ class Directory:
         grant = self._grant_and_record(requestor, req_type, line_address, entry, responses)
         if self.tracer.enabled:
             self._trace_request(requestor, req_type, line_address, grant.name, responses)
-        if self.metrics is not None:
-            now = self.clock_of(requestor) if self.clock_of is not None else 0
-            self.metrics.on_coherence(requestor, now)
         return DirectoryOutcome(cycles=cycles, responses=responses, grant=grant)
 
     def _trace_request(
@@ -245,7 +241,7 @@ class Directory:
         """Emit one ``coh_request`` plus a ``coh_response`` per response."""
         if not self.tracer.enabled:
             return
-        now = self.clock_of(requestor) if self.clock_of is not None else 0
+        now = self.clock_of(requestor)
         self.tracer.coherence(
             requestor, now, "coh_request", line_address,
             detail=f"{req_type.value}->{grant}",

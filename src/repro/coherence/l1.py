@@ -111,8 +111,6 @@ class L1Controller:
         self.tracer = NULL_TRACER
         #: Fault injection (installed by FlexTMMachine.set_chaos).
         self.chaos = None
-        #: Metrics hub (installed by FlexTMMachine.set_metrics).
-        self.metrics = None
         self.array = CacheArray(params.l1.num_sets, params.l1.associativity)
         self.victims = VictimBuffer(params.victim_buffer_entries)
         #: E7 knob — route TMI evictions into an unbounded side buffer
@@ -251,11 +249,6 @@ class L1Controller:
                 "coh_evict",
                 line.line_address,
                 detail=state.name,
-            )
-        if self.metrics is not None:
-            clock = getattr(self.hooks, "clock", None)
-            self.metrics.on_evict(
-                self.proc_id, clock.now if clock is not None else 0
             )
         if line.a_bit:
             # Tracking for an ALoaded line is lost on eviction; alert.

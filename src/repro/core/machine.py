@@ -89,6 +89,7 @@ class FlexTMMachine:
         self.directory.nack_check = self._nack_check
         self.directory.sticky_check = self.summary.sticky_sharer
         self.directory.summary_conflict_check = self._summary_conflict_check
+        self.directory.clock_of = lambda p: self.processors[p].clock.now
         #: TSW address -> descriptor, for abort routing.
         self._descriptors_by_tsw: Dict[int, TransactionDescriptor] = {}
         #: thread id -> suspended descriptor (summary-handler registry).
@@ -103,8 +104,6 @@ class FlexTMMachine:
         #: htmbe backend so the invariant checker can see the fallback
         #: lock and serial mode through the machine alone).
         self.htm_fallback = None
-        #: Metrics hub (opt-in, tracer-style; None = no metrics).
-        self.metrics = None
         #: Opacity/zombie probe layer (opt-in, tracer-style; None = no
         #: probes).  Purely observational: armed runs are bit-identical
         #: to unarmed runs.
@@ -122,10 +121,12 @@ class FlexTMMachine:
     def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Install (or remove, with None) an observability tracer.
 
-        The tracer is fanned out to every layer that emits events: the
-        processors (AOU, overflow controller), their L1s (evictions) and
-        the directory (coherence messages).  Tracing is observational
-        only — it never changes a simulated cycle.
+        The machine's one observational setter: a metrics hub, or a
+        :func:`~repro.obs.tracer.tee` of several subscribers, installs
+        here too.  The tracer is fanned out to every layer that emits
+        events: the processors (AOU, overflow controller), their L1s
+        (evictions) and the directory (coherence messages).  Tracing is
+        observational only — it never changes a simulated cycle.
         """
         # Explicit None test: an EventTracer with no events yet is falsy
         # (it defines __len__), and must still install.
@@ -135,7 +136,6 @@ class FlexTMMachine:
             proc.tracer = tracer
             proc.l1.tracer = tracer
         self.directory.tracer = tracer
-        self.directory.clock_of = lambda p: self.processors[p].clock.now
 
     def set_chaos(self, chaos) -> None:
         """Install (or remove, with None) a fault-injection engine.
@@ -179,22 +179,6 @@ class FlexTMMachine:
         while the fallback lock is held) is checkable from the machine.
         """
         self.htm_fallback = policy
-
-    def set_metrics(self, hub) -> None:
-        """Install (or remove, with None) a metrics hub.
-
-        Fanned out tracer-style to the processors, their L1s, and the
-        directory; every hook site guards on ``metrics is None``, so a
-        metrics-armed run is bit-identical to an unarmed one.
-        """
-        self.metrics = hub
-        for proc in self.processors:
-            proc.metrics = hub
-            proc.l1.metrics = hub
-        self.directory.metrics = hub
-        if hub is not None:
-            self.directory.clock_of = lambda p: self.processors[p].clock.now
-            hub.attach(self)
 
     def set_probes(self, probes) -> None:
         """Install (or remove, with None) an opacity/zombie probe layer.
@@ -263,6 +247,7 @@ class FlexTMMachine:
         proc: FlexTMProcessor,
         kind: AccessKind,
         address: int,
+        line: int,
         conflicts: Sequence[Tuple[int, ResponseKind]],
     ) -> None:
         """Emit the (sampled) access and any CST-setting conflicts."""
@@ -272,27 +257,10 @@ class FlexTMMachine:
         thread = proc.current.thread_id if proc.current is not None else -1
         rw = "read" if kind is AccessKind.TLOAD else "write"
         self.tracer.tx_access(proc.proc_id, thread, now, rw, address)
-        line = self.amap.line_of(address)
         for responder, response in conflicts:
             cst = classify_conflict(kind, response)
             if cst is not None:
                 self.tracer.conflict(proc.proc_id, now, responder, cst, line)
-
-    def _metric_conflicts(
-        self,
-        proc: FlexTMProcessor,
-        kind: AccessKind,
-        conflicts: Sequence[Tuple[int, ResponseKind]],
-    ) -> None:
-        """Feed CST-setting conflicts to the hub (independent of tracing)."""
-        metrics = self.metrics
-        if metrics is None:
-            return
-        now = proc.clock.now
-        for responder, response in conflicts:
-            cst = classify_conflict(kind, response)
-            if cst is not None:
-                metrics.on_conflict(proc.proc_id, now, responder, cst)
 
     # -------------------------------------------------------------- allocator
 
@@ -367,11 +335,6 @@ class FlexTMMachine:
                 now = proc.clock.now
                 for victim in aborted:
                     self.tracer.conflict(proc_id, now, victim, "SI", line)
-            metrics = self.metrics
-            if metrics is not None:
-                now = proc.clock.now
-                for victim in aborted:
-                    metrics.on_conflict(proc_id, now, victim, "SI")
         return out
 
     def tload(self, proc_id: int, address: int) -> MemoryOpResult:
@@ -397,9 +360,7 @@ class FlexTMMachine:
         if proc.current is not None:
             proc.current.accesses += 1
         if self.tracer.enabled:
-            self._trace_access(proc, AccessKind.TLOAD, address, conflicts)
-        if conflicts:
-            self._metric_conflicts(proc, AccessKind.TLOAD, conflicts)
+            self._trace_access(proc, AccessKind.TLOAD, address, line, conflicts)
         value = self._read_value(proc, address, transactional=True)
         return MemoryOpResult(value=value, cycles=result.cycles + refill_cycles, conflicts=conflicts)
 
@@ -427,9 +388,7 @@ class FlexTMMachine:
         if proc.current is not None:
             proc.current.accesses += 1
         if self.tracer.enabled:
-            self._trace_access(proc, AccessKind.TSTORE, address, conflicts)
-        if conflicts:
-            self._metric_conflicts(proc, AccessKind.TSTORE, conflicts)
+            self._trace_access(proc, AccessKind.TSTORE, address, line, conflicts)
         return MemoryOpResult(value=value, cycles=result.cycles + refill_cycles, conflicts=conflicts)
 
     def cas(self, proc_id: int, address: int, expected: int, new: int) -> MemoryOpResult:

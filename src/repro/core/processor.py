@@ -62,8 +62,6 @@ class FlexTMProcessor:
         self.chaos = None
         #: Degradation controller (installed by set_resilience).
         self.resilience = None
-        #: Metrics hub (installed by FlexTMMachine.set_metrics).
-        self.metrics = None
         self.clock = CycleClock()
         self.rsig = Signature(params.signature_bits, params.signature_hashes)
         self.wsig = Signature(params.signature_bits, params.signature_hashes)
@@ -158,16 +156,12 @@ class FlexTMProcessor:
             self.tracer.overflow(
                 self.proc_id, self.clock.now, "spill", line_address, dur=cycles
             )
-        if self.metrics is not None:
-            self.metrics.on_overflow(self.proc_id, self.clock.now, "spill", cycles)
         return cycles
 
     def on_alert(self, line_address: int, reason: str) -> None:
         self.alerts.raise_alert(line_address, reason)
         if self.tracer.enabled:
             self.tracer.aou_alert(self.proc_id, self.clock.now, line_address, reason)
-        if self.metrics is not None:
-            self.metrics.on_alert(self.proc_id, self.clock.now)
 
     # -- transactional access helpers ---------------------------------------------
 
@@ -189,8 +183,6 @@ class FlexTMProcessor:
             self.tracer.overflow(
                 self.proc_id, self.clock.now, "walk", line_address, dur=walk_cycles
             )
-        if self.metrics is not None:
-            self.metrics.on_overflow(self.proc_id, self.clock.now, "walk", walk_cycles)
         return walk_cycles
 
     def note_request_conflicts(
@@ -232,10 +224,6 @@ class FlexTMProcessor:
             # does not charge it to the processor's cycle buckets).
             self.tracer.overflow(
                 self.proc_id, self.clock.now, "copyback", dur=copyback_done - now
-            )
-        if copyback_done > now and self.metrics is not None:
-            self.metrics.on_overflow(
-                self.proc_id, self.clock.now, "copyback", copyback_done - now
             )
         self.rsig.clear()
         self.wsig.clear()

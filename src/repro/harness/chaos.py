@@ -194,7 +194,7 @@ def run_cell(
 
     machine = FlexTMMachine(small_test_params(threads))
     hub = MetricsHub()
-    machine.set_metrics(hub)
+    machine.set_tracer(hub)
     engine = None
     if spec is not None:
         engine = ChaosEngine(spec, stats=machine.stats)

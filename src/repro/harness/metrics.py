@@ -19,8 +19,8 @@ pathology annotations) plus an optional self-contained HTML dashboard.
 windows**: identical runs exit 0, any totals/series divergence exits 1
 with a per-window report — the determinism tripwire for CI.
 
-The module also provides :func:`sweep_hub` / :func:`write_point_metrics`,
-the shared helpers behind the figure/overflow/sweep harnesses'
+The module also provides :func:`write_point_metrics`, the shared
+helper behind the figure/overflow/sweep harnesses'
 ``--metrics-out`` directories (mirroring ``trace.write_point_trace``).
 """
 
@@ -33,7 +33,11 @@ from typing import Dict, List, Optional
 
 from repro.obs.causality import annotate_pathologies, extract_chains
 from repro.obs.dashboard import render_dashboard
-from repro.obs.metrics import MetricsHub
+from repro.obs.metrics import (
+    DEFAULT_SAMPLE_INTERVAL,
+    DEFAULT_WINDOW_CYCLES,
+    MetricsHub,
+)
 
 #: Schema identifier stamped into every metrics artifact.
 METRICS_SCHEMA = "repro.metrics/v1"
@@ -65,14 +69,6 @@ TOTALS_REQUIRED_KEYS = (
 
 #: Chains reported per artifact (longest first).
 MAX_CHAINS = 10
-
-
-def sweep_hub(window_cycles: int = 2048,
-              sample_interval: int = 256) -> MetricsHub:
-    """Hub settings for whole-sweep metrics (one artifact per point)."""
-    return MetricsHub(
-        window_cycles=window_cycles, sample_interval=sample_interval
-    )
 
 
 def commits_by_path(escalations: Dict[str, int]) -> Dict[str, int]:
@@ -310,9 +306,10 @@ def run_metrics_command(argv=None) -> int:
                         help="cycle budget (0 = default / REPRO_CYCLES)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--mode", choices=["eager", "lazy"], default="eager")
-    parser.add_argument("--window", type=int, default=2048,
+    parser.add_argument("--window", type=int, default=DEFAULT_WINDOW_CYCLES,
                         help="time-series window width in cycles")
-    parser.add_argument("--sample-interval", type=int, default=256,
+    parser.add_argument("--sample-interval", type=int,
+                        default=DEFAULT_SAMPLE_INTERVAL,
                         help="scheduler steps between pressure samples")
     parser.add_argument("--degrade", action="store_true",
                         help="arm the resilience controller (rung residency)")

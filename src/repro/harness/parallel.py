@@ -168,9 +168,9 @@ def _run_one(spec: PointSpec):
         config = dataclasses.replace(config, tracer=tracer)
     hub = None
     if spec.metrics_dir:
-        from repro.harness.metrics import sweep_hub
+        from repro.obs.metrics import MetricsHub
 
-        hub = sweep_hub()
+        hub = MetricsHub()
         config = dataclasses.replace(config, metrics=hub)
     result = _execute_point(config)
     trace_path = None

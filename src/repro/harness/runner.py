@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 from repro.chaos import ChaosEngine, ChaosSpec, InvariantChecker, LivelockWatchdog, WatchdogSpec
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, tee
 from repro.params import DEFAULT_PARAMS, SystemParams
 from repro.resilience import DegradeSpec, ResilienceController
 from repro.runtime.flextm import FlexTMRuntime
@@ -126,14 +126,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         raise KeyError(f"unknown system {config.system!r}; have {sorted(SYSTEMS)}")
     params = config.params or DEFAULT_PARAMS
     machine = FlexTMMachine(params, tmi_to_victim=config.tmi_to_victim)
-    if config.tracer is not None:
-        machine.set_tracer(config.tracer)
+    machine.set_tracer(tee(config.tracer, config.metrics))
     if config.chaos is not None:
         machine.set_chaos(ChaosEngine(config.chaos, stats=machine.stats))
     if config.invariants:
         machine.set_invariants(InvariantChecker())
-    if config.metrics is not None:
-        machine.set_metrics(config.metrics)
     controller = None
     if config.degrade is not None:
         controller = ResilienceController(config.degrade)
@@ -169,7 +166,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         machine, threads, quantum=config.quantum, processors=processor_list,
         watchdog=watchdog,
     )
-    return scheduler.run(cycle_limit=config.resolved_cycle_limit())
+    result = scheduler.run(cycle_limit=config.resolved_cycle_limit())
+    result.trace = config.tracer
+    result.metrics = config.metrics
+    return result
 
 
 def normalized_throughput(result: RunResult, baseline: RunResult) -> float:

@@ -11,10 +11,10 @@ observation points into *aggregates with temporal shape*:
   **simulated** clock (never wall-clock, so the ``simcheck`` SIM-D
   determinism rules hold), bounded by ring-style eviction of the oldest
   window.
-* :class:`MetricsHub` — the opt-in sink every simulator layer feeds
-  through None-guarded hooks (the PR 3/4 convention), plus a periodic
-  sampler over the PR 4 pressure sensors (signature fill, FP estimate,
-  OT occupancy, CST density, resilience-rung residency).
+* :class:`MetricsHub` — the opt-in sink, a :class:`~repro.obs.tracer.Tracer`
+  subscriber that aggregates the tracer's events, plus a periodic
+  sampler over the resilience pressure sensors (signature fill, FP
+  estimate, OT occupancy, CST density, resilience-rung residency).
 
 The hub is purely observational: hooks never touch simulated state, so
 a metrics-armed run is bit-identical to an unarmed one
@@ -22,9 +22,10 @@ a metrics-armed run is bit-identical to an unarmed one
 draws no randomness, so the JSON artifact is itself deterministic.
 
 This module imports nothing from the simulator at module level (only
-:mod:`repro.obs.causality`, which is stdlib-pure): ``sim.stats`` imports
-the percentile helpers from here, and the sampler's
-``repro.resilience.pressure`` import is deferred into the call.
+:mod:`repro.obs.causality` and :mod:`repro.obs.tracer`, which are
+stdlib-pure): ``sim.stats`` imports the percentile helpers from here,
+and the sampler's ``repro.resilience.pressure`` import is deferred
+into the call.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.causality import AbortRecord
+from repro.obs.tracer import Tracer
 
 #: Percentiles every histogram summary reports.
 PERCENTILES = (0.50, 0.95, 0.99)
@@ -244,15 +246,19 @@ class TimeSeries:
         }
 
 
-class MetricsHub:
+class MetricsHub(Tracer):
     """The deterministic metrics sink for one simulated run.
 
-    Armed via ``ExperimentConfig(metrics=MetricsHub())`` /
-    ``FlexTMMachine.set_metrics``; every simulator hook site guards on
-    ``metrics is None`` so an unarmed run pays one attribute read.  All
-    hooks observe — none mutates simulated state — which is the
+    A :class:`~repro.obs.tracer.Tracer` subscriber: armed via
+    ``ExperimentConfig(metrics=MetricsHub())`` (which tees it beside any
+    tracer) or ``FlexTMMachine.set_tracer(hub)``, it sees exactly the
+    events an :class:`~repro.obs.tracer.EventTracer` records, so its
+    aggregates can also be rebuilt offline from a saved JSONL trace.
+    All hooks observe — none mutates simulated state — which is the
     bit-identical contract the determinism tests pin.
     """
+
+    enabled = True
 
     def __init__(
         self,
@@ -275,7 +281,6 @@ class MetricsHub:
         self.abort_records_dropped = 0
         self.proc_cycles: List[int] = []
         self.samples_taken = 0
-        self._machine = None
         self._steps = 0
         self._begin_cycle: Dict[int, int] = {}
 
@@ -302,29 +307,22 @@ class MetricsHub:
             )
         return self.series_map[name]
 
-    # -- wiring ----------------------------------------------------------------
+    # -- transaction lifecycle -------------------------------------------------
 
-    def attach(self, machine) -> None:
-        """Remember the machine (the sampler reads its sensors)."""
-        self._machine = machine
-
-    # -- transaction lifecycle hooks (TxThread) --------------------------------
-
-    def on_begin(self, proc: int, thread: int, cycle: int) -> None:
+    def tx_begin(self, proc, thread, cycle, system, incarnation):
         self.count("tx.begins")
         self._begin_cycle[thread] = cycle
         self.series("tx.begins").record(cycle)
 
-    def on_commit(self, proc: int, thread: int, cycle: int) -> None:
+    def tx_commit(self, proc, thread, cycle):
         self.count("tx.commits")
         self.series("tx.commits").record(cycle)
         begin = self._begin_cycle.pop(thread, None)
         if begin is not None:
             self.histogram("tx.commit_cycles").record(max(0, cycle - begin))
 
-    def on_abort(self, proc: int, thread: int, cycle: int,
-                 by: int, kind: str) -> None:
-        kind = kind or "unattributed"
+    def tx_abort(self, proc, thread, cycle, cause, by=-1, conflict=""):
+        kind = conflict or "unattributed"
         self.count("tx.aborts")
         self.count(f"tx.aborts.{kind}")
         self.series("tx.aborts").record(cycle)
@@ -343,55 +341,72 @@ class MetricsHub:
         else:
             self.abort_records_dropped += 1
 
-    # -- conflict / contention hooks (machine, contention manager) -------------
+    # -- conflicts, alerts and contention --------------------------------------
 
-    def on_conflict(self, proc: int, cycle: int, responder: int,
-                    kind: str) -> None:
+    def conflict(self, proc, cycle, responder, cst_kind, line):
         self.count("conflicts.total")
-        self.count(f"conflicts.{kind}")
+        self.count(f"conflicts.{cst_kind}")
         self.series("conflicts").record(cycle)
 
-    def on_stall(self, proc: int, cycle: int, dur: int) -> None:
+    def aou_alert(self, proc, cycle, line, reason):
+        self.count("aou.alerts")
+        self.series("aou.alerts").record(cycle)
+
+    def stall(self, proc, cycle, dur, enemy=-1, settled=True):
         self.count("stalls")
         self.histogram("stall_cycles").record(dur)
         self.series("stall_cycles").record(cycle, dur)
 
-    # -- structure hooks (processor, L1, directory) ----------------------------
+    # -- overflow machinery ----------------------------------------------------
 
-    def on_overflow(self, proc: int, cycle: int, what: str, dur: int) -> None:
+    def overflow(self, proc, cycle, what, line=-1, dur=0):
         self.count(f"overflow.{what}")
         self.series("overflow.events").record(cycle)
         if dur:
             self.histogram("overflow_cycles").record(dur)
 
-    def on_alert(self, proc: int, cycle: int) -> None:
-        self.count("aou.alerts")
-        self.series("aou.alerts").record(cycle)
+    # -- scheduling ------------------------------------------------------------
 
-    def on_evict(self, proc: int, cycle: int) -> None:
-        self.count("coh.evictions")
-
-    def on_coherence(self, proc: int, cycle: int) -> None:
-        self.count("coh.messages")
-        self.series("coh.messages").record(cycle)
-
-    # -- scheduler hooks -------------------------------------------------------
-
-    def on_sched(self, proc: int, cycle: int, what: str) -> None:
+    def sched(self, proc, cycle, what, thread, status=""):
         self.count(f"sched.{what}")
         if what in ("preempt", "yield"):
             self.series("sched.switches").record(cycle)
 
-    def on_escalation(self, cycle: int, thread: int, rung: str) -> None:
-        self.count(f"resilience.escalations.{rung}")
-        self.series("resilience.escalations").record(cycle)
+    # -- coherence -------------------------------------------------------------
 
-    def on_step(self, scheduler) -> None:
+    def coherence(self, proc, cycle, msg, line, responder=-1, detail=""):
+        """Counts granted directory requests and L1 evictions.
+
+        A NACKed request (``detail`` ends in ``->NACK``) never reached
+        the holders, so it is not a coherence message.
+        """
+        if msg == "coh_request":
+            if not detail.endswith("->NACK"):
+                self.count("coh.messages")
+                self.series("coh.messages").record(cycle)
+        elif msg == "coh_evict":
+            self.count("coh.evictions")
+
+    # -- degradation ladder ----------------------------------------------------
+
+    def degrade(self, cycle, what, **data):
+        if what == "escalate":
+            self.count(f"resilience.escalations.{data['rung']}")
+            self.series("resilience.escalations").record(cycle)
+
+    # -- run boundary ----------------------------------------------------------
+
+    def step(self, scheduler) -> None:
         """Once per scheduler step; sweeps the sensors every Nth step."""
         self._steps += 1
         if self._steps % self.sample_interval:
             return
         self.sample(scheduler.machine)
+
+    def finalize(self, proc_cycles: List[int]) -> None:
+        """Called once by the scheduler with each processor's final clock."""
+        self.proc_cycles = list(proc_cycles)
+        self.gauge("cycles.total").set(max(proc_cycles, default=0))
 
     # -- the periodic pressure sampler -----------------------------------------
 
@@ -433,13 +448,6 @@ class MetricsHub:
                 sig_fill_pct=fill_pct, sig_fp_pct=fp_pct,
                 ot_occupancy=ot_occupancy, cst_density=cst_density,
             )
-
-    # -- run boundary ----------------------------------------------------------
-
-    def finalize(self, proc_cycles: List[int]) -> None:
-        """Called once by the scheduler with each processor's final clock."""
-        self.proc_cycles = list(proc_cycles)
-        self.gauge("cycles.total").set(max(proc_cycles, default=0))
 
     # -- export ----------------------------------------------------------------
 

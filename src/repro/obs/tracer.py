@@ -1,7 +1,7 @@
 """Transaction-lifecycle tracing (the observability tentpole).
 
 Every layer of the simulator reports structured, cycle-stamped events
-through a :class:`Tracer`.  Two implementations exist:
+through a :class:`Tracer`, the simulator's single observation API:
 
 * :class:`NullTracer` — the default.  ``enabled`` is ``False`` and every
   call site guards with ``if tracer.enabled:``, so the hot path pays one
@@ -10,43 +10,28 @@ through a :class:`Tracer`.  Two implementations exist:
   order.  Per-processor streams are cycle-monotonic (each processor's
   clock only moves forward), which is what the cycle-attribution
   profiler and the exporters rely on.
+* :class:`~repro.obs.metrics.MetricsHub` — aggregates the same events
+  into counters, histograms and windowed series.
+
+:func:`tee` fans one call site out to several subscribers, so every
+site keeps exactly one ``tracer.enabled`` guard however many observers
+are armed.
 
 Tracing is purely observational: attaching an :class:`EventTracer`
 never changes a single simulated cycle, so a traced run reproduces the
 untraced run bit for bit (tests/obs/test_trace_integration.py).
 
-Event taxonomy (the ``kind`` field of :class:`TraceEvent`):
-
-========================  =====================================================
-``tx_begin``              transaction attempt starts (thread, incarnation)
-``tx_commit``             attempt committed
-``tx_abort``              attempt aborted (``cause`` + wounding processor)
-``tx_read`` / ``tx_write``  sampled transactional data accesses
-``conflict_detected``     a CST-setting response (R-W / W-R / W-W / SI)
-``aou_alert``             alert-on-update delivery (line + reason)
-``conflict_stall``        cycles spent waiting on an enemy (duration)
-``overflow_spill``        TMI eviction walked into the overflow table
-``overflow_walk``         OT refill walk on an L1 miss
-``overflow_copyback``     post-commit OT drain (controller-overlapped)
-``preempt`` / ``yield``   scheduler took the core away / thread gave it up
-``dispatch`` / ``retire``  thread installed on a core / finished for good
-``coh_request``           directory request (type, line, grant, nack)
-``coh_response``          signature-qualified forwarded response
-``coh_evict``             L1 eviction (victimized line + state)
-``watchdog_*``            liveness-watchdog ladder (escalate / backoff_boost /
-                          forced_abort / recover)
-``degrade_*``             degradation-ladder actions (escalate / policy_flip /
-                          rotate / irrevocable_grant / irrevocable_drain /
-                          irrevocable_release / recover)
-``metrics_*``             metrics-hub pressure samples (signature fill / FP /
-                          OT occupancy / CST density, cycle-stamped)
-========================  =====================================================
+The event taxonomy (the ``kind`` field of :class:`TraceEvent`) lives in
+:data:`repro.obs.events.EVENT_REGISTRY`, the single documented source
+that the ``simcheck`` rule ``SIM-E201`` checks every emit site against.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+import functools
+import inspect
+from typing import Dict, List, Optional, Sequence
 
 #: CST kinds reported by ``conflict_detected`` events.  "SI" marks a
 #: strong-isolation abort caused by a non-transactional writer.
@@ -162,6 +147,10 @@ class Tracer:
         pass
 
     # -- run boundary ----------------------------------------------------------
+
+    def step(self, scheduler) -> None:
+        """Called by the scheduler after every step (the metrics sampler)."""
+        pass
 
     def finalize(self, proc_cycles: List[int]) -> None:
         """Called once by the scheduler with each processor's final clock."""
@@ -309,6 +298,79 @@ class EventTracer(Tracer):
         for event in self.events:
             grouped.setdefault(event.proc, []).append(event)
         return grouped
+
+
+#: Every hook a :class:`Tracer` subscriber can implement.
+_HOOKS = tuple(
+    name for name, value in vars(Tracer).items()
+    if callable(value) and not name.startswith("_")
+)
+
+
+class _Tee(Tracer):
+    """Fan-out over several enabled tracers, in argument order.
+
+    Each hook is bound once, at construction, to the subscribers whose
+    class overrides it: one subscriber gets its bound method directly
+    (no extra frame), several get a generated forwarder, none keep the
+    inherited no-op.
+    """
+
+    enabled = True
+
+    def __init__(self, tracers: Sequence[Tracer]):
+        for name in _HOOKS:
+            base = getattr(Tracer, name)
+            calls = [
+                getattr(tracer, name) for tracer in tracers
+                if getattr(type(tracer), name) is not base
+            ]
+            if len(calls) == 1:
+                setattr(self, name, calls[0])
+            elif calls:
+                setattr(self, name, _forwarder(name, len(calls))(*calls))
+
+
+@functools.lru_cache(maxsize=None)
+def _forwarder(name: str, fanout: int):
+    """Factory of functions with ``Tracer.<name>``'s signature that call
+    each of ``fanout`` callables in turn.
+
+    Generated once per process (as :mod:`dataclasses` generates
+    ``__init__``) so that arguments are forwarded positionally: a
+    ``*args, **kwargs`` wrapper costs several times more per event on
+    the hot coherence path.
+    """
+    params = list(inspect.signature(getattr(Tracer, name)).parameters.values())[1:]
+    header = ", ".join(str(param.replace(annotation=param.empty)) for param in params)
+    forward = ", ".join(
+        f"**{param.name}" if param.kind is param.VAR_KEYWORD else param.name
+        for param in params
+    )
+    calls = [f"call{index}" for index in range(fanout)]
+    source = (
+        f"def make({', '.join(calls)}):\n"
+        f"    def fan({header}):\n"
+        + "".join(f"        {call}({forward})\n" for call in calls)
+        + "    return fan\n"
+    )
+    namespace: Dict[str, object] = {}
+    exec(source, namespace)
+    return namespace["make"]
+
+
+def tee(*tracers: Optional[Tracer]) -> Tracer:
+    """One tracer for every enabled argument (``None`` entries skipped).
+
+    Returns :data:`NULL_TRACER` when none is enabled, the tracer itself
+    when exactly one is, and a fan-out otherwise.
+    """
+    live = [tracer for tracer in tracers if tracer is not None and tracer.enabled]
+    if not live:
+        return NULL_TRACER
+    if len(live) == 1:
+        return live[0]
+    return _Tee(live)
 
 
 def classify_conflict(access_kind, response_kind) -> Optional[str]:

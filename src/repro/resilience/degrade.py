@@ -359,9 +359,6 @@ class ResilienceController:
             self.machine.tracer.degrade(
                 now, "escalate", thread=tid, rung=new.name.lower(), streak=streak
             )
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.on_escalation(now, tid, new.name.lower())
         if new is Rung.BOOSTED:
             self._boosted.add(tid)
             self.counters["boosts"] += 1

@@ -156,13 +156,6 @@ class FlexTMRuntime(TMBackend):
                             backoff,
                             enemy=enemy_proc,
                         )
-                    metrics = self.machine.metrics
-                    if metrics is not None and thread.processor is not None:
-                        metrics.on_stall(
-                            thread.processor,
-                            self.machine.processors[thread.processor].clock.now,
-                            backoff,
-                        )
                     # A committing enemy aborts *us* during this window;
                     # the scheduler's abort poll unwinds the generator.
                     continue

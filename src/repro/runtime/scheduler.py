@@ -67,11 +67,12 @@ class RunResult:
     #: rung transitions, irrevocable grants) — empty unless a watchdog
     #: or degradation controller was armed.
     escalations: Dict[str, int] = dataclasses.field(default_factory=dict)
-    #: The run's EventTracer when one was attached (None otherwise).
-    #: Excluded from comparison/repr: tracing never changes the numbers.
+    #: The run's EventTracer when one was attached (None otherwise; set
+    #: by ``run_experiment`` from its config).  Excluded from
+    #: comparison/repr: tracing never changes the numbers.
     trace: Optional[object] = dataclasses.field(default=None, compare=False, repr=False)
-    #: The run's MetricsHub when one was armed (None otherwise).
-    #: Excluded from comparison/repr for the same reason as ``trace``.
+    #: The run's MetricsHub when one was armed (None otherwise; set like
+    #: ``trace``).  Excluded from comparison/repr for the same reason.
     metrics: Optional[object] = dataclasses.field(default=None, compare=False, repr=False)
 
     @property
@@ -161,7 +162,7 @@ class Scheduler:
             raise SchedulerError("cycle_limit must be positive")
         invariants = self.machine.invariants
         resilience = self.machine.resilience
-        metrics = self.machine.metrics
+        tracer = self.machine.tracer
         director = self.director
         steps = 0
         while True:
@@ -177,8 +178,8 @@ class Scheduler:
                 self.watchdog.observe(self)
             if resilience is not None:
                 resilience.on_step(self)
-            if metrics is not None:
-                metrics.on_step(self)
+            if tracer.enabled:
+                tracer.step(self)
             if invariants is not None and steps % invariants.check_interval == 0:
                 invariants.check_machine(self.machine)
         if invariants is not None:
@@ -349,9 +350,6 @@ class Scheduler:
         now = self.machine.processors[proc].clock.now
         if tracer.enabled:
             tracer.sched(proc, now, "preempt", slot.thread.thread_id)
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.on_sched(proc, now, "preempt")
         self._switch_out(proc, slot, "ctxsw.switches")
         self._ready.append(slot)
         self._dispatch(proc)
@@ -365,9 +363,6 @@ class Scheduler:
         now = self.machine.processors[proc].clock.now
         if tracer.enabled:
             tracer.sched(proc, now, "yield", slot.thread.thread_id)
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.on_sched(proc, now, "yield")
         self._switch_out(proc, slot, "ctxsw.yields")
         self._ready.append(slot)
         self._dispatch(proc)
@@ -387,9 +382,6 @@ class Scheduler:
             tracer.sched(
                 proc, clock.now, "dispatch", thread.thread_id, status=status or ""
             )
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.on_sched(proc, clock.now, "dispatch")
         slot.slice_start = clock.now
         self._running[proc] = slot
         self._key(proc)
@@ -448,9 +440,6 @@ class Scheduler:
         now = self.machine.processors[proc].clock.now
         if tracer.enabled:
             tracer.sched(proc, now, "preempt", slot.thread.thread_id)
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.on_sched(proc, now, "preempt")
         self._switch_out(proc, slot, "ctxsw.switches")
         if requeue:
             self._ready.append(slot)
@@ -508,11 +497,6 @@ class Scheduler:
                 proc, self.machine.processors[proc].clock.now, "retire",
                 slot.thread.thread_id,
             )
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.on_sched(
-                proc, self.machine.processors[proc].clock.now, "retire"
-            )
         self._running.pop(proc, None)
         if self._ready:
             self._dispatch(proc)
@@ -547,9 +531,6 @@ class Scheduler:
         tracer = self.machine.tracer
         if tracer.enabled:
             tracer.finalize([proc.clock.now for proc in self.machine.processors])
-        metrics = self.machine.metrics
-        if metrics is not None:
-            metrics.finalize([proc.clock.now for proc in self.machine.processors])
         return RunResult(
             cycles=elapsed,
             commits=commits,
@@ -568,6 +549,4 @@ class Scheduler:
             conflict_degrees=list(degrees._samples),
             aborts_by_kind=dict(sorted(aborts_by_kind.items())),
             escalations=escalations,
-            trace=tracer if tracer.enabled else None,
-            metrics=metrics,
         )

@@ -104,12 +104,6 @@ class TxThread:
                         self.processor, self.thread_id, self._now(),
                         self.backend.name, incarnation,
                     )
-                metrics = self._metrics()
-                if metrics is not None:
-                    metrics.on_begin(
-                        self.processor if self.processor is not None else -1,
-                        self.thread_id, self._now(),
-                    )
                 probes = self._probes()
                 if probes is not None:
                     probes.on_begin(self.thread_id)
@@ -124,11 +118,6 @@ class TxThread:
                     resilience.on_commit(self, self._now())
                 if tracer.enabled:
                     tracer.tx_commit(self.processor, self.thread_id, self._now())
-                if metrics is not None:
-                    metrics.on_commit(
-                        self.processor if self.processor is not None else -1,
-                        self.thread_id, self._now(),
-                    )
                 probes = self._probes()
                 if probes is not None:
                     probes.on_commit(self.thread_id)
@@ -157,12 +146,6 @@ class TxThread:
                         by=by,
                         conflict=conflict,
                     )
-                metrics = self._metrics()
-                if metrics is not None:
-                    metrics.on_abort(
-                        self.processor if self.processor is not None else -1,
-                        self.thread_id, self._now(), by, key,
-                    )
                 probes = self._probes()
                 if probes is not None:
                     probes.on_abort(self.thread_id)
@@ -176,8 +159,6 @@ class TxThread:
                     yield ("work", backoff)
                     if tracer.enabled and self.processor is not None:
                         tracer.stall(self.processor, self._now(), backoff)
-                    if metrics is not None and self.processor is not None:
-                        metrics.on_stall(self.processor, self._now(), backoff)
 
     def _tracer(self):
         machine = getattr(self.backend, "machine", None)
@@ -186,10 +167,6 @@ class TxThread:
     def _resilience(self):
         machine = getattr(self.backend, "machine", None)
         return machine.resilience if machine is not None else None
-
-    def _metrics(self):
-        machine = getattr(self.backend, "machine", None)
-        return machine.metrics if machine is not None else None
 
     def _probes(self):
         machine = getattr(self.backend, "machine", None)

@@ -12,6 +12,8 @@ Three contracts are pinned here:
   deterministic across repeated runs.
 """
 
+import json
+
 import pytest
 
 from repro.harness.metrics import build_artifact, validate_metrics_artifact
@@ -24,7 +26,10 @@ from repro.obs.metrics import (
     nearest_rank,
     nearest_rank_index,
 )
+from repro.obs.export import to_jsonl
+from repro.obs.tracer import EventTracer
 from repro.params import small_test_params
+from repro.resilience import DegradeSpec
 from repro.sim.stats import Histogram
 
 SYSTEMS = ["CGL", "FlexTM", "RTM-F", "RSTM", "TL2", "LogTM-SE", "HTM-BE"]
@@ -241,15 +246,13 @@ def test_artifact_is_deterministic_and_valid():
 def test_hub_bounds_abort_records():
     hub = MetricsHub(max_abort_records=2)
     for cycle in (10, 20, 30, 40):
-        hub.on_abort(0, 0, cycle, by=1, kind="W-W")
+        hub.tx_abort(0, 0, cycle, "aborted", by=1, conflict="W-W")
     assert len(hub.abort_records) == 2
     assert hub.abort_records_dropped == 2
 
 
 def test_degrade_armed_hub_samples_rung_census():
     hub = MetricsHub(sample_interval=64)
-    from repro.resilience import DegradeSpec
-
     run_experiment(
         _config(
             "FlexTM",
@@ -259,3 +262,94 @@ def test_degrade_armed_hub_samples_rung_census():
         )
     )
     assert "resilience.rung.healthy" in hub.gauges
+
+
+# -- one observation API: the hub is a tracer subscriber ----------------------
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_hub_armed_beside_a_tracer_matches_each_observer_alone(system):
+    """Co-arming changes neither observer: the tee feeds both the same events."""
+    alone = MetricsHub()
+    run_experiment(_config(system, metrics=alone))
+    tracer_only = EventTracer()
+    run_experiment(_config(system, tracer=tracer_only))
+    hub, tracer = MetricsHub(), EventTracer()
+    run_experiment(_config(system, metrics=hub, tracer=tracer))
+    assert hub.to_dict() == alone.to_dict()
+    # The hub's periodic pressure samples land in the trace as
+    # metrics_sample events; every other event is the tracer-only stream.
+    samples = [e for e in tracer.events if e.kind == "metrics_sample"]
+    assert len(samples) == hub.samples_taken > 0
+    assert [e for e in tracer.events if e.kind != "metrics_sample"] == \
+        tracer_only.events
+
+
+def _replay(lines):
+    """A fresh hub fed each JSONL trace line through its Tracer method."""
+    hub = MetricsHub()
+    for line in lines:
+        event = json.loads(line)
+        kind, cycle, proc = event.pop("kind"), event.pop("cycle"), event.pop("proc")
+        thread = event.get("thread", -1)
+        target = event.get("line", -1)
+        cause = event.get("cause", "")
+        if kind == "tx_begin":
+            hub.tx_begin(proc, thread, cycle, event["system"], event["incarnation"])
+        elif kind == "tx_commit":
+            hub.tx_commit(proc, thread, cycle)
+        elif kind == "tx_abort":
+            hub.tx_abort(proc, thread, cycle, cause, by=event["by"],
+                         conflict=event.get("conflict", ""))
+        elif kind in ("tx_read", "tx_write"):
+            hub.tx_access(proc, thread, cycle, kind[3:], target)
+        elif kind == "conflict_detected":
+            hub.conflict(proc, cycle, event["responder"], event["cst"], target)
+        elif kind == "aou_alert":
+            hub.aou_alert(proc, cycle, target, cause)
+        elif kind == "conflict_stall":
+            hub.stall(proc, cycle, event.get("dur", 0), enemy=event["enemy"],
+                      settled=event["settled"])
+        elif kind.startswith("overflow_"):
+            hub.overflow(proc, cycle, kind[len("overflow_"):], target,
+                         dur=event.get("dur", 0))
+        elif kind.startswith("coh_"):
+            hub.coherence(proc, cycle, kind, target,
+                          responder=event.get("responder", -1), detail=cause)
+        elif kind in ("preempt", "yield", "dispatch", "retire"):
+            hub.sched(proc, cycle, kind, thread, status=cause)
+        elif kind.startswith("degrade_"):
+            hub.degrade(cycle, kind[len("degrade_"):], **event)
+        elif kind.startswith("watchdog_"):
+            hub.watchdog(cycle, kind[len("watchdog_"):], **event)
+        else:
+            assert kind == "metrics_sample", kind
+    return hub
+
+
+def _replayable_series(hub):
+    """Every series except the sampler's live-machine readings."""
+    return {
+        name: series.to_dict()
+        for name, series in hub.series_map.items()
+        if not name.startswith(("pressure.", "resilience.rung."))
+    }
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"threads": 8, "processors": 4, "quantum": 2_000,
+     "degrade": DegradeSpec(boost_after=1, eager_after=2, irrevocable_after=3)},
+], ids=["plain", "preempted-degrade"])
+def test_metrics_rebuild_offline_from_a_jsonl_trace(overrides):
+    """Replaying a saved trace reproduces the live hub's aggregates."""
+    live, tracer = MetricsHub(), EventTracer()
+    run_experiment(_config("FlexTM", metrics=live, tracer=tracer, **overrides))
+    replayed = _replay(to_jsonl(tracer))
+    assert replayed.counters == live.counters
+    assert {k: v.to_dict() for k, v in replayed.histograms.items()} == \
+        {k: v.to_dict() for k, v in live.histograms.items()}
+    assert [r.to_dict() for r in replayed.abort_records] == \
+        [r.to_dict() for r in live.abort_records]
+    assert _replayable_series(replayed) == _replayable_series(live)
+    assert live.counters["coh.messages"] > 0

@@ -8,7 +8,9 @@ from repro.obs.tracer import (
     EventTracer,
     NULL_TRACER,
     NullTracer,
+    Tracer,
     classify_conflict,
+    tee,
 )
 
 
@@ -131,3 +133,35 @@ def test_subclass_inherits_noop_interface():
 
     probe = Probe()
     assert probe.enabled is False
+
+
+class _Counting(Tracer):
+    """A subscriber that implements only tx_commit."""
+
+    enabled = True
+
+    def __init__(self):
+        self.commits = 0
+
+    def tx_commit(self, proc, thread, cycle):
+        self.commits += 1
+
+
+def test_tee_collapses_to_the_null_or_single_tracer():
+    tracer = EventTracer()
+    assert tee() is NULL_TRACER
+    assert tee(None, NULL_TRACER) is NULL_TRACER
+    assert tee(None, tracer) is tracer
+
+
+def test_tee_fans_out_only_to_overriding_subscribers():
+    tracer, counting = EventTracer(), _Counting()
+    both = tee(tracer, counting)
+    assert both.enabled
+    # One implementer: the subscriber's own bound method, no wrapper.
+    assert both.tx_begin == tracer.tx_begin
+    both.tx_begin(0, 0, 5, "FlexTM", 1)
+    both.tx_commit(0, 0, 10)
+    both.step(None)  # nobody implements it: the inherited no-op
+    assert [event.kind for event in tracer.events] == ["tx_begin", "tx_commit"]
+    assert counting.commits == 1

@@ -16,7 +16,7 @@ sticky by the summary signatures (Cores Summary rule, Section 5).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.coherence.messages import RequestType, ResponseKind
 from repro.coherence.states import LineState
@@ -25,12 +25,16 @@ from repro.errors import ProtocolError
 from repro.memory.cache import CacheArray
 from repro.obs.tracer import NULL_TRACER
 from repro.params import SystemParams
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
+
+if TYPE_CHECKING:
+    from repro.coherence.l1 import L1Controller
 
 
 #: Grants recorded in the owner vector: the states with Figure 1's M
 #: bit set.  Every other grant lists the requestor as a sharer.
 _OWNER_GRANTS = (LineState.E, LineState.M, LineState.TMI)
+_THREATENED = ResponseKind.THREATENED
 
 
 @dataclasses.dataclass
@@ -70,15 +74,17 @@ class DirectoryEntry:
         return self.sharers == 0 and self.owners == 0
 
 
-def _bits(mask: int) -> List[int]:
-    """Indices of set bits, ascending."""
+def set_bits(mask: int) -> List[int]:
+    """Indices of the set bits of a processor bit vector, ascending.
+
+    Walks by lowest set bit, so the cost is the number of set bits,
+    not the width of the vector.
+    """
     out = []
-    index = 0
     while mask:
-        if mask & 1:
-            out.append(index)
-        mask >>= 1
-        index += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -99,10 +105,11 @@ class DirectoryOutcome:
 class Directory:
     """Shared L2 + directory controller.
 
-    The directory delegates per-L1 snooping through ``forward``, a
-    callable installed by the machine with signature
-    ``forward(responder, requestor, req_type, line) -> (ResponseKind | None, retained)``.
-    ``None`` means the responder has no stake in the line.
+    The directory snoops each listed holder through its L1 controller,
+    ``l1s[responder].handle_forwarded(requestor, req_type, line)``,
+    which answers ``(ResponseKind | None, retained)``.  ``None`` means
+    the responder's signatures did not hit.  The machine installs
+    ``l1s``.
     """
 
     def __init__(self, params: SystemParams, stats: Optional[StatsRegistry] = None):
@@ -112,7 +119,11 @@ class Directory:
         # L2 tag array, used only for latency (state correctness is kept
         # in the persistent entry map; see DESIGN.md §4).
         self._l2_tags = CacheArray(params.l2.num_sets, params.l2.associativity)
-        self.forward: Optional[Callable] = None
+        #: processor id -> its L1 controller (installed by the machine).
+        self.l1s: List["L1Controller"] = []
+        #: request type name -> its ``dir.requests.*`` counter, bound on
+        #: first use: a counter created early would add a zero to the stats.
+        self._request_counters: Dict[str, Counter] = {}
         # Context-switch hooks (installed by the virtualization layer).
         self.summary_conflict_check: Optional[Callable] = None
         # NACK filter: lines in a committed overflow table mid-copy-back.
@@ -129,9 +140,10 @@ class Directory:
         self.chaos = None
 
     def entry(self, line_address: int) -> DirectoryEntry:
-        if line_address not in self._entries:
-            self._entries[line_address] = DirectoryEntry()
-        return self._entries[line_address]
+        entry = self._entries.get(line_address)
+        if entry is None:
+            entry = self._entries[line_address] = DirectoryEntry()
+        return entry
 
     def peek_entry(self, line_address: int) -> Optional[DirectoryEntry]:
         return self._entries.get(line_address)
@@ -165,9 +177,15 @@ class Directory:
         gathers signature-qualified responses, updates the sharer/owner
         vectors, and returns the state to grant.
         """
-        if self.forward is None:
-            raise ProtocolError("directory has no forward hook installed")
-        self.stats.counter(f"dir.requests.{req_type.value}").increment()
+        l1s = self.l1s
+        if not l1s:
+            raise ProtocolError("directory has no L1 controllers installed")
+        name = req_type._name_
+        counter = self._request_counters.get(name)
+        if counter is None:
+            counter = self.stats.counter(f"dir.requests.{req_type.value}")
+            self._request_counters[name] = counter
+        counter.increment()
         cycles = self._l2_latency(line_address)
         if self.chaos is not None and self.chaos.enabled:
             # Dropped/delayed request messages: the requestor retries
@@ -190,11 +208,12 @@ class Directory:
             cycles += self.summary_conflict_check(requestor, line_address, is_write)
 
         responses: List[Tuple[int, ResponseKind]] = []
-        targets = _bits(entry.holders() & ~(1 << requestor))
+        targets = set_bits(entry.holders() & ~(1 << requestor))
         if targets:
             cycles += self.params.remote_l1_cycles
+        is_gets = req_type is RequestType.GETS
         for responder in targets:
-            kind, retained = self.forward(responder, requestor, req_type, line_address)
+            kind, retained = l1s[responder].handle_forwarded(requestor, req_type, line_address)
             if kind is not None:
                 responses.append((responder, kind))
             if not retained and not self._sticky(line_address, responder):
@@ -203,8 +222,8 @@ class Directory:
                 # Dropped but sticky: stays listed so future requests
                 # keep reaching this processor's signatures.
                 self.stats.counter("dir.sticky_retained").increment()
-            elif req_type is RequestType.GETS and retained and entry.is_owner(responder):
-                threatened = kind is ResponseKind.THREATENED
+            elif is_gets and retained and entry.is_owner(responder):
+                threatened = kind is _THREATENED
                 if not threatened:
                     # M/E owner flushed and dropped to S; TMI owners
                     # (threatened) keep ownership.
@@ -221,7 +240,7 @@ class Directory:
             # repeated forwards idempotently; the duplicate response is
             # appended so CST updates see it again too.
             responder = targets[0]
-            kind, _ = self.forward(responder, requestor, req_type, line_address)
+            kind, _ = l1s[responder].handle_forwarded(requestor, req_type, line_address)
             if kind is not None:
                 responses.append((responder, kind))
 
@@ -298,8 +317,8 @@ class Directory:
 
     def owners_of(self, line_address: int) -> List[int]:
         entry = self._entries.get(line_address)
-        return _bits(entry.owners) if entry else []
+        return set_bits(entry.owners) if entry else []
 
     def sharers_of(self, line_address: int) -> List[int]:
         entry = self._entries.get(line_address)
-        return _bits(entry.sharers) if entry else []
+        return set_bits(entry.sharers) if entry else []

@@ -49,6 +49,11 @@ from repro.params import SystemParams
 from repro.sim.stats import Counter, StatsRegistry
 
 
+#: Module-level members: ``LineState.I`` is a class attribute lookup
+#: that costs several times a global's on every forward.
+_I = LineState.I
+_M = LineState.M
+
 #: l1_hit_cycles -> access name -> state name -> the shared result.
 _SHARED_CLEAN_HITS: Dict[int, Dict[str, Dict[str, AccessResult]]] = {}
 
@@ -302,21 +307,26 @@ class L1Controller:
         kind = self.hooks.classify_remote(requestor, req_type, line_address)
         # REMOTE_NEXT_STATE: TMI lines never yield (the speculative value
         # stays private), exclusive requests invalidate every other
-        # state, GETS demotes M/E to S.
+        # state, GETS demotes M/E to S.  One snoop: a line is in the
+        # array or in the victim buffer, never both, and ``next_state``
+        # is what the transition left behind (I when neither held it).
         line = self.array.peek(line_address)
         if line is not None:
             state = line.state
             next_state = REMOTE_NEXT_STATE[req_type, state]
-            if state is LineState.M:
+            if state is _M:
                 self.stats.counter("l1.remote_flushes").increment()
-            if next_state is LineState.I:
+            if next_state is _I:
                 self._drop_line(line)
             elif next_state is not state:
                 line.state = next_state
-        elif self.victims.contains(line_address):
-            # Re-inserting in I drops the entry.
+        else:
             state = self.victims.extract(line_address)
-            self.victims.insert(line_address, REMOTE_NEXT_STATE[req_type, state])
+            next_state = _I
+            if state is not None:
+                # Re-inserting in I drops the entry.
+                next_state = REMOTE_NEXT_STATE[req_type, state]
+                self.victims.insert(line_address, next_state)
 
         # A responder whose signature matched retains a conflict-
         # detection stake in the line even when its cached copy is gone
@@ -325,8 +335,7 @@ class L1Controller:
         # invariant behind Section 4.1's sticky directory information.
         retained = (
             kind is not None
-            or self.array.peek(line_address) is not None
-            or self.victims.contains(line_address)
+            or next_state is not _I
             or (self.tmi_victims is not None and self.tmi_victims.contains(line_address))
             or self.hooks.holds_overflow(line_address)
         )

@@ -13,7 +13,9 @@ the Commit() routine (Figure 3), similar to SPARC's ``clruw``.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
+
+from repro.coherence.directory import set_bits
 
 
 class CstRegister:
@@ -66,14 +68,9 @@ class CstRegister:
     def popcount(self) -> int:
         return bin(self._bits).count("1")
 
-    def processors(self) -> Iterator[int]:
+    def processors(self) -> List[int]:
         """Indices of set bits, ascending."""
-        bits, index = self._bits, 0
-        while bits:
-            if bits & 1:
-                yield index
-            bits >>= 1
-            index += 1
+        return set_bits(self._bits)
 
     def _check(self, processor: int) -> None:
         if not 0 <= processor < self.width:
@@ -108,13 +105,7 @@ class ConflictSummaryTables:
 
     def enemies(self) -> List[int]:
         """Processors in W-R | W-W, ascending."""
-        mask, out, index = self.must_abort_mask, [], 0
-        while mask:
-            if mask & 1:
-                out.append(index)
-            mask >>= 1
-            index += 1
-        return out
+        return set_bits(self.must_abort_mask)
 
     def conflict_degree(self) -> int:
         """Distinct conflicting processors across all three tables.

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.coherence.directory import Directory
-from repro.coherence.messages import AccessKind, RequestType, ResponseKind
+from repro.coherence.messages import AccessKind, ResponseKind
 from repro.core.descriptor import RunState, TransactionDescriptor
 from repro.core.processor import FlexTMProcessor
 from repro.core.tsw import TxStatus, decode_status
@@ -85,11 +85,16 @@ class FlexTMMachine:
         self.summary = SummarySignatures(
             params.signature_bits, params.signature_hashes, params.num_processors
         )
-        self.directory.forward = self._forward
+        self.directory.l1s = [proc.l1 for proc in self.processors]
         self.directory.nack_check = self._nack_check
         self.directory.sticky_check = self.summary.sticky_sharer
         self.directory.summary_conflict_check = self._summary_conflict_check
         self.directory.clock_of = lambda p: self.processors[p].clock.now
+        #: Processors whose OT is committed, in id order: the only ones
+        #: whose copy-back can NACK a request.
+        self._copying_back: Tuple[FlexTMProcessor, ...] = ()
+        for proc in self.processors:
+            proc.ot.on_committed_change = self._update_copying_back
         #: TSW address -> descriptor, for abort routing.
         self._descriptors_by_tsw: Dict[int, TransactionDescriptor] = {}
         #: thread id -> suspended descriptor (summary-handler registry).
@@ -193,14 +198,19 @@ class FlexTMMachine:
         if probes is not None:
             probes.attach(self)
 
-    def _forward(
-        self, responder: int, requestor: int, req_type: RequestType, line_address: int
-    ):
-        return self.processors[responder].l1.handle_forwarded(requestor, req_type, line_address)
+    def _update_copying_back(self) -> None:
+        self._copying_back = tuple(proc for proc in self.processors if proc.ot.committed)
 
     def _nack_check(self, line_address: int, requestor: int) -> bool:
+        """NACK a request that hits a committed OT mid-copy-back (§4.1).
+
+        Only a committed OT can NACK, so only the copy-back list is
+        asked; each OT still applies its own window and Osig test.
+        """
+        if not self._copying_back:
+            return False
         now = self.processors[requestor].clock.now
-        for proc in self.processors:
+        for proc in self._copying_back:
             if proc.proc_id != requestor and proc.ot.nacks(line_address, now):
                 self.stats.counter("ot.nacks").increment()
                 return True

@@ -18,7 +18,7 @@ can fault in a non-resident page, Section 4.1 "Virtual Memory Paging").
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import OverflowTableError
 from repro.signatures.bloom import Signature
@@ -123,6 +123,9 @@ class OverflowController:
         self.osig = Signature(signature_bits, num_hashes)
         self.count = 0
         self.committed = False
+        #: Called after ``committed`` flips (installed by FlexTMMachine,
+        #: which keeps the list of controllers it must ask for NACKs).
+        self.on_committed_change: Optional[Callable[[], None]] = None
         #: absolute cycle at which an in-flight copy-back finishes; the
         #: directory NACKs remote requests that hit the committed Osig
         #: before this time.
@@ -160,8 +163,14 @@ class OverflowController:
         self.table = OverflowTable(self._default_sets, self._associativity)
         self.osig = Signature(self._signature_bits, self._num_hashes)
         self.count = 0
-        self.committed = False
+        self._set_committed(False)
         self.mapped = True
+
+    def _set_committed(self, committed: bool) -> None:
+        if committed != self.committed:
+            self.committed = committed
+            if self.on_committed_change is not None:
+                self.on_committed_change()
 
     def spill(self, physical_line: int) -> None:
         """Evicted TMI line -> OT (expanding on way overflow)."""
@@ -202,7 +211,7 @@ class OverflowController:
         """
         if not self.active:
             return now
-        self.committed = True
+        self._set_committed(True)
         self.copyback_until = now + len(self.table) * cycles_per_line
         return self.copyback_until
 
@@ -224,7 +233,7 @@ class OverflowController:
         self.table = None
         self.osig = Signature(self._signature_bits, self._num_hashes)
         self.count = 0
-        self.committed = False
+        self._set_committed(False)
         self.copyback_until = 0
         self.mapped = True
 
@@ -244,6 +253,6 @@ class OverflowController:
         self.table = saved["table"]
         self.osig = saved["osig"].copy()
         self.count = saved["count"]
-        self.committed = saved["committed"]
         self.copyback_until = saved["copyback_until"]
+        self._set_committed(saved["committed"])
         self.mapped = True

@@ -117,8 +117,23 @@ class FlexTMProcessor:
         Strong isolation's cells (a plain GETX) have no ``RESPONDER_CST``
         entry: the requestor aborts this transaction outright instead
         (Section 3.5).
+
+        When chaos cannot corrupt the answer (no engine, a disabled one,
+        or no running transaction), an empty register is skipped
+        without a probe: it hits nothing.  Otherwise both probes go
+        through :meth:`_sig_member` in Wsig-then-Rsig order, so the
+        engine draws the same rolls.
         """
-        if self._sig_member("wsig", line_address):
+        chaos = self.chaos
+        if chaos is None or not chaos.enabled or self.current is None:
+            wsig, rsig = self.wsig, self.rsig
+            if any(wsig._banks) and wsig.member(line_address):
+                category = "wsig"
+            elif any(rsig._banks) and rsig.member(line_address):
+                category = "rsig_only"
+            else:
+                return None
+        elif self._sig_member("wsig", line_address):
             category = "wsig"
         elif self._sig_member("rsig", line_address):
             category = "rsig_only"

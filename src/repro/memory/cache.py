@@ -21,6 +21,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 from repro.coherence.states import LineState
 from repro.errors import ProtocolError
 
+_I = LineState.I
 _TMI = LineState.TMI
 _TI = LineState.TI
 
@@ -100,8 +101,8 @@ class CacheArray:
 
     def lookup(self, line_address: int) -> Optional[CacheLine]:
         """Find a valid line (state != I), updating LRU on hit."""
-        line = self._set_for(line_address).get(line_address)
-        if line is None or line._state is LineState.I:
+        line = self._sets[line_address & (self.num_sets - 1)].get(line_address)
+        if line is None or line._state is _I:
             return None
         self._use_tick += 1
         line.last_use = self._use_tick
@@ -109,8 +110,8 @@ class CacheArray:
 
     def peek(self, line_address: int) -> Optional[CacheLine]:
         """Find a line without touching LRU state (snoops, asserts)."""
-        line = self._set_for(line_address).get(line_address)
-        if line is None or line._state is LineState.I:
+        line = self._sets[line_address & (self.num_sets - 1)].get(line_address)
+        if line is None or line._state is _I:
             return None
         return line
 

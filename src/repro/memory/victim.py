@@ -16,6 +16,8 @@ from typing import Callable, Dict, Optional
 
 from repro.coherence.states import LineState
 
+_I = LineState.I
+
 
 class VictimBuffer:
     """Small fully-associative FIFO of evicted lines."""
@@ -36,7 +38,7 @@ class VictimBuffer:
 
     def insert(self, line_address: int, state: LineState) -> None:
         """Add an evicted line, displacing the oldest entry when full."""
-        if state is LineState.I:
+        if state is _I:
             return
         if line_address in self._entries:
             self._entries.move_to_end(line_address)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
+from repro.coherence.directory import set_bits
 from repro.coherence.messages import AccessKind
 from repro.core.cmt import ConflictManagementTable
 from repro.core.descriptor import ConflictMode, RunState, TransactionDescriptor
@@ -31,15 +32,6 @@ from repro.runtime.contention import ConflictManager, Decision, PolkaManager
 CHECKPOINT_CYCLES = 25
 #: Back-off before re-issuing a NACKed request (committed-OT copy-back).
 NACK_RETRY_CYCLES = 40
-
-
-def _bits(mask: int):
-    index = 0
-    while mask:
-        if mask & 1:
-            yield index
-        mask >>= 1
-        index += 1
 
 
 class FlexTMRuntime(TMBackend):
@@ -205,7 +197,7 @@ class FlexTMRuntime(TMBackend):
         # reason to wound T, and both can commit.  Our serializability
         # oracle (tests/integration/test_recorded_serializability.py)
         # catches exactly this interleaving.
-        cleaning_targets = list(proc.csts.r_w.processors()) if self.clean_r_w else []
+        cleaning_targets = proc.csts.r_w.processors() if self.clean_r_w else []
         while True:
             # Figure 3, line 1: copy-and-clear W-R and W-W.
             w_r_mask = proc.csts.w_r.copy_and_clear()
@@ -215,7 +207,7 @@ class FlexTMRuntime(TMBackend):
             # Lines 2-3: abort every conflicting transaction.  A CST bit
             # for our *own* processor is legitimate: it names a
             # suspended transaction whose CMT home is this core.
-            for enemy_proc in _bits(mask):
+            for enemy_proc in set_bits(mask):
                 cst_kind = "W-W" if (w_w_mask >> enemy_proc) & 1 else "W-R"
                 for enemy in self.cmt.active_on(enemy_proc):
                     if enemy is descriptor:

@@ -145,7 +145,7 @@ class Signature:
 
     @property
     def is_empty(self) -> bool:
-        return all(bank == 0 for bank in self._banks)
+        return not any(self._banks)
 
     @property
     def popcount(self) -> int:

@@ -124,6 +124,9 @@ class Directory:
         #: request type name -> its ``dir.requests.*`` counter, bound on
         #: first use: a counter created early would add a zero to the stats.
         self._request_counters: Dict[str, Counter] = {}
+        #: The ``l2.*`` counters, bound on first use the same way.
+        self._l2_hits: Optional[Counter] = None
+        self._l2_misses: Optional[Counter] = None
         # Context-switch hooks (installed by the virtualization layer).
         self.summary_conflict_check: Optional[Callable] = None
         # NACK filter: lines in a committed overflow table mid-copy-back.
@@ -165,9 +168,14 @@ class Directory:
             if victim is not None:
                 self._l2_tags.remove(victim.line_address)
             self._l2_tags.install(line_address, LineState.E)
-            self.stats.counter("l2.misses").increment()
+            counter = self._l2_misses
+            if counter is None:
+                counter = self._l2_misses = self.stats.counter("l2.misses")
         else:
-            self.stats.counter("l2.hits").increment()
+            counter = self._l2_hits
+            if counter is None:
+                counter = self._l2_hits = self.stats.counter("l2.hits")
+        counter.increment()
         return cycles
 
     def request(self, requestor: int, req_type: RequestType, line_address: int) -> DirectoryOutcome:

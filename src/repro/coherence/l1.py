@@ -129,6 +129,10 @@ class L1Controller:
         #: access name -> its ``l1.access.*`` counter, bound on first
         #: use: a counter created early would add a zero to the stats.
         self._access_counters: Dict[str, Counter] = {}
+        #: Single counters, bound on first use the same way.
+        self._misses: Optional[Counter] = None
+        self._silent_evictions: Optional[Counter] = None
+        self._remote_flushes: Optional[Counter] = None
         self._clean_hits = shared_clean_hits(params.l1_hit_cycles)
 
     # ------------------------------------------------------------------ local
@@ -200,7 +204,10 @@ class L1Controller:
         return AccessResult(cycles=cycles, state=next_state, hit=True)
 
     def _miss(self, kind: AccessKind, line_address: int) -> AccessResult:
-        self.stats.counter("l1.misses").increment()
+        counter = self._misses
+        if counter is None:
+            counter = self._misses = self.stats.counter("l1.misses")
+        counter.increment()
         return self._request(kind, MISS_REQUESTS[kind], line_address)
 
     def _request(self, kind: AccessKind, request: RequestType, line_address: int) -> AccessResult:
@@ -271,7 +278,10 @@ class L1Controller:
             # Silent eviction of E/S/TI: the directory keeps us listed,
             # so conflict-detecting forwards continue to arrive.
             self.victims.insert(line.line_address, state)
-            self.stats.counter("l1.silent_evictions").increment()
+            counter = self._silent_evictions
+            if counter is None:
+                counter = self._silent_evictions = self.stats.counter("l1.silent_evictions")
+            counter.increment()
         self.array.remove(line.line_address)
 
     def _chaos_evict(self, line_address: int) -> None:
@@ -315,7 +325,10 @@ class L1Controller:
             state = line.state
             next_state = REMOTE_NEXT_STATE[req_type, state]
             if state is _M:
-                self.stats.counter("l1.remote_flushes").increment()
+                counter = self._remote_flushes
+                if counter is None:
+                    counter = self._remote_flushes = self.stats.counter("l1.remote_flushes")
+                counter.increment()
             if next_state is _I:
                 self._drop_line(line)
             elif next_state is not state:

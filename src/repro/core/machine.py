@@ -35,6 +35,13 @@ SUMMARY_DESC_CHECK_CYCLES = 30
 #: Word size of the simulated machine (bytes).
 WORD_BYTES = 8
 
+# Members read on every access, bound once: a class-attribute read of an
+# enum member is a slow path on the interpreters this project supports.
+_LOAD = AccessKind.LOAD
+_STORE = AccessKind.STORE
+_TLOAD = AccessKind.TLOAD
+_TSTORE = AccessKind.TSTORE
+
 
 class MemoryOpResult:
     """Value + cycle cost + conflict report for one machine operation.
@@ -77,6 +84,9 @@ class FlexTMMachine:
         self.tracer: Tracer = NULL_TRACER
         self.memory = MainMemory()
         self.amap = AddressMap(params.line_bytes)
+        #: ``amap.offset_bits``, for the access paths that inline
+        #: ``AddressMap.line_of`` (its non-negative check included).
+        self._line_shift = self.amap.offset_bits
         self.directory = Directory(params, self.stats)
         self.processors = [
             FlexTMProcessor(p, params, self.directory, stats=self.stats, tmi_to_victim=tmi_to_victim)
@@ -265,7 +275,7 @@ class FlexTMMachine:
             return
         now = proc.clock.now
         thread = proc.current.thread_id if proc.current is not None else -1
-        rw = "read" if kind is AccessKind.TLOAD else "write"
+        rw = "read" if kind is _TLOAD else "write"
         self.tracer.tx_access(proc.proc_id, thread, now, rw, address)
         for responder, response in conflicts:
             cst = classify_conflict(kind, response)
@@ -307,14 +317,14 @@ class FlexTMMachine:
         serializes before the writing transaction.
         """
         proc = self.processors[proc_id]
-        line = self.amap.line_of(address)
-        result = proc.l1.access(AccessKind.LOAD, line)
+        if address < 0:
+            raise ValueError("addresses are non-negative")
+        result = proc.l1.access(_LOAD, address >> self._line_shift)
         if self._pending_summary_conflicts:
             self._take_summary_conflicts()  # plain reads don't act on them
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles, nacked=True)
-        value = self._read_value(proc, address, transactional=False)
-        return MemoryOpResult(value=value, cycles=result.cycles)
+        return MemoryOpResult(value=self.memory.read(address), cycles=result.cycles)
 
     def store(self, proc_id: int, address: int, value: int) -> MemoryOpResult:
         """Non-transactional store; aborts conflicting transactions.
@@ -324,21 +334,22 @@ class FlexTMMachine:
         transaction.
         """
         proc = self.processors[proc_id]
-        line = self.amap.line_of(address)
-        result = proc.l1.access(AccessKind.STORE, line)
+        if address < 0:
+            raise ValueError("addresses are non-negative")
+        line = address >> self._line_shift
+        result = proc.l1.access(_STORE, line)
         conflicts = result.conflicts
         if self._pending_summary_conflicts:
             conflicts = [*conflicts, *self._take_summary_conflicts()]
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles, nacked=True)
-        aborted = self._strong_isolation_aborts(proc_id, line, conflicts)
+        aborted = self._strong_isolation_aborts(proc_id, line, conflicts) if conflicts else ()
         if self.invariants is not None and address in self._descriptors_by_tsw:
             self.invariants.on_tsw_write(address, self.memory.read(address), value)
         self.memory.write(address, value)
         if self.probes is not None:
             self.probes.on_memory_write(address, value)
-        out = MemoryOpResult(cycles=result.cycles, conflicts=conflicts)
-        out.value = value
+        out = MemoryOpResult(value, result.cycles, conflicts)
         if aborted:
             self.stats.counter("strong_isolation.aborts").increment(len(aborted))
             if self.tracer.enabled:
@@ -348,13 +359,19 @@ class FlexTMMachine:
         return out
 
     def tload(self, proc_id: int, address: int) -> MemoryOpResult:
-        """Transactional load: updates Rsig, may install TI, sets CSTs."""
+        """Transactional load: updates Rsig, may install TI, sets CSTs.
+
+        The OT is asked only when it holds lines: ``ot_refill`` finds
+        nothing in an empty table, so the skip changes no cycle.
+        """
         proc = self.processors[proc_id]
-        if not proc.in_transaction:
+        if proc.current is None:
             raise ProtocolError("TLoad outside a transaction")
-        line = self.amap.line_of(address)
-        refill_cycles = proc.ot_refill(line)
-        result = proc.l1.access(AccessKind.TLOAD, line)
+        if address < 0:
+            raise ValueError("addresses are non-negative")
+        line = address >> self._line_shift
+        refill_cycles = proc.ot_refill(line) if proc.ot.count else 0
+        result = proc.l1.access(_TLOAD, line)
         conflicts = result.conflicts
         if self._pending_summary_conflicts:
             conflicts = [*conflicts, *self._take_summary_conflicts()]
@@ -362,26 +379,26 @@ class FlexTMMachine:
             return MemoryOpResult(cycles=result.cycles + refill_cycles, nacked=True)
         proc.rsig.insert(line)
         if conflicts:
-            proc.note_request_conflicts(AccessKind.TLOAD, conflicts)
+            proc.note_request_conflicts(_TLOAD, conflicts)
         if self.invariants is not None:
-            self.invariants.on_access_conflicts(
-                self, proc_id, AccessKind.TLOAD, result.conflicts
-            )
-        if proc.current is not None:
-            proc.current.accesses += 1
+            self.invariants.on_access_conflicts(self, proc_id, _TLOAD, result.conflicts)
+        proc.current.accesses += 1
         if self.tracer.enabled:
-            self._trace_access(proc, AccessKind.TLOAD, address, line, conflicts)
-        value = self._read_value(proc, address, transactional=True)
-        return MemoryOpResult(value=value, cycles=result.cycles + refill_cycles, conflicts=conflicts)
+            self._trace_access(proc, _TLOAD, address, line, conflicts)
+        overlay = proc.overlay
+        value = overlay[address] if address in overlay else self.memory.read(address)
+        return MemoryOpResult(value, result.cycles + refill_cycles, conflicts)
 
     def tstore(self, proc_id: int, address: int, value: int) -> MemoryOpResult:
         """Transactional store: buffers the value (PDI), updates Wsig."""
         proc = self.processors[proc_id]
-        if not proc.in_transaction:
+        if proc.current is None:
             raise ProtocolError("TStore outside a transaction")
-        line = self.amap.line_of(address)
-        refill_cycles = proc.ot_refill(line)
-        result = proc.l1.access(AccessKind.TSTORE, line)
+        if address < 0:
+            raise ValueError("addresses are non-negative")
+        line = address >> self._line_shift
+        refill_cycles = proc.ot_refill(line) if proc.ot.count else 0
+        result = proc.l1.access(_TSTORE, line)
         conflicts = result.conflicts
         if self._pending_summary_conflicts:
             conflicts = [*conflicts, *self._take_summary_conflicts()]
@@ -389,23 +406,20 @@ class FlexTMMachine:
             return MemoryOpResult(cycles=result.cycles + refill_cycles, nacked=True)
         proc.wsig.insert(line)
         if conflicts:
-            proc.note_request_conflicts(AccessKind.TSTORE, conflicts)
+            proc.note_request_conflicts(_TSTORE, conflicts)
         if self.invariants is not None:
-            self.invariants.on_access_conflicts(
-                self, proc_id, AccessKind.TSTORE, result.conflicts
-            )
+            self.invariants.on_access_conflicts(self, proc_id, _TSTORE, result.conflicts)
         proc.overlay[address] = value
-        if proc.current is not None:
-            proc.current.accesses += 1
+        proc.current.accesses += 1
         if self.tracer.enabled:
-            self._trace_access(proc, AccessKind.TSTORE, address, line, conflicts)
-        return MemoryOpResult(value=value, cycles=result.cycles + refill_cycles, conflicts=conflicts)
+            self._trace_access(proc, _TSTORE, address, line, conflicts)
+        return MemoryOpResult(value, result.cycles + refill_cycles, conflicts)
 
     def cas(self, proc_id: int, address: int, expected: int, new: int) -> MemoryOpResult:
         """Non-transactional compare-and-swap (abort/arbitration tool)."""
         proc = self.processors[proc_id]
         line = self.amap.line_of(address)
-        result = proc.l1.access(AccessKind.STORE, line)
+        result = proc.l1.access(_STORE, line)
         conflicts = result.conflicts
         if self._pending_summary_conflicts:
             conflicts = [*conflicts, *self._take_summary_conflicts()]
@@ -452,7 +466,7 @@ class FlexTMMachine:
         if descriptor is None:
             raise ProtocolError("CAS-Commit with no running transaction")
         line = self.amap.line_of(descriptor.tsw_address)
-        access = proc.l1.access(AccessKind.STORE, line)
+        access = proc.l1.access(_STORE, line)
         out = MemoryOpResult(cycles=access.cycles)
         old = self.memory.read(descriptor.tsw_address)
         out.value = old
@@ -483,8 +497,7 @@ class FlexTMMachine:
         if self._pending_summary_conflicts:
             self._take_summary_conflicts()
         proc.alerts.mark(line)
-        value = self._read_value(proc, address, transactional=False)
-        return MemoryOpResult(value=value, cycles=result.cycles)
+        return MemoryOpResult(value=self.memory.read(address), cycles=result.cycles)
 
     # ----------------------------------------------------------- abort routing
 
@@ -600,11 +613,6 @@ class FlexTMMachine:
         return None
 
     # ------------------------------------------------------------------ values
-
-    def _read_value(self, proc: FlexTMProcessor, address: int, transactional: bool) -> int:
-        if transactional and address in proc.overlay:
-            return proc.overlay[address]
-        return self.memory.read(address)
 
     def read_status(self, descriptor: TransactionDescriptor) -> TxStatus:
         """Debug/OS view of a TSW (no cache traffic)."""

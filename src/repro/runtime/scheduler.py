@@ -35,10 +35,11 @@ from __future__ import annotations
 import collections
 import dataclasses
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.machine import FlexTMMachine, MemoryOpResult
 from repro.errors import InvariantViolation, SchedulerError, TransactionAborted
+from repro.obs.tracer import NULL_TRACER
 from repro.runtime.txthread import TxThread
 
 #: OS cost to switch a thread out / in (trap + register state).
@@ -153,6 +154,12 @@ class Scheduler:
                 self._ready.append(slot)
         if len(self.slots) > len(available) and self.quantum is None:
             self.quantum = machine.params.quantum_cycles
+        #: Per-run bindings, made by :meth:`run`: op kind -> the bound
+        #: machine method that executes it, the chaos engine, and
+        #: whether any pinning hook (resilience, director) is installed.
+        self._ops: Dict[str, Callable[..., MemoryOpResult]] = {}
+        self._chaos = None
+        self._pinning = False
 
     # ---------------------------------------------------------------- running
 
@@ -160,10 +167,31 @@ class Scheduler:
         """Simulate until every thread finishes or passes the limit."""
         if cycle_limit <= 0:
             raise SchedulerError("cycle_limit must be positive")
-        invariants = self.machine.invariants
-        resilience = self.machine.resilience
-        tracer = self.machine.tracer
+        machine = self.machine
+        invariants = machine.invariants
+        resilience = machine.resilience
+        tracer = machine.tracer
+        watchdog = self.watchdog
         director = self.director
+        # Bound here, not at construction, so a method wrapped on the
+        # machine's class before the run is what every step calls.
+        self._ops = {
+            "tload": machine.tload,
+            "tstore": machine.tstore,
+            "load": machine.load,
+            "store": machine.store,
+            "cas": machine.cas,
+            "cas_commit": machine.cas_commit,
+            "aload": machine.aload,
+        }
+        self._chaos = machine.chaos
+        self._pinning = resilience is not None or director is not None
+        observed = not (
+            watchdog is None
+            and resilience is None
+            and invariants is None
+            and tracer is NULL_TRACER
+        )
         steps = 0
         while True:
             if director is not None:
@@ -173,17 +201,18 @@ class Scheduler:
             if proc is None:
                 break
             self._step(proc, cycle_limit)
-            steps += 1
-            if self.watchdog is not None:
-                self.watchdog.observe(self)
-            if resilience is not None:
-                resilience.on_step(self)
-            if tracer.enabled:
-                tracer.step(self)
-            if invariants is not None and steps % invariants.check_interval == 0:
-                invariants.check_machine(self.machine)
+            if observed:
+                steps += 1
+                if watchdog is not None:
+                    watchdog.observe(self)
+                if resilience is not None:
+                    resilience.on_step(self)
+                if tracer.enabled:
+                    tracer.step(self)
+                if invariants is not None and steps % invariants.check_interval == 0:
+                    invariants.check_machine(machine)
         if invariants is not None:
-            invariants.check_machine(self.machine)
+            invariants.check_machine(machine)
         return self._result(cycle_limit)
 
     def next_processor(self, cycle_limit: int) -> Optional[int]:
@@ -213,18 +242,26 @@ class Scheduler:
             heapq.heappush(self._heap, (self._clocks[proc]._now, proc))
 
     def _step(self, proc: int, cycle_limit: int) -> None:
+        """Resume one thread's generator and execute the op it yields.
+
+        A step is one ``_ops`` lookup plus the machine call it names;
+        ``work`` and ``yield_cpu`` are handled here.  The chaos engine
+        and the pinning hooks were bound by :meth:`run`.
+        """
         slot = self._running[proc]
-        clock = self.machine.processors[proc].clock
-        chaos = self.machine.chaos
-        resilience = self.machine.resilience
+        clock = self._clocks[proc]
         # The serial-irrevocable holder is pinned: neither chaos storms
         # nor quantum expiry may deschedule it (a migration would abort
         # it and void the forward-progress guarantee).  The chaos dice
         # still roll so the injection streams stay aligned.  A schedule
         # director can pin threads the same way (the "pin" directive).
-        pinned = resilience is not None and resilience.pinned(slot.thread)
-        if not pinned and self.director is not None:
-            pinned = self.director.pins(slot.thread)
+        pinned = False
+        if self._pinning:
+            resilience = self.machine.resilience
+            pinned = resilience is not None and resilience.pinned(slot.thread)
+            if not pinned and self.director is not None:
+                pinned = self.director.pins(slot.thread)
+        chaos = self._chaos
         if chaos is not None and chaos.enabled:
             if chaos.spurious_alert():
                 self.machine.processors[proc].alerts.raise_alert(-1, "spurious")
@@ -237,7 +274,7 @@ class Scheduler:
             self.quantum is not None
             and self._ready
             and not pinned
-            and clock.now - slot.slice_start >= self.quantum
+            and clock._now - slot.slice_start >= self.quantum
         ):
             self._preempt(proc, slot)
             return
@@ -257,7 +294,32 @@ class Scheduler:
         except StopIteration:
             self._retire(proc, slot)
             return
-        slot.pending_value = self._execute(proc, slot, op)
+        # The op engine.  A clock advance is at least one cycle, so the
+        # clock is bumped directly rather than through the negative
+        # check of ``CycleClock.advance``.
+        kind = op[0]
+        if kind == "work":
+            clock._now += max(1, op[1])
+            slot.pending_value = None
+            return
+        method = self._ops.get(kind)
+        if method is None:
+            if kind != "yield_cpu":
+                raise SchedulerError(f"unknown op {op!r}")
+            self._voluntary_yield(proc, slot)
+            slot.pending_value = None
+            return
+        # Spelled out for the common arities: ``method(proc, *op[1:])``
+        # builds two tuples per call.
+        nargs = len(op)
+        if nargs == 2:
+            result = method(proc, op[1])
+        elif nargs == 3:
+            result = method(proc, op[1], op[2])
+        else:
+            result = method(proc, *op[1:])
+        clock._now += max(1, result.cycles)
+        slot.pending_value = result
 
     def _abort_exception(self, thread, cause: str) -> TransactionAborted:
         """Build a TransactionAborted carrying descriptor attribution.
@@ -295,37 +357,6 @@ class Scheduler:
                     f"(wounded_by={by})",
                 )
         return TransactionAborted(cause, by=by, conflict=kind)
-
-    # -------------------------------------------------------------- op engine
-
-    def _execute(self, proc: int, slot: _Slot, op) -> Optional[MemoryOpResult]:
-        machine = self.machine
-        kind = op[0]
-        clock = machine.processors[proc].clock
-        if kind == "work":
-            clock.advance(max(1, op[1]))
-            return None
-        if kind == "tload":
-            result = machine.tload(proc, op[1])
-        elif kind == "tstore":
-            result = machine.tstore(proc, op[1], op[2])
-        elif kind == "load":
-            result = machine.load(proc, op[1])
-        elif kind == "store":
-            result = machine.store(proc, op[1], op[2])
-        elif kind == "cas":
-            result = machine.cas(proc, op[1], op[2], op[3])
-        elif kind == "cas_commit":
-            result = machine.cas_commit(proc)
-        elif kind == "aload":
-            result = machine.aload(proc, op[1])
-        elif kind == "yield_cpu":
-            self._voluntary_yield(proc, slot)
-            return None
-        else:
-            raise SchedulerError(f"unknown op {op!r}")
-        clock.advance(max(1, result.cycles))
-        return result
 
     # ------------------------------------------------------- context switching
 

@@ -11,6 +11,7 @@ import pytest
 from repro.coherence.states import LineState
 from repro.core.descriptor import ConflictMode, RunState
 from repro.core.machine import FlexTMMachine
+from repro.core.processor import FlexTMProcessor
 from repro.params import CacheGeometry, SystemParams
 from repro.runtime.flextm import FlexTMRuntime
 from repro.runtime.scheduler import Scheduler
@@ -245,3 +246,107 @@ def test_copyback_list_matches_a_full_scan_on_every_request(monkeypatch):
     assert result.commits > 0 and result.stats["ctxsw.switches"] > 0
     assert result.stats["ot.nacks"] == answers.count(True) > 0
     assert len(answers) > 1000
+
+
+# ---------------------------------------------- the OT-empty refill skip
+
+
+def _refilling_every_access(machine_cls):
+    """``machine_cls`` asking the OT on every TLoad/TStore, as it did
+    before the OT-empty skip.  The refill runs first, so the shipped
+    access behind it finds nothing left to refill; the walk's cycles are
+    charged to the access exactly as before."""
+
+    class RefillEveryAccess(machine_cls):
+        def tload(self, proc_id, address):
+            refill = self.processors[proc_id].ot_refill(self.amap.line_of(address))
+            result = super().tload(proc_id, address)
+            result.cycles += refill
+            return result
+
+        def tstore(self, proc_id, address, value):
+            refill = self.processors[proc_id].ot_refill(self.amap.line_of(address))
+            result = super().tstore(proc_id, address, value)
+            result.cycles += refill
+            return result
+
+    return RefillEveryAccess
+
+
+def _recording_accesses(machine_cls, log):
+    """``machine_cls`` logging every TLoad/TStore and what it cost."""
+
+    class Recording(machine_cls):
+        def tload(self, proc_id, address):
+            result = super().tload(proc_id, address)
+            log.append(("tload", proc_id, address, result.value, result.cycles, result.nacked))
+            return result
+
+        def tstore(self, proc_id, address, value):
+            result = super().tstore(proc_id, address, value)
+            log.append(("tstore", proc_id, address, value, result.cycles, result.nacked))
+            return result
+
+    return Recording
+
+
+def _hot_line_run(monkeypatch, tmi_to_victim, refill_every_access):
+    """Two lazy writers share hot lines and each overflows a 4-line L1
+    with one to six private lines, then re-reads the hot line and its
+    first private lines, so spilled TMI lines come back (from the OT or
+    the side buffer) while the OT holds one line or several.  Returns
+    (access log, result, ot_refill calls)."""
+    log, refill_calls = [], []
+    ot_refill = FlexTMProcessor.ot_refill
+
+    def counting(self, line_address):
+        refill_calls.append(line_address)
+        return ot_refill(self, line_address)
+
+    machine_cls = _refilling_every_access(FlexTMMachine) if refill_every_access else FlexTMMachine
+    machine_cls = _recording_accesses(machine_cls, log)
+    params = dataclasses.replace(_tiny_l1_params(), victim_buffer_entries=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(FlexTMProcessor, "ot_refill", counting)
+        m = machine_cls(params, tmi_to_victim=tmi_to_victim)
+        runtime = FlexTMRuntime(m, mode=ConflictMode.LAZY)
+        hot = [m.allocate(64, line_aligned=True) for _ in range(2)]
+        private = [[m.allocate(64, line_aligned=True) for _ in range(6)] for _ in range(2)]
+
+        def items(thread_id):
+            k = 0
+            while True:
+                def txn(ctx, k=k):
+                    address = hot[k % 2]
+                    value = yield from ctx.read(address)
+                    yield from ctx.write(address, value + 1)
+                    for line in private[thread_id][:k % 6 + 1]:
+                        yield from ctx.write(line, k)
+                    yield from ctx.read(address)
+                    for line in private[thread_id][:3]:
+                        yield from ctx.read(line)
+
+                yield WorkItem(txn)
+                k += 1
+
+        threads = [TxThread(t, runtime, items(t)) for t in (0, 1)]
+        result = Scheduler(m, threads).run(cycle_limit=40_000)
+    return log, result, len(refill_calls)
+
+
+@pytest.mark.parametrize("tmi_to_victim", [False, True], ids=["overflow-table", "tmi-victims"])
+def test_skipping_an_empty_ot_changes_no_access(monkeypatch, tmi_to_victim):
+    expected_log, expected, reference_calls = _hot_line_run(monkeypatch, tmi_to_victim, True)
+    log, result, calls = _hot_line_run(monkeypatch, tmi_to_victim, False)
+    assert len(log) == len(expected_log)
+    for index, (got, want) in enumerate(zip(log, expected_log)):
+        assert got == want, (index, got, want)
+    assert result == expected
+    assert result.commits > 0
+    assert reference_calls >= len(log) > calls
+    if tmi_to_victim:
+        assert "ot.spills" not in result.stats and calls == 0
+        assert result.stats["l1.victim_hits"] > 0
+    else:
+        assert result.stats["ot.spills"] > 0
+        assert result.stats["ot.refills"] == expected.stats["ot.refills"] > 0

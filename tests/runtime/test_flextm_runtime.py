@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.descriptor import ConflictMode
-from repro.core.machine import FlexTMMachine
+from repro.core.machine import FlexTMMachine, MemoryOpResult
 from repro.core.tsw import TxStatus
 from repro.errors import TransactionAborted
 from repro.params import small_test_params
-from repro.runtime.flextm import FlexTMRuntime
+from repro.runtime.flextm import NACK_RETRY_CYCLES, FlexTMRuntime
 from repro.runtime.txthread import TxThread
 from tests.helpers import drive
 
@@ -156,3 +156,23 @@ def test_clean_r_w_prevents_spurious_enemy_cas(m):
     assert not m.processors[0].csts.w_r.test(1)
     drive(m, 0, runtime.commit(writer))
     assert m.read_status(writer.descriptor) is TxStatus.COMMITTED
+
+
+def test_an_access_is_reissued_after_every_nack(m):
+    """A NACKed TLoad/TStore (committed-OT copy-back) backs off and is
+    re-issued until the directory accepts it, however often it is NACKed."""
+    runtime = FlexTMRuntime(m)
+    thread = _thread(runtime, 0, 0)
+    nacked = MemoryOpResult(cycles=3, nacked=True)
+    accepted = MemoryOpResult(value=9, cycles=1)
+    for access, op, returned in (
+        (runtime.read(thread, 64), ("tload", 64), 9),
+        (runtime.write(thread, 64, 5), ("tstore", 64, 5), None),
+    ):
+        ops = [access.send(None)]
+        for reply in (nacked, None, nacked, None):
+            ops.append(access.send(reply))
+        with pytest.raises(StopIteration) as done:
+            access.send(accepted)
+        assert ops == [op, ("work", NACK_RETRY_CYCLES)] * 2 + [op]
+        assert done.value.value == returned

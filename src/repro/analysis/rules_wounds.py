@@ -20,7 +20,7 @@ rules (``SIM-E201``/``SIM-E202``) do for event kinds:
 Kind arguments are resolved like event names: string literals,
 conditional-expression literals, and single-assignment local variables
 (``cst_kind = "W-W" if ... else "W-R"``).  Genuinely dynamic kinds
-(``classify_conflict(...)`` results, parameter pass-through inside
+(``CST_LABELS[...]`` lookups, parameter pass-through inside
 ``force_abort`` itself) are skipped rather than guessed — which is why
 ``SIM-E204`` falls back to whole-tree literal search instead of
 emit-site resolution.

@@ -127,7 +127,8 @@ class Directory:
         #: The ``l2.*`` counters, bound on first use the same way.
         self._l2_hits: Optional[Counter] = None
         self._l2_misses: Optional[Counter] = None
-        # Context-switch hooks (installed by the virtualization layer).
+        # Context-switch hooks (installed by the virtualization layer):
+        # (requestor, line, RequestType) -> summary-handler cycles.
         self.summary_conflict_check: Optional[Callable] = None
         # NACK filter: lines in a committed overflow table mid-copy-back.
         self.nack_check: Optional[Callable] = None
@@ -209,11 +210,10 @@ class Directory:
             return DirectoryOutcome(cycles=cycles, responses=[], grant=LineState.I, nacked=True)
 
         entry = self.entry(line_address)
-        is_write = req_type.is_exclusive
         if self.summary_conflict_check is not None:
             # Summary signatures are consulted on every L1 miss; the
             # callee traps to the software handler when they hit.
-            cycles += self.summary_conflict_check(requestor, line_address, is_write)
+            cycles += self.summary_conflict_check(requestor, line_address, req_type)
 
         responses: List[Tuple[int, ResponseKind]] = []
         targets = set_bits(entry.holders() & ~(1 << requestor))

@@ -10,6 +10,11 @@ protocol decision with a lookup here:
   :data:`REMOTE_NEXT_STATE`;
 * ``FlexTMProcessor`` reads :data:`RESPONSE_TABLE`,
   :data:`RESPONDER_CST` and :data:`REQUESTER_CST`;
+* ``FlexTMMachine``'s summary handler (Section 5) answers for a
+  descheduled transaction from :data:`RESPONSE_TABLE` and
+  :data:`RESPONDER_CST`, and its trace labels read
+  :data:`REQUESTER_CST` through :data:`CST_LABELS`;
+* ``FlexTMRuntime`` names its wound kinds through :data:`CST_LABELS`;
 * ``Directory`` reads :data:`GRANT_RULES`.
 
 The flash transforms are compiled next to the enum, in
@@ -98,6 +103,9 @@ REQUESTER_CST: Dict[Tuple[AccessKind, ResponseKind], str] = {
     (AccessKind(access), ResponseKind(response)): cst
     for (access, response), cst in spec.REQUESTER_CST.items()
 }
+
+#: CST name -> the conflict label traces and wound kinds carry.
+CST_LABELS: Dict[str, str] = {"r_w": "R-W", "w_r": "W-R", "w_w": "W-W"}
 
 #: A grant condition sees the directory entry (after the forwards have
 #: pruned it) and the responses the forwards gathered.

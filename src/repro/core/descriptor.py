@@ -14,7 +14,6 @@ import dataclasses
 import enum
 from typing import Dict, Optional
 
-from repro.core.cst import ConflictSummaryTables
 from repro.core.tsw import TxStatus
 from repro.signatures.bloom import Signature
 
@@ -80,36 +79,6 @@ class TransactionDescriptor:
     wound_kind: str = ""
     #: Wounds this transaction has inflicted on others (watchdog input).
     wounds_inflicted: int = 0
-
-    def conflicts_with(self, line_address: int, is_write: bool) -> bool:
-        """Software signature test against *saved* state (suspended txns)."""
-        if self.saved is None:
-            return False
-        if self.saved.wsig.member(line_address):
-            return True
-        return is_write and self.saved.rsig.member(line_address)
-
-    def record_suspended_conflict(
-        self, remote_processor: int, local_was_write: bool, remote_is_write: bool
-    ) -> None:
-        """Software handler mimicking the hardware CST update (§5)."""
-        if self.saved is None:
-            raise ValueError("cannot record a conflict without saved state")
-        csts = ConflictSummaryTables(_width_of(self.saved.csts))
-        csts.restore(self.saved.csts)
-        if local_was_write and remote_is_write:
-            csts.w_w.set(remote_processor)
-        elif local_was_write:
-            csts.w_r.set(remote_processor)
-        else:
-            csts.r_w.set(remote_processor)
-        self.saved.csts = csts.save()
-
-
-def _width_of(saved_csts: dict) -> int:
-    """Smallest register width able to hold the saved bitmasks."""
-    needed = max(saved_csts.values()).bit_length() if saved_csts else 0
-    return max(needed, 16)
 
 
 def make_status(value: int) -> TxStatus:

@@ -16,15 +16,17 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.coherence.directory import Directory
-from repro.coherence.messages import AccessKind, ResponseKind
+from repro.coherence.messages import AccessKind, RequestType, ResponseKind
+from repro.coherence.tables import CST_LABELS, REQUESTER_CST, RESPONDER_CST, RESPONSE_TABLE
 from repro.core.descriptor import RunState, TransactionDescriptor
 from repro.core.processor import FlexTMProcessor
 from repro.core.tsw import TxStatus, decode_status
 from repro.errors import ProtocolError
 from repro.memory.address import AddressMap
 from repro.memory.main_memory import MainMemory
-from repro.obs.tracer import NULL_TRACER, Tracer, classify_conflict
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.params import DEFAULT_PARAMS, SystemParams
+from repro.signatures.bloom import Signature
 from repro.signatures.summary import SummarySignatures
 from repro.sim.stats import StatsRegistry
 
@@ -41,6 +43,32 @@ _LOAD = AccessKind.LOAD
 _STORE = AccessKind.STORE
 _TLOAD = AccessKind.TLOAD
 _TSTORE = AccessKind.TSTORE
+
+#: The summary handler's findings: a suspended transaction and its answer.
+SummaryConflicts = Sequence[Tuple[TransactionDescriptor, ResponseKind]]
+
+
+def _conflict_category(
+    request: RequestType, wsig: Signature, rsig: Signature, line_address: int
+) -> Optional[str]:
+    """The signature category a request conflicts with, or None.
+
+    Wsig first, as in ``classify_remote``: a Wsig hit answers whatever
+    Rsig holds.  The category counts only when its
+    :data:`RESPONSE_TABLE` cell signals a conflict.
+    """
+    if wsig.member(line_address):
+        category = "wsig"
+    elif rsig.member(line_address):
+        category = "rsig_only"
+    else:
+        return None
+    return category if RESPONSE_TABLE[request, category].signals_conflict else None
+
+
+def _as_responses(suspended: SummaryConflicts) -> List[Tuple[int, ResponseKind]]:
+    """Summary conflicts as responses from each transaction's CMT home."""
+    return [(descriptor.last_processor, response) for descriptor, response in suspended]
 
 
 class MemoryOpResult:
@@ -109,7 +137,7 @@ class FlexTMMachine:
         self._descriptors_by_tsw: Dict[int, TransactionDescriptor] = {}
         #: thread id -> suspended descriptor (summary-handler registry).
         self._suspended: Dict[int, TransactionDescriptor] = {}
-        self._pending_summary_conflicts: List[Tuple[int, ResponseKind]] = []
+        self._pending_summary_conflicts: List[Tuple[TransactionDescriptor, ResponseKind]] = []
         #: Fault injection / invariant checking (opt-in, tracer-style).
         self.chaos = None
         self.invariants = None
@@ -226,33 +254,43 @@ class FlexTMMachine:
                 return True
         return False
 
-    def _summary_conflict_check(self, requestor: int, line_address: int, is_write: bool) -> int:
-        """L2-side summary test + software handler (Section 5)."""
-        if self.summary.is_empty or not self.summary.conflicts(line_address, is_write):
+    def _summary_conflict_check(
+        self, requestor: int, line_address: int, request: RequestType
+    ) -> int:
+        """L2-side summary test + software handler (Section 5).
+
+        A descheduled transaction answers as a running one would: the
+        :data:`RESPONSE_TABLE` cell of the request and the category its
+        saved signatures hit says whether it conflicts, and the
+        :data:`RESPONDER_CST` cell names the saved CST that records the
+        requestor.  The summary union is asked the same way first, and
+        traps only on a conflict.
+        """
+        summary = self.summary
+        if summary.is_empty or _conflict_category(
+            request, summary.write_summary, summary.read_summary, line_address
+        ) is None:
             return 0
         cycles = SUMMARY_TRAP_CYCLES
         self.stats.counter("summary.traps").increment()
-        for thread_id in self.summary.threads_conflicting(line_address, is_write):
+        for thread_id in summary.suspended_threads():
             descriptor = self._suspended.get(thread_id)
-            if descriptor is None or descriptor.saved is None:
+            saved = None if descriptor is None else descriptor.saved
+            if saved is None:
                 continue
-            cycles += SUMMARY_DESC_CHECK_CYCLES
-            if descriptor.saved.wsig.member(line_address):
-                kind = ResponseKind.THREATENED
-                descriptor.record_suspended_conflict(
-                    requestor, local_was_write=True, remote_is_write=is_write
-                )
-            elif is_write and descriptor.saved.rsig.member(line_address):
-                kind = ResponseKind.EXPOSED_READ
-                descriptor.record_suspended_conflict(
-                    requestor, local_was_write=False, remote_is_write=True
-                )
-            else:
+            category = _conflict_category(request, saved.wsig, saved.rsig, line_address)
+            if category is None:
                 continue  # summary false positive
-            self._pending_summary_conflicts.append((descriptor.last_processor, kind))
+            cycles += SUMMARY_DESC_CHECK_CYCLES
+            cst = RESPONDER_CST.get((request, category))
+            if cst is not None:
+                saved.csts[cst] |= 1 << requestor
+            self._pending_summary_conflicts.append(
+                (descriptor, RESPONSE_TABLE[request, category])
+            )
         return cycles
 
-    def _take_summary_conflicts(self) -> List[Tuple[int, ResponseKind]]:
+    def _take_summary_conflicts(self) -> SummaryConflicts:
         """The summary handler's pending conflicts, consumed.
 
         The list is machine-wide: the next operation that takes it gets
@@ -278,9 +316,9 @@ class FlexTMMachine:
         rw = "read" if kind is _TLOAD else "write"
         self.tracer.tx_access(proc.proc_id, thread, now, rw, address)
         for responder, response in conflicts:
-            cst = classify_conflict(kind, response)
+            cst = REQUESTER_CST.get((kind, response))
             if cst is not None:
-                self.tracer.conflict(proc.proc_id, now, responder, cst, line)
+                self.tracer.conflict(proc.proc_id, now, responder, CST_LABELS[cst], line)
 
     # -------------------------------------------------------------- allocator
 
@@ -339,11 +377,17 @@ class FlexTMMachine:
         line = address >> self._line_shift
         result = proc.l1.access(_STORE, line)
         conflicts = result.conflicts
+        suspended: SummaryConflicts = ()
         if self._pending_summary_conflicts:
-            conflicts = [*conflicts, *self._take_summary_conflicts()]
+            suspended = self._take_summary_conflicts()
+            conflicts = [*conflicts, *_as_responses(suspended)]
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles, nacked=True)
-        aborted = self._strong_isolation_aborts(proc_id, line, conflicts) if conflicts else ()
+        aborted = (
+            self._strong_isolation_aborts(proc_id, result.conflicts, suspended)
+            if conflicts
+            else ()
+        )
         if self.invariants is not None and address in self._descriptors_by_tsw:
             self.invariants.on_tsw_write(address, self.memory.read(address), value)
         self.memory.write(address, value)
@@ -374,7 +418,7 @@ class FlexTMMachine:
         result = proc.l1.access(_TLOAD, line)
         conflicts = result.conflicts
         if self._pending_summary_conflicts:
-            conflicts = [*conflicts, *self._take_summary_conflicts()]
+            conflicts = [*conflicts, *_as_responses(self._take_summary_conflicts())]
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles + refill_cycles, nacked=True)
         proc.rsig.insert(line)
@@ -401,7 +445,7 @@ class FlexTMMachine:
         result = proc.l1.access(_TSTORE, line)
         conflicts = result.conflicts
         if self._pending_summary_conflicts:
-            conflicts = [*conflicts, *self._take_summary_conflicts()]
+            conflicts = [*conflicts, *_as_responses(self._take_summary_conflicts())]
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles + refill_cycles, nacked=True)
         proc.wsig.insert(line)
@@ -421,11 +465,13 @@ class FlexTMMachine:
         line = self.amap.line_of(address)
         result = proc.l1.access(_STORE, line)
         conflicts = result.conflicts
+        suspended: SummaryConflicts = ()
         if self._pending_summary_conflicts:
-            conflicts = [*conflicts, *self._take_summary_conflicts()]
+            suspended = self._take_summary_conflicts()
+            conflicts = [*conflicts, *_as_responses(suspended)]
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles, nacked=True)
-        self._strong_isolation_aborts(proc_id, line, conflicts)
+        self._strong_isolation_aborts(proc_id, result.conflicts, suspended)
         old = self.memory.read(address)
         out = MemoryOpResult(value=old, cycles=result.cycles, conflicts=conflicts)
         if old == expected:
@@ -570,47 +616,32 @@ class FlexTMMachine:
                 victim.flash_abort()
 
     def _strong_isolation_aborts(
-        self, requestor: int, line_address: int, conflicts: Sequence[Tuple[int, ResponseKind]]
+        self,
+        requestor: int,
+        responses: Sequence[Tuple[int, ResponseKind]],
+        suspended: SummaryConflicts,
     ) -> List[int]:
-        """Abort every transaction conflicting with a non-tx write."""
-        issuer = self.processors[requestor]
-        if issuer.in_transaction:
+        """Abort every transaction conflicting with a non-tx write.
+
+        ``responses`` come from running transactions, each aborted on
+        its core; ``suspended`` are the summary handler's findings,
+        each aborted through its own descriptor.  Returns the aborted
+        transactions' processors.
+        """
+        if self.processors[requestor].in_transaction:
             # The Commit()/manager CAS traffic of a transaction is not a
             # 'non-transactional writer' in the Section 3.5 sense; those
             # conflicts are CST-managed instead.
             return []
         aborted = []
-        for responder, _kind in conflicts:
-            victim_proc = self.processors[responder]
-            descriptor = victim_proc.current
-            if descriptor is None:
-                # Could be a suspended transaction found via summaries.
-                descriptor = self._descriptor_suspended_on(responder, line_address)
-                if descriptor is None:
-                    continue
-            if self.memory.read(descriptor.tsw_address) == TxStatus.ACTIVE:
-                if self.resilience is not None and self.resilience.deflects(
-                    descriptor.tsw_address
-                ):
-                    self.resilience.note_deflected()
-                    continue
-                if self.invariants is not None:
-                    self.invariants.on_tsw_write(
-                        descriptor.tsw_address, int(TxStatus.ACTIVE), int(TxStatus.ABORTED)
-                    )
-                self.stage_wound(descriptor.tsw_address, requestor, "SI")
-                self.memory.write(descriptor.tsw_address, TxStatus.ABORTED)
-                self._on_tsw_write(descriptor.tsw_address, TxStatus.ABORTED)
+        for responder, _ in responses:
+            descriptor = self.processors[responder].current
+            if descriptor is not None and self.force_abort(descriptor, by=requestor, kind="SI"):
                 aborted.append(responder)
+        for descriptor, _ in suspended:
+            if self.force_abort(descriptor, by=requestor, kind="SI"):
+                aborted.append(descriptor.last_processor)
         return aborted
-
-    def _descriptor_suspended_on(self, processor: int, line_address: int):
-        for descriptor in self._suspended.values():
-            if descriptor.last_processor == processor and descriptor.conflicts_with(
-                line_address, is_write=True
-            ):
-                return descriptor
-        return None
 
     # ------------------------------------------------------------------ values
 

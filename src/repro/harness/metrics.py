@@ -289,8 +289,8 @@ def run_metrics_command(argv=None) -> int:
     # Imported here, not at module top: repro.harness.runner builds the
     # machine layer, and keeping it lazy makes `--help` instant.
     from repro.core.descriptor import ConflictMode
+    from repro.harness.matrix import resolve_names
     from repro.harness.runner import SYSTEMS, ExperimentConfig, run_experiment
-    from repro.harness.trace import _resolve
     from repro.resilience import DegradeSpec
     from repro.workloads import WORKLOADS
 
@@ -323,8 +323,8 @@ def run_metrics_command(argv=None) -> int:
     if args.sample_interval < 1:
         parser.error("--sample-interval must be >= 1")
 
-    workload = _resolve(args.workload, WORKLOADS, "workload")
-    system = _resolve(args.system, SYSTEMS, "system")
+    (workload,) = resolve_names([args.workload], WORKLOADS, "workload")
+    (system,) = resolve_names([args.system], SYSTEMS, "system")
     mode = ConflictMode.EAGER if args.mode == "eager" else ConflictMode.LAZY
     hub = MetricsHub(
         window_cycles=args.window, sample_interval=args.sample_interval

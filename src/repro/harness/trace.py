@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import os
-from typing import Dict
 
 from repro.core.descriptor import ConflictMode
 from repro.obs.export import (
@@ -33,17 +32,6 @@ from repro.obs.profiler import CycleProfiler
 from repro.obs.report import render_run_report
 from repro.obs.tracer import EventTracer
 from repro.workloads import WORKLOADS
-
-
-def _resolve(name: str, table: Dict[str, object], what: str) -> str:
-    """Case-insensitive lookup of a workload/system key."""
-    lowered = {key.lower(): key for key in table}
-    key = lowered.get(name.lower())
-    if key is None:
-        raise SystemExit(
-            f"unknown {what} {name!r}; choose from {', '.join(sorted(table))}"
-        )
-    return key
 
 
 def make_tracer(args) -> EventTracer:
@@ -80,6 +68,7 @@ def write_point_trace(
 def run_trace_command(argv=None) -> int:
     # Imported here, not at module top: repro.harness.runner builds the
     # machine layer, and keeping it lazy makes `--help` instant.
+    from repro.harness.matrix import resolve_names
     from repro.harness.runner import SYSTEMS, ExperimentConfig, run_experiment
 
     parser = argparse.ArgumentParser(
@@ -107,8 +96,8 @@ def run_trace_command(argv=None) -> int:
     if args.sample < 1:
         parser.error("--sample must be >= 1")
 
-    workload = _resolve(args.workload, WORKLOADS, "workload")
-    system = _resolve(args.system, SYSTEMS, "system")
+    (workload,) = resolve_names([args.workload], WORKLOADS, "workload")
+    (system,) = resolve_names([args.system], SYSTEMS, "system")
     mode = ConflictMode.EAGER if args.mode == "eager" else ConflictMode.LAZY
     tracer = make_tracer(args)
     result = run_experiment(

@@ -26,7 +26,6 @@ from repro.obs.tracer import (
     NullTracer,
     TraceEvent,
     Tracer,
-    classify_conflict,
 )
 from repro.obs.profiler import (
     BUCKETS,
@@ -69,7 +68,6 @@ __all__ = [
     "NULL_TRACER",
     "EventTracer",
     "TraceEvent",
-    "classify_conflict",
     "CycleProfile",
     "CycleProfiler",
     "ProcessorProfile",

@@ -33,7 +33,8 @@ import functools
 import inspect
 from typing import Dict, List, Optional, Sequence
 
-#: CST kinds reported by ``conflict_detected`` events.  "SI" marks a
+#: CST kinds reported by ``conflict_detected`` events: the labels of
+#: :data:`repro.coherence.tables.CST_LABELS`, plus "SI" for a
 #: strong-isolation abort caused by a non-transactional writer.
 CST_KINDS = ("R-W", "W-R", "W-W", "SI")
 
@@ -372,19 +373,3 @@ def tee(*tracers: Optional[Tracer]) -> Tracer:
         return live[0]
     return _Tee(live)
 
-
-def classify_conflict(access_kind, response_kind) -> Optional[str]:
-    """Map a (requester access, responder signature hit) pair to a CST kind.
-
-    The requester's view: its TLoad that hit a remote Wsig is an R-W
-    conflict; its TStore against a remote Wsig is W-W; against an
-    exposed read (remote Rsig) it is W-R.  Accepts the coherence enums
-    or their string values (this module stays dependency-free).
-    """
-    access = getattr(access_kind, "value", access_kind)
-    response = getattr(response_kind, "value", response_kind)
-    if response == "Threatened":
-        return "R-W" if access == "TLoad" else "W-W"
-    if response == "Exposed-Read" and access == "TStore":
-        return "W-R"
-    return None

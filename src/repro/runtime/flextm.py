@@ -17,12 +17,12 @@ from typing import Iterator, Optional, Tuple
 
 from repro.coherence.directory import set_bits
 from repro.coherence.messages import AccessKind
+from repro.coherence.tables import CST_LABELS, REQUESTER_CST
 from repro.core.cmt import ConflictManagementTable
 from repro.core.descriptor import ConflictMode, RunState, TransactionDescriptor
 from repro.core.machine import FlexTMMachine
 from repro.core.tsw import TxStatus
 from repro.errors import TransactionAborted
-from repro.obs.tracer import classify_conflict
 from repro.runtime.api import TMBackend
 from repro.runtime.contention import ConflictManager, Decision, PolkaManager
 
@@ -140,7 +140,7 @@ class FlexTMRuntime(TMBackend):
         my_descriptor = thread.descriptor
         proc = self.machine.processors[thread.processor]
         for enemy_proc, response in conflicts:
-            cst_kind = classify_conflict(access, response) or ""
+            cst_kind = CST_LABELS.get(REQUESTER_CST.get((access, response)), "")
             attempt = 0
             while True:
                 enemy = self._active_enemy(enemy_proc, my_descriptor)
@@ -219,7 +219,7 @@ class FlexTMRuntime(TMBackend):
             # for our *own* processor is legitimate: it names a
             # suspended transaction whose CMT home is this core.
             for enemy_proc in set_bits(mask):
-                cst_kind = "W-W" if (w_w_mask >> enemy_proc) & 1 else "W-R"
+                cst_kind = CST_LABELS["w_w" if (w_w_mask >> enemy_proc) & 1 else "w_r"]
                 for enemy in self.cmt.active_on(enemy_proc):
                     if enemy is descriptor:
                         continue

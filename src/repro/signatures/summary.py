@@ -6,7 +6,9 @@ When the OS deschedules a thread mid-transaction it unions the thread's
 transaction last ran on in the *Cores Summary* bitmap.  The L2 consults
 the summaries on every L1 miss; a hit traps to a software handler that
 checks the per-thread saved signatures (through the Conflict Management
-Table) and updates the suspended transactions' CSTs.
+Table) and updates the suspended transactions' CSTs.  The handler
+(``FlexTMMachine._summary_conflict_check``) asks the protocol tables
+which hit is a conflict; this class only holds the signatures.
 
 Unlike LogTM-SE, the summaries sit at the directory — off the L1 hit
 path — because FlexTM flushes all speculative state from the cache when
@@ -16,7 +18,7 @@ guaranteed to miss.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from repro.signatures.bloom import Signature
 
@@ -65,22 +67,12 @@ class SummarySignatures:
     # -- directory-side queries ------------------------------------------------
 
     def hits_read_summary(self, line_address: int) -> bool:
-        """Would this access conflict with a suspended reader?"""
+        """Does the line hit RSsig (some suspended reader)?"""
         return self.read_summary.member(line_address)
 
     def hits_write_summary(self, line_address: int) -> bool:
-        """Would this access conflict with a suspended writer?"""
+        """Does the line hit WSsig (some suspended writer)?"""
         return self.write_summary.member(line_address)
-
-    def conflicts(self, line_address: int, is_write: bool) -> bool:
-        """Summary check performed by the L2 on an L1 miss.
-
-        A write conflicts with suspended readers or writers; a read only
-        with suspended writers.
-        """
-        if self.hits_write_summary(line_address):
-            return True
-        return is_write and self.hits_read_summary(line_address)
 
     def suspended_threads(self) -> List[int]:
         """Thread ids currently folded into the summaries."""
@@ -105,13 +97,3 @@ class SummarySignatures:
     @property
     def is_empty(self) -> bool:
         return not self._contributions
-
-    def threads_conflicting(self, line_address: int, is_write: bool) -> Iterable[int]:
-        """Per-thread refinement done by the software handler.
-
-        The hardware summary is conservative; the handler walks the CMT
-        and re-tests each suspended thread's saved signatures.
-        """
-        for thread_id, (rsig, wsig, _) in sorted(self._contributions.items()):
-            if wsig.member(line_address) or (is_write and rsig.member(line_address)):
-                yield thread_id

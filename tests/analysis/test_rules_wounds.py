@@ -100,7 +100,7 @@ class TestUnregisteredWoundKind:
         assert "'WR'" in dirty.findings[0].message
 
     def test_dynamic_kind_is_skipped(self, tmp_path):
-        # classify_conflict(...) results and parameter pass-through are
+        # CST_LABELS[...] lookups and parameter pass-through are
         # genuinely dynamic: the runtime strict check owns those, the
         # static rule must not guess.
         report = analyze_snippet(

@@ -3,15 +3,16 @@
 import pytest
 
 from repro.coherence.messages import AccessKind, ResponseKind
+from repro.coherence.tables import CST_LABELS, REQUESTER_CST
 from repro.obs.tracer import (
     CST_KINDS,
     EventTracer,
     NULL_TRACER,
     NullTracer,
     Tracer,
-    classify_conflict,
     tee,
 )
+from repro.runtime.tmtypes import WOUND_KIND_REGISTRY
 
 
 def test_null_tracer_is_disabled_and_silent():
@@ -115,16 +116,22 @@ def test_event_to_dict_drops_defaults():
     assert payload == {"kind": "tx_commit", "cycle": 42, "proc": 3, "thread": 1}
 
 
-def test_classify_conflict_covers_cst_kinds():
-    assert classify_conflict(AccessKind.TLOAD, ResponseKind.THREATENED) == "R-W"
-    assert classify_conflict(AccessKind.TSTORE, ResponseKind.THREATENED) == "W-W"
-    assert classify_conflict(AccessKind.TSTORE, ResponseKind.EXPOSED_READ) == "W-R"
-    assert classify_conflict(AccessKind.TLOAD, ResponseKind.EXPOSED_READ) is None
-    assert classify_conflict(AccessKind.TLOAD, ResponseKind.SHARED) is None
-    # String forms work too (the module is dependency-free).
-    assert classify_conflict("TLoad", "Threatened") == "R-W"
-    for kind in ("R-W", "W-W", "W-R"):
+def test_cst_labels_are_cst_and_wound_kinds():
+    # Conflict events and FlexTM wound kinds label the requestor's CST
+    # through CST_LABELS; each label must be a traced kind and a wound
+    # kind.
+    def label(access, response):
+        return CST_LABELS.get(REQUESTER_CST.get((access, response)))
+
+    assert label(AccessKind.TLOAD, ResponseKind.THREATENED) == "R-W"
+    assert label(AccessKind.TSTORE, ResponseKind.THREATENED) == "W-W"
+    assert label(AccessKind.TSTORE, ResponseKind.EXPOSED_READ) == "W-R"
+    assert label(AccessKind.TLOAD, ResponseKind.EXPOSED_READ) is None
+    assert label(AccessKind.TLOAD, ResponseKind.SHARED) is None
+    assert set(REQUESTER_CST.values()) <= set(CST_LABELS)
+    for kind in CST_LABELS.values():
         assert kind in CST_KINDS
+        assert kind in WOUND_KIND_REGISTRY
 
 
 def test_subclass_inherits_noop_interface():

@@ -19,27 +19,29 @@ def summaries():
 
 def test_empty_summaries_never_conflict(summaries):
     assert summaries.is_empty
-    assert not summaries.conflicts(123, is_write=True)
-    assert not summaries.conflicts(123, is_write=False)
+    assert not summaries.hits_read_summary(123)
+    assert not summaries.hits_write_summary(123)
 
 
 def test_install_reflects_read_and_write_sets(summaries):
     summaries.install(7, _sig(10), _sig(20), last_processor=1)
     assert summaries.hits_read_summary(10)
     assert summaries.hits_write_summary(20)
-    # A read conflicts only with suspended writers.
-    assert summaries.conflicts(20, is_write=False)
-    assert not summaries.conflicts(10, is_write=False)
-    # A write conflicts with suspended readers too.
-    assert summaries.conflicts(10, is_write=True)
+    # Each set lands in its own summary only.  Which hit is a conflict
+    # is the machine's summary handler's call (tests/core/
+    # test_context_switch.py and tests/coherence/
+    # test_summary_conformance.py).
+    assert not summaries.hits_write_summary(10)
+    assert not summaries.hits_read_summary(20)
 
 
 def test_remove_rebuilds_from_remaining(summaries):
     summaries.install(1, _sig(10), _sig(), last_processor=0)
     summaries.install(2, _sig(30), _sig(), last_processor=2)
     summaries.remove(1)
-    assert not summaries.conflicts(10, is_write=True)
-    assert summaries.conflicts(30, is_write=True)
+    assert not summaries.hits_read_summary(10)
+    assert not summaries.hits_write_summary(10)
+    assert summaries.hits_read_summary(30)
     assert summaries.suspended_threads() == [2]
 
 
@@ -59,15 +61,6 @@ def test_sticky_sharer_requires_core_and_line(summaries):
     assert not summaries.sticky_sharer(999_999, 2)  # line not in summary
 
 
-def test_threads_conflicting_refines_per_thread(summaries):
-    summaries.install(1, _sig(10), _sig(), last_processor=0)
-    summaries.install(2, _sig(), _sig(10), last_processor=1)
-    # A write to line 10 conflicts with the reader (1) and writer (2).
-    assert list(summaries.threads_conflicting(10, is_write=True)) == [1, 2]
-    # A read conflicts only with the writer.
-    assert list(summaries.threads_conflicting(10, is_write=False)) == [2]
-
-
 def test_install_validates_processor(summaries):
     with pytest.raises(ValueError):
         summaries.install(1, _sig(), _sig(), last_processor=99)
@@ -76,5 +69,5 @@ def test_install_validates_processor(summaries):
 def test_reinstall_same_thread_replaces(summaries):
     summaries.install(1, _sig(10), _sig(), last_processor=0)
     summaries.install(1, _sig(20), _sig(), last_processor=0)
-    assert not summaries.conflicts(10, is_write=True)
-    assert summaries.conflicts(20, is_write=True)
+    assert not summaries.hits_read_summary(10)
+    assert summaries.hits_read_summary(20)

@@ -112,13 +112,14 @@ def run_schedule_cell(
     """
     from repro.harness.runner import SYSTEMS
     from repro.obs.metrics import MetricsHub
+    from repro.obs.tracer import tee
 
     if spec is None:
         spec = SCHEDULES[schedule]
     mixed = cell_seed(seed, backend_name, schedule)
     machine = FlexTMMachine(small_test_params(max(spec.threads, 2)))
     hub = MetricsHub()
-    machine.set_tracer(hub)
+    machine.set_tracer(tee(hub))
     machine.set_invariants(InvariantChecker(strict=strict))
     probe = OpacityProbe()
     machine.set_probes(probe)

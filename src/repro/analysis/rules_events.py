@@ -16,6 +16,9 @@ propagation inside the enclosing function (this covers the
 ``rw = "read" if ... else "write"`` idiom); anything else is skipped —
 the registry rule is exact on literals and silent on genuinely dynamic
 names rather than guessing.
+
+The tracer's own kind literals are checked too: ``TraceEvent``
+constructions and the flat records it appends to its event log.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.obs.events import (
     FIXED_KINDS,
     KIND_ARG_INDEX,
     KIND_ARG_NAME,
+    RECORD_FIELDS,
 )
 
 
@@ -114,15 +118,29 @@ def _tracer_emits(
 
 
 def _trace_event_literals(unit: ModuleUnit) -> Iterator[Tuple[ast.Call, List[str]]]:
-    """``TraceEvent("<kind>", ...)`` constructions (the tracer itself)."""
+    """Kind literals the tracer itself writes.
+
+    Two forms: ``TraceEvent("<kind>", ...)`` constructions, and event-log
+    records ``x.append(("<kind>", cycle, ...))`` / ``x._append((...))``
+    whose tuple has the record width of ``RECORD_FIELDS``.
+    """
     for node in ast.walk(unit.tree):
         if not isinstance(node, ast.Call):
             continue
         name = dotted_name(node.func)
-        if name is None or name.rsplit(".", 1)[-1] != "TraceEvent":
+        if name is None:
             continue
-        if node.args:
-            values = literal_str_values(node.args[0])
+        last = name.rsplit(".", 1)[-1]
+        kind: Optional[ast.expr] = None
+        if last == "TraceEvent":
+            if node.args:
+                kind = node.args[0]
+        elif last in ("append", "_append") and len(node.args) == 1:
+            record = node.args[0]
+            if isinstance(record, ast.Tuple) and len(record.elts) == len(RECORD_FIELDS):
+                kind = record.elts[0]
+        if kind is not None:
+            values = literal_str_values(kind)
             if values is not None:
                 yield node, values
 
@@ -157,7 +175,7 @@ class UnregisteredEventRule(Rule):
                     yield unit.finding(
                         self,
                         node,
-                        f"TraceEvent kind {kind!r} is not in "
+                        f"traced event kind {kind!r} is not in "
                         "repro.obs.events.EVENT_REGISTRY",
                     )
 

@@ -15,9 +15,9 @@ guard:
   attribute read per potential event) and the layering contract (core
   code never does work on behalf of a disabled layer) require every
   emit call to be dominated by an ``.enabled`` test (``SIM-H102``).
-  Every observer subscribes through the tracer (a
-  :func:`~repro.obs.tracer.tee` fans one call out to several), so
-  this one guard per site covers them all.
+  Every observer reads the tracer's event log (a metrics hub folds
+  it; :func:`~repro.obs.tracer.tee` attaches the hub), so this one
+  guard per site covers them all.
 
 "Dominated" is computed per enclosing function with a conservative
 structural walk that understands ``if X is not None:`` bodies,

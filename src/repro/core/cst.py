@@ -66,7 +66,7 @@ class CstRegister:
 
     @property
     def popcount(self) -> int:
-        return bin(self._bits).count("1")
+        return self._bits.bit_count()
 
     def processors(self) -> List[int]:
         """Indices of set bits, ascending."""
@@ -113,7 +113,7 @@ class ConflictSummaryTables:
         This is the statistic reported in the Figure 4 conflict table.
         """
         union = self.r_w.value | self.w_r.value | self.w_w.value
-        return bin(union).count("1")
+        return union.bit_count()
 
     def save(self) -> dict:
         """Snapshot for context-switch spill (Section 5)."""

@@ -164,9 +164,9 @@ class FlexTMMachine:
     def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Install (or remove, with None) an observability tracer.
 
-        The machine's one observational setter: a metrics hub, or a
-        :func:`~repro.obs.tracer.tee` of several subscribers, installs
-        here too.  The tracer is fanned out to every layer that emits
+        The machine's one observational setter: a metrics hub installs
+        here too, as the tracer :func:`~repro.obs.tracer.tee` attaches
+        it to.  The tracer is fanned out to every layer that emits
         events: the processors (AOU, overflow controller), their L1s
         (evictions) and the directory (coherence messages).  Tracing is
         observational only — it never changes a simulated cycle.

@@ -191,10 +191,11 @@ def run_cell(
     """
     from repro.harness.runner import SYSTEMS
     from repro.obs.metrics import MetricsHub
+    from repro.obs.tracer import tee
 
     machine = FlexTMMachine(small_test_params(threads))
     hub = MetricsHub()
-    machine.set_tracer(hub)
+    machine.set_tracer(tee(hub))
     engine = None
     if spec is not None:
         engine = ChaosEngine(spec, stats=machine.stats)

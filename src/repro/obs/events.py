@@ -72,6 +72,18 @@ EVENT_REGISTRY: Dict[str, str] = {
 #: Every registered kind, for membership tests and docs/tests.
 EVENT_KINDS: FrozenSet[str] = frozenset(EVENT_REGISTRY)
 
+#: The fields of one event-log record, in tuple order (the fields of
+#: :class:`~repro.obs.tracer.TraceEvent`).  ``SIM-E201`` reads the kind
+#: literal of every tuple of this width the tracer appends to its log.
+RECORD_FIELDS = ("kind", "cycle", "proc", "thread", "line", "dur", "cause", "data")
+
+#: Kinds ``Tracer.tx_access`` records; ``sample_memory`` thins them.
+ACCESS_KINDS: FrozenSet[str] = frozenset({"tx_read", "tx_write"})
+#: Kinds ``Tracer.coherence`` records; ``trace_coherence`` gates them.
+COHERENCE_KINDS: FrozenSet[str] = frozenset({"coh_request", "coh_response", "coh_evict"})
+#: Kinds ``Tracer.sched`` records.
+SCHED_KINDS: FrozenSet[str] = frozenset({"preempt", "yield", "dispatch", "retire"})
+
 #: How each kind-carrying tracer method derives the recorded event kind
 #: from its name argument: ``kind = prefix + <literal argument>``.
 #: Methods that always record a single fixed kind appear in

@@ -11,18 +11,21 @@ observation points into *aggregates with temporal shape*:
   **simulated** clock (never wall-clock, so the ``simcheck`` SIM-D
   determinism rules hold), bounded by ring-style eviction of the oldest
   window.
-* :class:`MetricsHub` — the opt-in sink, a :class:`~repro.obs.tracer.Tracer`
-  subscriber that aggregates the tracer's events, plus a periodic
-  sampler over the resilience pressure sensors (signature fill, FP
-  estimate, OT occupancy, CST density, resilience-rung residency).
+* :class:`MetricsHub` — the opt-in sink, a fold over the
+  :class:`~repro.obs.tracer.EventTracer` event log (the tracer's records,
+  by kind, in emission order), plus a periodic sampler over the
+  resilience pressure sensors (signature fill, FP estimate, OT
+  occupancy, CST density, resilience-rung residency).
 
-The hub is purely observational: hooks never touch simulated state, so
-a metrics-armed run is bit-identical to an unarmed one
-(tests/obs/test_metrics.py).  Everything iterates in sorted order and
-draws no randomness, so the JSON artifact is itself deterministic.
+The hub is purely observational: folding never touches simulated
+state, so a metrics-armed run is bit-identical to an unarmed one
+(tests/obs/test_metrics.py).  It sees every recorded event whatever the
+tracer beside it keeps (tests/obs/test_event_log.py).  Everything
+iterates in sorted order and draws no randomness, so the JSON artifact
+is itself deterministic.
 
 This module imports nothing from the simulator at module level (only
-:mod:`repro.obs.causality` and :mod:`repro.obs.tracer`, which are
+:mod:`repro.obs.causality` and :mod:`repro.obs.events`, which are
 stdlib-pure): ``sim.stats`` imports the percentile helpers from here,
 and the sampler's ``repro.resilience.pressure`` import is deferred
 into the call.
@@ -30,10 +33,10 @@ into the call.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs.causality import AbortRecord
-from repro.obs.tracer import Tracer
+from repro.obs.events import EVENT_KINDS, SCHED_KINDS
 
 #: Percentiles every histogram summary reports.
 PERCENTILES = (0.50, 0.95, 0.99)
@@ -246,19 +249,22 @@ class TimeSeries:
         }
 
 
-class MetricsHub(Tracer):
+class MetricsHub:
     """The deterministic metrics sink for one simulated run.
 
-    A :class:`~repro.obs.tracer.Tracer` subscriber: armed via
-    ``ExperimentConfig(metrics=MetricsHub())`` (which tees it beside any
-    tracer) or ``FlexTMMachine.set_tracer(hub)``, it sees exactly the
-    events an :class:`~repro.obs.tracer.EventTracer` records, so its
-    aggregates can also be rebuilt offline from a saved JSONL trace.
-    All hooks observe — none mutates simulated state — which is the
-    bit-identical contract the determinism tests pin.
+    A fold over an :class:`~repro.obs.tracer.EventTracer`'s event log:
+    armed via ``ExperimentConfig(metrics=MetricsHub())`` or
+    ``FlexTMMachine.set_tracer(tee(hub))``, :func:`~repro.obs.tracer.tee`
+    attaches it to the tracer armed beside it (or to a private log when
+    armed alone), and the log hands it every record, in emission order,
+    before the tracer's settings thin what the trace keeps.  Its
+    aggregates are therefore a function of the event stream and can be
+    rebuilt offline from a saved JSONL trace.  The log folds in chunks,
+    so aggregates are complete after ``finalize`` (the end of every
+    scheduler run) or the tracer's ``flush``.  Folding never mutates
+    simulated state, which is the bit-identical contract the
+    determinism tests pin.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -283,6 +289,24 @@ class MetricsHub(Tracer):
         self.samples_taken = 0
         self._steps = 0
         self._begin_cycle: Dict[int, int] = {}
+        #: kind -> the fold of one record of that kind; other kinds
+        #: (accesses, responses, samples, watchdog) only reach the trace.
+        self._folds: Dict[str, Callable[[tuple], None]] = {
+            "tx_begin": self._fold_begin,
+            "tx_commit": self._fold_commit,
+            "tx_abort": self._fold_abort,
+            "conflict_detected": self._fold_conflict,
+            "aou_alert": self._fold_alert,
+            "conflict_stall": self._fold_stall,
+            "coh_request": self._fold_request,
+            "coh_evict": self._fold_evict,
+            "degrade_escalate": self._fold_escalate,
+        }
+        for kind in sorted(SCHED_KINDS):
+            self._folds[kind] = self._fold_sched
+        for kind in sorted(EVENT_KINDS):
+            if kind.startswith("overflow_"):
+                self._folds[kind] = self._fold_overflow
 
     # -- primitive accessors ---------------------------------------------------
 
@@ -307,22 +331,36 @@ class MetricsHub(Tracer):
             )
         return self.series_map[name]
 
+    # -- the fold --------------------------------------------------------------
+
+    def fold(self, records: Sequence[tuple]) -> None:
+        """Aggregate event-log records ``(kind, cycle, proc, thread,
+        line, dur, cause, data)`` in order."""
+        folds = self._folds
+        for record in records:
+            fold = folds.get(record[0])
+            if fold is not None:
+                fold(record)
+
     # -- transaction lifecycle -------------------------------------------------
 
-    def tx_begin(self, proc, thread, cycle, system, incarnation):
+    def _fold_begin(self, record: tuple) -> None:
+        cycle = record[1]
         self.count("tx.begins")
-        self._begin_cycle[thread] = cycle
+        self._begin_cycle[record[3]] = cycle
         self.series("tx.begins").record(cycle)
 
-    def tx_commit(self, proc, thread, cycle):
+    def _fold_commit(self, record: tuple) -> None:
+        cycle = record[1]
         self.count("tx.commits")
         self.series("tx.commits").record(cycle)
-        begin = self._begin_cycle.pop(thread, None)
+        begin = self._begin_cycle.pop(record[3], None)
         if begin is not None:
             self.histogram("tx.commit_cycles").record(max(0, cycle - begin))
 
-    def tx_abort(self, proc, thread, cycle, cause, by=-1, conflict=""):
-        kind = conflict or "unattributed"
+    def _fold_abort(self, record: tuple) -> None:
+        _, cycle, proc, thread, _, _, _, data = record
+        kind = data.get("conflict") or "unattributed"
         self.count("tx.aborts")
         self.count(f"tx.aborts.{kind}")
         self.series("tx.aborts").record(cycle)
@@ -335,7 +373,7 @@ class MetricsHub(Tracer):
                 AbortRecord(
                     cycle=cycle, thread=thread,
                     proc=proc if proc is not None else -1,
-                    by=by, kind=kind, wasted_cycles=wasted,
+                    by=data["by"], kind=kind, wasted_cycles=wasted,
                 )
             )
         else:
@@ -343,68 +381,71 @@ class MetricsHub(Tracer):
 
     # -- conflicts, alerts and contention --------------------------------------
 
-    def conflict(self, proc, cycle, responder, cst_kind, line):
+    def _fold_conflict(self, record: tuple) -> None:
         self.count("conflicts.total")
-        self.count(f"conflicts.{cst_kind}")
-        self.series("conflicts").record(cycle)
+        self.count(f"conflicts.{record[7]['cst']}")
+        self.series("conflicts").record(record[1])
 
-    def aou_alert(self, proc, cycle, line, reason):
+    def _fold_alert(self, record: tuple) -> None:
         self.count("aou.alerts")
-        self.series("aou.alerts").record(cycle)
+        self.series("aou.alerts").record(record[1])
 
-    def stall(self, proc, cycle, dur, enemy=-1, settled=True):
+    def _fold_stall(self, record: tuple) -> None:
+        dur = record[5]
         self.count("stalls")
         self.histogram("stall_cycles").record(dur)
-        self.series("stall_cycles").record(cycle, dur)
+        self.series("stall_cycles").record(record[1], dur)
 
     # -- overflow machinery ----------------------------------------------------
 
-    def overflow(self, proc, cycle, what, line=-1, dur=0):
-        self.count(f"overflow.{what}")
-        self.series("overflow.events").record(cycle)
-        if dur:
-            self.histogram("overflow_cycles").record(dur)
+    def _fold_overflow(self, record: tuple) -> None:
+        self.count(f"overflow.{record[0][len('overflow_'):]}")
+        self.series("overflow.events").record(record[1])
+        if record[5]:
+            self.histogram("overflow_cycles").record(record[5])
 
     # -- scheduling ------------------------------------------------------------
 
-    def sched(self, proc, cycle, what, thread, status=""):
+    def _fold_sched(self, record: tuple) -> None:
+        what = record[0]
         self.count(f"sched.{what}")
         if what in ("preempt", "yield"):
-            self.series("sched.switches").record(cycle)
+            self.series("sched.switches").record(record[1])
 
     # -- coherence -------------------------------------------------------------
 
-    def coherence(self, proc, cycle, msg, line, responder=-1, detail=""):
-        """Counts granted directory requests and L1 evictions.
+    def _fold_request(self, record: tuple) -> None:
+        """Counts granted directory requests.
 
-        A NACKed request (``detail`` ends in ``->NACK``) never reached
+        A NACKed request (``cause`` ends in ``->NACK``) never reached
         the holders, so it is not a coherence message.
         """
-        if msg == "coh_request":
-            if not detail.endswith("->NACK"):
-                self.count("coh.messages")
-                self.series("coh.messages").record(cycle)
-        elif msg == "coh_evict":
-            self.count("coh.evictions")
+        if not record[6].endswith("->NACK"):
+            self.count("coh.messages")
+            self.series("coh.messages").record(record[1])
+
+    def _fold_evict(self, record: tuple) -> None:
+        self.count("coh.evictions")
 
     # -- degradation ladder ----------------------------------------------------
 
-    def degrade(self, cycle, what, **data):
-        if what == "escalate":
-            self.count(f"resilience.escalations.{data['rung']}")
-            self.series("resilience.escalations").record(cycle)
+    def _fold_escalate(self, record: tuple) -> None:
+        self.count(f"resilience.escalations.{record[7]['rung']}")
+        self.series("resilience.escalations").record(record[1])
 
     # -- run boundary ----------------------------------------------------------
 
     def step(self, scheduler) -> None:
-        """Once per scheduler step; sweeps the sensors every Nth step."""
+        """Once per scheduler step (from the tracer whose log this hub
+        folds); sweeps the sensors every Nth step."""
         self._steps += 1
         if self._steps % self.sample_interval:
             return
         self.sample(scheduler.machine)
 
     def finalize(self, proc_cycles: List[int]) -> None:
-        """Called once by the scheduler with each processor's final clock."""
+        """Called once per run, after the last fold, with each
+        processor's final clock."""
         self.proc_cycles = list(proc_cycles)
         self.gauge("cycles.total").set(max(proc_cycles, default=0))
 

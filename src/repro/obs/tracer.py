@@ -6,16 +6,25 @@ through a :class:`Tracer`, the simulator's single observation API:
 * :class:`NullTracer` — the default.  ``enabled`` is ``False`` and every
   call site guards with ``if tracer.enabled:``, so the hot path pays one
   attribute read per potential event and benchmarks are unaffected.
-* :class:`EventTracer` — records :class:`TraceEvent` entries in emission
-  order.  Per-processor streams are cycle-monotonic (each processor's
-  clock only moves forward), which is what the cycle-attribution
-  profiler and the exporters rely on.
-* :class:`~repro.obs.metrics.MetricsHub` — aggregates the same events
-  into counters, histograms and windowed series.
+* :class:`EventTracer` — appends one flat record
+  ``(kind, cycle, proc, thread, line, dur, cause, data)`` per event to
+  its log, in emission order, and builds :class:`TraceEvent` objects
+  only when :attr:`EventTracer.events` is read (the exporters, the
+  profiler, causality and tests).  Per-processor streams are
+  cycle-monotonic (each processor's clock only moves forward), which is
+  what the cycle-attribution profiler and the exporters rely on.
+* :class:`~repro.obs.metrics.MetricsHub` — a fold over the same
+  records into counters, histograms and windowed series.
 
-:func:`tee` fans one call site out to several subscribers, so every
-site keeps exactly one ``tracer.enabled`` guard however many observers
-are armed.
+The log is the one observation mechanism.  Records pile up unfolded
+until a scheduler step finds :data:`CHUNK_RECORDS` of them, or until
+``finalize`` or a read of the trace; then :meth:`EventTracer.flush`
+hands them to the attached hub (every record, in emission order) and
+only afterwards applies ``sample_memory``/``trace_coherence``/
+``max_events`` to what the trace *keeps*.  :func:`tee` attaches a hub
+to the tracer armed beside it, or to a private log that keeps nothing
+when the hub is armed alone, so every emit site keeps exactly one
+``tracer.enabled`` guard and an armed event costs one append.
 
 Tracing is purely observational: attaching an :class:`EventTracer`
 never changes a single simulated cycle, so a traced run reproduces the
@@ -29,9 +38,9 @@ that the ``simcheck`` rule ``SIM-E201`` checks every emit site against.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import inspect
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
+
+from repro.obs.events import ACCESS_KINDS, COHERENCE_KINDS
 
 #: CST kinds reported by ``conflict_detected`` events: the labels of
 #: :data:`repro.coherence.tables.CST_LABELS`, plus "SI" for a
@@ -168,16 +177,26 @@ class NullTracer(Tracer):
 NULL_TRACER = NullTracer()
 
 
+#: Unfolded records a scheduler step lets the log hold before it folds
+#: them: the bound on the memory a metrics-only run holds.
+CHUNK_RECORDS = 4096
+
+
 class EventTracer(Tracer):
     """Records structured events for profiling and export.
 
+    Every recording method appends one record to the log; nothing is
+    dropped at record time, so an attached hub folds every event.  The
+    settings below apply to what the trace keeps when the log is
+    flushed.
+
     Args:
-        sample_memory: record one in N ``tx_read``/``tx_write`` events
+        sample_memory: keep one in N ``tx_read``/``tx_write`` events
             (1 = every access).  Lifecycle and conflict events are never
             sampled.
-        trace_coherence: record per-message directory/L1 events.  These
+        trace_coherence: keep per-message directory/L1 events.  These
             dominate event volume; disable for long runs.
-        max_events: stop recording past this many events (``dropped``
+        max_events: keep no more than this many events (``dropped``
             counts the overflow).  ``None`` = unbounded.
     """
 
@@ -194,101 +213,168 @@ class EventTracer(Tracer):
         self.sample_memory = sample_memory
         self.trace_coherence = trace_coherence
         self.max_events = max_events
-        self.events: List[TraceEvent] = []
-        self.dropped = 0
         #: Final per-processor cycle counts (set by finalize()).
         self.proc_cycles: List[int] = []
+        #: Records not yet folded and kept, in emission order.
+        self._log: List[tuple] = []
+        self._append = self._log.append
+        #: Records the settings kept.
+        self._kept: List[tuple] = []
+        #: ``TraceEvent``s built so far, one per leading record of ``_kept``.
+        self._events: List[TraceEvent] = []
+        self._dropped = 0
         self._access_tick = 0
-
-    # -- recording core --------------------------------------------------------
-
-    def _record(self, event: TraceEvent) -> None:
-        if self.max_events is not None and len(self.events) >= self.max_events:
-            self.dropped += 1
-            return
-        self.events.append(event)
+        #: The metrics hub folding this log (see :func:`tee`).
+        self._hub = None
 
     # -- transaction lifecycle -------------------------------------------------
 
     def tx_begin(self, proc, thread, cycle, system, incarnation):
-        self._record(TraceEvent("tx_begin", cycle, proc, thread,
-                                data={"system": system, "incarnation": incarnation}))
+        self._append(("tx_begin", cycle, proc, thread, -1, 0, "",
+                      {"system": system, "incarnation": incarnation}))
 
     def tx_commit(self, proc, thread, cycle):
-        self._record(TraceEvent("tx_commit", cycle, proc, thread))
+        self._append(("tx_commit", cycle, proc, thread, -1, 0, "", None))
 
     def tx_abort(self, proc, thread, cycle, cause, by=-1, conflict=""):
         data = {"by": by}
         if conflict:
             data["conflict"] = conflict
-        self._record(TraceEvent("tx_abort", cycle, proc, thread, cause=cause,
-                                data=data))
+        self._append(("tx_abort", cycle, proc, thread, -1, 0, cause, data))
 
     def tx_access(self, proc, thread, cycle, rw, address):
-        self._access_tick += 1
-        if self._access_tick % self.sample_memory:
-            return
-        self._record(TraceEvent(f"tx_{rw}", cycle, proc, thread, line=address))
+        self._append((f"tx_{rw}", cycle, proc, thread, address, 0, "", None))
 
     # -- conflicts and alerts --------------------------------------------------
 
     def conflict(self, proc, cycle, responder, cst_kind, line):
-        self._record(TraceEvent("conflict_detected", cycle, proc, line=line,
-                                data={"responder": responder, "cst": cst_kind}))
+        self._append(("conflict_detected", cycle, proc, -1, line, 0, "",
+                      {"responder": responder, "cst": cst_kind}))
 
     def aou_alert(self, proc, cycle, line, reason):
-        self._record(TraceEvent("aou_alert", cycle, proc, line=line, cause=reason))
+        self._append(("aou_alert", cycle, proc, -1, line, 0, reason, None))
 
     def stall(self, proc, cycle, dur, enemy=-1, settled=True):
-        self._record(TraceEvent("conflict_stall", cycle, proc, dur=dur,
-                                data={"enemy": enemy, "settled": settled}))
+        self._append(("conflict_stall", cycle, proc, -1, -1, dur, "",
+                      {"enemy": enemy, "settled": settled}))
 
     # -- overflow machinery ----------------------------------------------------
 
     def overflow(self, proc, cycle, what, line=-1, dur=0):
-        self._record(TraceEvent(f"overflow_{what}", cycle, proc, line=line, dur=dur))
+        self._append((f"overflow_{what}", cycle, proc, -1, line, dur, "", None))
 
     # -- scheduling ------------------------------------------------------------
 
     def sched(self, proc, cycle, what, thread, status=""):
-        self._record(TraceEvent(what, cycle, proc, thread, cause=status))
+        self._append((what, cycle, proc, thread, -1, 0, status, None))
 
     # -- coherence -------------------------------------------------------------
 
     def coherence(self, proc, cycle, msg, line, responder=-1, detail=""):
-        if not self.trace_coherence:
-            return
-        data = {"responder": responder} if responder >= 0 else None
-        self._record(TraceEvent(msg, cycle, proc, line=line, cause=detail,
-                                data=data))
+        self._append((msg, cycle, proc, -1, line, 0, detail,
+                      {"responder": responder} if responder >= 0 else None))
 
     # -- liveness watchdog -----------------------------------------------------
 
     def watchdog(self, cycle, what, **data):
-        self._record(TraceEvent(f"watchdog_{what}", cycle, proc=-1,
-                                data=dict(data) if data else None))
+        self._append((f"watchdog_{what}", cycle, -1, -1, -1, 0, "", data or None))
 
     # -- degradation ladder ------------------------------------------------------
 
     def degrade(self, cycle, what, **data):
-        self._record(TraceEvent(f"degrade_{what}", cycle, proc=-1,
-                                data=dict(data) if data else None))
+        self._append((f"degrade_{what}", cycle, -1, -1, -1, 0, "", data or None))
 
     # -- metrics hub -------------------------------------------------------------
 
     def metrics(self, cycle, what, **data):
-        self._record(TraceEvent(f"metrics_{what}", cycle, proc=-1,
-                                data=dict(data) if data else None))
+        self._append((f"metrics_{what}", cycle, -1, -1, -1, 0, "", data or None))
 
     # -- run boundary ----------------------------------------------------------
 
+    def step(self, scheduler):
+        if len(self._log) >= CHUNK_RECORDS:
+            self.flush()
+        if self._hub is not None:
+            self._hub.step(scheduler)
+
     def finalize(self, proc_cycles):
+        self.flush()
         self.proc_cycles = list(proc_cycles)
+        if self._hub is not None:
+            self._hub.finalize(proc_cycles)
+
+    # -- the log ---------------------------------------------------------------
+
+    def attach(self, hub) -> None:
+        """Fold every record from now on into ``hub`` (one hub per log).
+
+        The hub also gets this tracer's ``step`` and ``finalize`` calls,
+        which drive its pressure sampler and close its run.
+        """
+        if self._hub is not None and self._hub is not hub:
+            raise ValueError("this tracer already feeds a metrics hub")
+        self.flush()
+        self._hub = hub
+
+    def flush(self) -> None:
+        """Fold the unfolded records into the hub, then keep what the
+        settings keep and empty the log."""
+        log = self._log
+        if not log:
+            return
+        if self._hub is not None:
+            self._hub.fold(log)
+        records = log
+        if self.sample_memory > 1 or not self.trace_coherence:
+            records = self._thin(log)
+        kept = self._kept
+        if self.max_events is None:
+            kept.extend(records)
+        else:
+            room = max(0, self.max_events - len(kept))
+            kept.extend(records[:room])
+            self._dropped += max(0, len(records) - room)
+        log.clear()
+
+    def _thin(self, records: List[tuple]) -> List[tuple]:
+        """``records`` without the accesses ``sample_memory`` skips and,
+        unless ``trace_coherence``, without coherence messages."""
+        sample = self.sample_memory
+        coherence = self.trace_coherence
+        tick = self._access_tick
+        out = []
+        for record in records:
+            kind = record[0]
+            if kind in ACCESS_KINDS:
+                tick += 1
+                if tick % sample:
+                    continue
+            elif not coherence and kind in COHERENCE_KINDS:
+                continue
+            out.append(record)
+        self._access_tick = tick
+        return out
 
     # -- inspection ------------------------------------------------------------
 
+    @property
+    def events(self) -> List[TraceEvent]:
+        """The kept events in emission order."""
+        self.flush()
+        events, kept = self._events, self._kept
+        if len(events) < len(kept):
+            events.extend(TraceEvent(*record) for record in kept[len(events):])
+        return events
+
+    @property
+    def dropped(self) -> int:
+        """Events past ``max_events`` that the trace did not keep."""
+        self.flush()
+        return self._dropped
+
     def __len__(self) -> int:
-        return len(self.events)
+        self.flush()
+        return len(self._kept)
 
     def by_kind(self, kind: str) -> List[TraceEvent]:
         return [event for event in self.events if event.kind == kind]
@@ -301,75 +387,23 @@ class EventTracer(Tracer):
         return grouped
 
 
-#: Every hook a :class:`Tracer` subscriber can implement.
-_HOOKS = tuple(
-    name for name, value in vars(Tracer).items()
-    if callable(value) and not name.startswith("_")
-)
+def tee(*observers) -> Tracer:
+    """The one tracer to install for ``observers`` (``None`` entries skipped).
 
-
-class _Tee(Tracer):
-    """Fan-out over several enabled tracers, in argument order.
-
-    Each hook is bound once, at construction, to the subscribers whose
-    class overrides it: one subscriber gets its bound method directly
-    (no extra frame), several get a generated forwarder, none keep the
-    inherited no-op.
+    An enabled :class:`Tracer` is installed as it is.  A metrics hub
+    (an observer that is not a :class:`Tracer`) is attached to the
+    :class:`EventTracer` armed beside it, or, armed alone, to a private
+    log that keeps nothing (``max_events=0``), which it folds and
+    clears.  Returns :data:`NULL_TRACER` when nothing is armed.
     """
-
-    enabled = True
-
-    def __init__(self, tracers: Sequence[Tracer]):
-        for name in _HOOKS:
-            base = getattr(Tracer, name)
-            calls = [
-                getattr(tracer, name) for tracer in tracers
-                if getattr(type(tracer), name) is not base
-            ]
-            if len(calls) == 1:
-                setattr(self, name, calls[0])
-            elif calls:
-                setattr(self, name, _forwarder(name, len(calls))(*calls))
-
-
-@functools.lru_cache(maxsize=None)
-def _forwarder(name: str, fanout: int):
-    """Factory of functions with ``Tracer.<name>``'s signature that call
-    each of ``fanout`` callables in turn.
-
-    Generated once per process (as :mod:`dataclasses` generates
-    ``__init__``) so that arguments are forwarded positionally: a
-    ``*args, **kwargs`` wrapper costs several times more per event on
-    the hot coherence path.
-    """
-    params = list(inspect.signature(getattr(Tracer, name)).parameters.values())[1:]
-    header = ", ".join(str(param.replace(annotation=param.empty)) for param in params)
-    forward = ", ".join(
-        f"**{param.name}" if param.kind is param.VAR_KEYWORD else param.name
-        for param in params
-    )
-    calls = [f"call{index}" for index in range(fanout)]
-    source = (
-        f"def make({', '.join(calls)}):\n"
-        f"    def fan({header}):\n"
-        + "".join(f"        {call}({forward})\n" for call in calls)
-        + "    return fan\n"
-    )
-    namespace: Dict[str, object] = {}
-    exec(source, namespace)
-    return namespace["make"]
-
-
-def tee(*tracers: Optional[Tracer]) -> Tracer:
-    """One tracer for every enabled argument (``None`` entries skipped).
-
-    Returns :data:`NULL_TRACER` when none is enabled, the tracer itself
-    when exactly one is, and a fan-out otherwise.
-    """
-    live = [tracer for tracer in tracers if tracer is not None and tracer.enabled]
-    if not live:
-        return NULL_TRACER
-    if len(live) == 1:
-        return live[0]
-    return _Tee(live)
-
+    tracers = [obs for obs in observers if isinstance(obs, Tracer) and obs.enabled]
+    hubs = [obs for obs in observers if obs is not None and not isinstance(obs, Tracer)]
+    if len(tracers) > 1 or len(hubs) > 1:
+        raise ValueError("tee arms one tracer and at most one metrics hub")
+    if not hubs:
+        return tracers[0] if tracers else NULL_TRACER
+    log = tracers[0] if tracers else EventTracer(max_events=0)
+    if not isinstance(log, EventTracer):
+        raise TypeError("a metrics hub folds an EventTracer's log")
+    log.attach(hubs[0])
+    return log

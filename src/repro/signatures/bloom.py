@@ -150,7 +150,7 @@ class Signature:
     @property
     def popcount(self) -> int:
         """Number of set bits across all banks."""
-        return sum(bin(bank).count("1") for bank in self._banks)
+        return sum(bank.bit_count() for bank in self._banks)
 
     @property
     def inserted_count(self) -> int:
@@ -163,7 +163,7 @@ class Signature:
 
     def bank_fills(self) -> list:
         """Per-bank fill fraction (set bits / bank width)."""
-        return [bin(bank).count("1") / self._bank_bits for bank in self._banks]
+        return [bank.bit_count() / self._bank_bits for bank in self._banks]
 
     def false_positive_estimate(self) -> float:
         """Probability a never-inserted address tests positive.

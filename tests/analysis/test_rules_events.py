@@ -95,6 +95,39 @@ class TestUnregisteredEvent:
         )
         assert report.findings == []
 
+    def test_flags_unknown_kind_in_an_event_log_record(self, tmp_path):
+        # The tracer appends flat records; their kind literal is checked.
+        report = analyze_snippet(
+            tmp_path,
+            "repro/obs/bad_tracer.py",
+            """
+            class Tracer:
+                def tx_commit(self, proc, thread, cycle):
+                    self._append(("tx_comit", cycle, proc, thread, -1, 0, "", None))
+            """,
+            ["SIM-E201"],
+        )
+        assert rule_ids(report) == ["SIM-E201"]
+        assert "'tx_comit'" in report.findings[0].message
+
+    def test_registered_record_kinds_and_other_tuples_pass(self, tmp_path):
+        # A registered record kind is fine; a tuple of another width is
+        # not an event-log record and is not read as one.
+        report = analyze_snippet(
+            tmp_path,
+            "repro/obs/ok_tracer.py",
+            """
+            class Tracer:
+                def tx_commit(self, proc, thread, cycle):
+                    self._append(("tx_commit", cycle, proc, thread, -1, 0, "", None))
+
+                def remember(self, rows):
+                    rows.append(("not_a_kind", 1, 2))
+            """,
+            ["SIM-E201"],
+        )
+        assert report.findings == []
+
 
 class TestDeadEvent:
     def test_reports_registered_kind_with_no_emitter(self, tmp_path):

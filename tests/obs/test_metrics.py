@@ -27,7 +27,7 @@ from repro.obs.metrics import (
     nearest_rank_index,
 )
 from repro.obs.export import to_jsonl
-from repro.obs.tracer import EventTracer
+from repro.obs.tracer import EventTracer, tee
 from repro.params import small_test_params
 from repro.resilience import DegradeSpec
 from repro.sim.stats import Histogram
@@ -245,8 +245,10 @@ def test_artifact_is_deterministic_and_valid():
 
 def test_hub_bounds_abort_records():
     hub = MetricsHub(max_abort_records=2)
+    log = tee(hub)
     for cycle in (10, 20, 30, 40):
-        hub.tx_abort(0, 0, cycle, "aborted", by=1, conflict="W-W")
+        log.tx_abort(0, 0, cycle, "aborted", by=1, conflict="W-W")
+    log.flush()
     assert len(hub.abort_records) == 2
     assert hub.abort_records_dropped == 2
 
@@ -264,12 +266,12 @@ def test_degrade_armed_hub_samples_rung_census():
     assert "resilience.rung.healthy" in hub.gauges
 
 
-# -- one observation API: the hub is a tracer subscriber ----------------------
+# -- one observation API: the hub folds the tracer's event log ----------------
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_hub_armed_beside_a_tracer_matches_each_observer_alone(system):
-    """Co-arming changes neither observer: the tee feeds both the same events."""
+    """Co-arming changes neither observer: one log feeds both the same events."""
     alone = MetricsHub()
     run_experiment(_config(system, metrics=alone))
     tracer_only = EventTracer()
@@ -286,8 +288,9 @@ def test_hub_armed_beside_a_tracer_matches_each_observer_alone(system):
 
 
 def _replay(lines):
-    """A fresh hub fed each JSONL trace line through its Tracer method."""
+    """A fresh hub fed each JSONL trace line through its log's Tracer method."""
     hub = MetricsHub()
+    log = tee(hub)
     for line in lines:
         event = json.loads(line)
         kind, cycle, proc = event.pop("kind"), event.pop("cycle"), event.pop("proc")
@@ -295,35 +298,36 @@ def _replay(lines):
         target = event.get("line", -1)
         cause = event.get("cause", "")
         if kind == "tx_begin":
-            hub.tx_begin(proc, thread, cycle, event["system"], event["incarnation"])
+            log.tx_begin(proc, thread, cycle, event["system"], event["incarnation"])
         elif kind == "tx_commit":
-            hub.tx_commit(proc, thread, cycle)
+            log.tx_commit(proc, thread, cycle)
         elif kind == "tx_abort":
-            hub.tx_abort(proc, thread, cycle, cause, by=event["by"],
+            log.tx_abort(proc, thread, cycle, cause, by=event["by"],
                          conflict=event.get("conflict", ""))
         elif kind in ("tx_read", "tx_write"):
-            hub.tx_access(proc, thread, cycle, kind[3:], target)
+            log.tx_access(proc, thread, cycle, kind[3:], target)
         elif kind == "conflict_detected":
-            hub.conflict(proc, cycle, event["responder"], event["cst"], target)
+            log.conflict(proc, cycle, event["responder"], event["cst"], target)
         elif kind == "aou_alert":
-            hub.aou_alert(proc, cycle, target, cause)
+            log.aou_alert(proc, cycle, target, cause)
         elif kind == "conflict_stall":
-            hub.stall(proc, cycle, event.get("dur", 0), enemy=event["enemy"],
+            log.stall(proc, cycle, event.get("dur", 0), enemy=event["enemy"],
                       settled=event["settled"])
         elif kind.startswith("overflow_"):
-            hub.overflow(proc, cycle, kind[len("overflow_"):], target,
+            log.overflow(proc, cycle, kind[len("overflow_"):], target,
                          dur=event.get("dur", 0))
         elif kind.startswith("coh_"):
-            hub.coherence(proc, cycle, kind, target,
+            log.coherence(proc, cycle, kind, target,
                           responder=event.get("responder", -1), detail=cause)
         elif kind in ("preempt", "yield", "dispatch", "retire"):
-            hub.sched(proc, cycle, kind, thread, status=cause)
+            log.sched(proc, cycle, kind, thread, status=cause)
         elif kind.startswith("degrade_"):
-            hub.degrade(cycle, kind[len("degrade_"):], **event)
+            log.degrade(cycle, kind[len("degrade_"):], **event)
         elif kind.startswith("watchdog_"):
-            hub.watchdog(cycle, kind[len("watchdog_"):], **event)
+            log.watchdog(cycle, kind[len("watchdog_"):], **event)
         else:
             assert kind == "metrics_sample", kind
+    log.flush()
     return hub
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.coherence.messages import AccessKind, ResponseKind
 from repro.coherence.tables import CST_LABELS, REQUESTER_CST
+from repro.obs.metrics import MetricsHub
 from repro.obs.tracer import (
     CST_KINDS,
     EventTracer,
@@ -142,18 +143,6 @@ def test_subclass_inherits_noop_interface():
     assert probe.enabled is False
 
 
-class _Counting(Tracer):
-    """A subscriber that implements only tx_commit."""
-
-    enabled = True
-
-    def __init__(self):
-        self.commits = 0
-
-    def tx_commit(self, proc, thread, cycle):
-        self.commits += 1
-
-
 def test_tee_collapses_to_the_null_or_single_tracer():
     tracer = EventTracer()
     assert tee() is NULL_TRACER
@@ -161,14 +150,33 @@ def test_tee_collapses_to_the_null_or_single_tracer():
     assert tee(None, tracer) is tracer
 
 
-def test_tee_fans_out_only_to_overriding_subscribers():
-    tracer, counting = EventTracer(), _Counting()
-    both = tee(tracer, counting)
-    assert both.enabled
-    # One implementer: the subscriber's own bound method, no wrapper.
-    assert both.tx_begin == tracer.tx_begin
-    both.tx_begin(0, 0, 5, "FlexTM", 1)
-    both.tx_commit(0, 0, 10)
-    both.step(None)  # nobody implements it: the inherited no-op
-    assert [event.kind for event in tracer.events] == ["tx_begin", "tx_commit"]
-    assert counting.commits == 1
+class _Custom(Tracer):
+    """An enabled tracer without an event log."""
+
+    enabled = True
+
+
+def test_tee_attaches_a_hub_to_the_log():
+    tracer, hub = EventTracer(max_events=1), MetricsHub()
+    log = tee(tracer, hub)
+    # No wrapper: the emit sites call the tracer's own methods.
+    assert log is tracer
+    log.tx_begin(0, 0, 5, "FlexTM", 1)
+    log.tx_commit(0, 0, 10)
+    log.finalize([10])
+    # The hub folds every record; the trace keeps what its settings keep.
+    assert hub.counters == {"tx.begins": 1, "tx.commits": 1}
+    assert hub.proc_cycles == [10]
+    assert [event.kind for event in tracer.events] == ["tx_begin"]
+    assert tracer.dropped == 1
+    # Armed alone, a hub folds a private log that keeps nothing.
+    alone = MetricsHub()
+    private = tee(None, alone)
+    assert isinstance(private, EventTracer) and private.max_events == 0
+    private.tx_commit(0, 0, 3)
+    private.flush()
+    assert alone.counters == {"tx.commits": 1} and len(private) == 0
+    with pytest.raises(ValueError):
+        tee(EventTracer(), EventTracer())
+    with pytest.raises(TypeError):
+        tee(_Custom(), MetricsHub())

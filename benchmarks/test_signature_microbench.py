@@ -1,12 +1,14 @@
-"""Microbenchmark: per-address bank-index caching on the signature hot path.
+"""Microbenchmark: the line-to-mask memo on the signature hot path.
 
 ``Signature.insert`` / ``Signature.member`` are the hottest operations
 in the simulator — every transactional access inserts into Rsig/Wsig,
-and every incoming coherence request probes them.  Both funnel through
-``HashFamily.indices``, whose H3 parity reduction used to be recomputed
-on every probe.  The family now memoizes the per-address index tuple;
-this benchmark shows the win on a repeated-probe stream (the realistic
-shape: transactions re-touch hot lines, directories re-probe them).
+and every forwarded coherence request probes them.  The register is one
+word, so both need the address's one-bit-per-bank mask, whose H3 parity
+reductions would otherwise be recomputed on every probe.  The family
+memoizes line → mask (``HashFamily.mask_memo``); this benchmark shows
+the win on a repeated-probe stream (the realistic shape: transactions
+re-touch hot lines, processors re-probe them) and prints the register's
+per-op cost.
 
 Run directly::
 
@@ -41,9 +43,9 @@ def test_index_cache_speeds_up_membership():
     cached = make_hash_family(2048, 4)
     uncached = HashFamily(list(cached._hashes), cache_entries=0)
 
-    # Correctness first: the cache must not change a single index.
+    # Correctness first: the memo must not change a single mask.
     for address in ADDRESSES:
-        assert tuple(cached.indices(address)) == tuple(uncached.indices(address))
+        assert cached.mask(address) == uncached.mask(address)
 
     cold_seconds, cold_hits = _probe_seconds(uncached)
     warm_seconds, warm_hits = _probe_seconds(cached)
@@ -60,8 +62,34 @@ def test_index_cache_speeds_up_membership():
     assert speedup > 1.3, f"expected cached probes to win, got {speedup:.2f}x"
 
 
+def test_register_ops_per_call():
+    """Print the memo-warm register's per-op cost (no timing assertion)."""
+    signature = Signature(2048, 4)
+    signature.insert_all(ADDRESSES)  # warm the memo
+    insert, member = signature.insert, signature.member
+    ops = ROUNDS * len(ADDRESSES)
+    started = time.perf_counter()
+    for _ in range(ROUNDS):
+        for address in ADDRESSES:
+            insert(address)
+    insert_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    for _ in range(ROUNDS):
+        for address in ADDRESSES:
+            member(address)
+    member_seconds = time.perf_counter() - started
+    print(
+        f"\nsignature register: insert {insert_seconds / ops * 1e6:.3f}us/op, "
+        f"member {member_seconds / ops * 1e6:.3f}us/op ({ops} ops each)"
+    )
+    assert all(member(address) for address in ADDRESSES)
+
+
 def test_cache_stays_bounded():
     family = HashFamily(list(make_hash_family(256, 2)._hashes), cache_entries=64)
+    memo = family.mask_memo
     for address in range(1000):
-        family.indices(address)
-    assert len(family._cache) <= 64
+        family.mask(address)
+        assert len(memo) <= 64
+    # Flash-cleared in place: a signature's reference to the memo stays live.
+    assert family.mask_memo is memo

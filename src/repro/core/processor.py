@@ -127,9 +127,9 @@ class FlexTMProcessor:
         chaos = self.chaos
         if chaos is None or not chaos.enabled or self.current is None:
             wsig, rsig = self.wsig, self.rsig
-            if any(wsig._banks) and wsig.member(line_address):
+            if wsig.word and wsig.member(line_address):
                 category = "wsig"
-            elif any(rsig._banks) and rsig.member(line_address):
+            elif rsig.word and rsig.member(line_address):
                 category = "rsig_only"
             else:
                 return None

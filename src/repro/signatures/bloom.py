@@ -17,6 +17,11 @@ class Signature:
 
     Address granularity is the caller's business — FlexTM inserts
     *line* addresses (physical address >> offset bits).
+
+    The register is one int, :attr:`word`, the software-visible value:
+    bank *b* holds bits ``[b*W, (b+1)*W)`` with ``W = bits // num_hashes``.
+    An address selects one bit per bank (its family's memoized mask),
+    so insert is an OR, member a masked compare and clear a store of 0.
     """
 
     def __init__(
@@ -30,10 +35,9 @@ class Signature:
             raise ValueError("signature must have at least one bit per bank")
         self.bits = bits
         self.num_hashes = num_hashes
-        self._family = family or make_hash_family(bits, num_hashes, seed=seed)
         self._bank_bits = bits // num_hashes
-        # One int bitmap per bank; Python ints give flash-clear for free.
-        self._banks = [0] * num_hashes
+        self._bind(family or make_hash_family(bits, num_hashes, seed=seed))
+        self.word = 0
         self._inserted = 0
         #: True once bits inserted under a *different* hash family were
         #: unioned in.  Such bits cannot be probed exactly with this
@@ -42,15 +46,23 @@ class Signature:
         #: rotation, docs/RESILIENCE.md).
         self._foreign = False
 
+    def _bind(self, family: HashFamily) -> None:
+        """Wire ``family`` to the banks; its shape must match the register's."""
+        if len(family) != self.num_hashes or 1 << family.index_bits != self._bank_bits:
+            raise ValueError(
+                f"hash family ({len(family)} hashes x {1 << family.index_bits} bits) "
+                f"does not fit a {self.bits}-bit, {self.num_hashes}-bank signature"
+            )
+        self._family = family
+        # The family clears its memo in place, so this reference stays live.
+        self._memo = family.mask_memo
+
     # -- Table 4(a) interface -------------------------------------------------
 
     def insert(self, address: int) -> None:
         """``insert [%r], Sig`` — add an address to the signature."""
-        banks = self._banks
-        bank = 0
-        for index in self._family.indices(address):
-            banks[bank] |= 1 << index
-            bank += 1
+        # A mask is never 0, so a memo miss (None) falls through to the family.
+        self.word |= self._memo.get(address) or self._family.mask(address)
         self._inserted += 1
 
     def member(self, address: int) -> bool:
@@ -63,11 +75,9 @@ class Signature:
         false negative would be unsafe.
         """
         if self._foreign:
-            return not self.is_empty
-        for bank, index in enumerate(self._family.indices(address)):
-            if not (self._banks[bank] >> index) & 1:
-                return False
-        return True
+            return self.word != 0
+        mask = self._memo.get(address) or self._family.mask(address)
+        return self.word & mask == mask
 
     def read_hash(self, address: int) -> int:
         """``read-hash [%r]`` — concatenated per-bank indices."""
@@ -78,7 +88,7 @@ class Signature:
 
     def clear(self) -> None:
         """``clear Sig`` — flash-zero the register."""
-        self._banks = [0] * self.num_hashes
+        self.word = 0
         self._inserted = 0
         self._foreign = False
 
@@ -94,10 +104,9 @@ class Signature:
         """
         if other.bits != self.bits or other.num_hashes != self.num_hashes:
             raise ValueError("cannot union signatures of different shapes")
-        for bank in range(self.num_hashes):
-            self._banks[bank] |= other._banks[bank]
+        self.word |= other.word
         self._inserted += other._inserted
-        if other._foreign or (other._family is not self._family and not other.is_empty):
+        if other._foreign or (other._family is not self._family and other.word):
             self._foreign = True
 
     def intersects(self, other: "Signature") -> bool:
@@ -111,8 +120,9 @@ class Signature:
         if other.bits != self.bits or other.num_hashes != self.num_hashes:
             raise ValueError("cannot intersect signatures of different shapes")
         if self._foreign or other._foreign or self._family is not other._family:
-            return not (self.is_empty or other.is_empty)
-        return all(self._banks[b] & other._banks[b] for b in range(self.num_hashes))
+            return bool(self.word and other.word)
+        common = self.word & other.word
+        return all(common & bank for bank in self._family.bank_masks)
 
     def insert_all(self, addresses: Iterable[int]) -> None:
         for address in addresses:
@@ -121,7 +131,7 @@ class Signature:
     def copy(self) -> "Signature":
         """Snapshot (shares the immutable hash family)."""
         clone = Signature(self.bits, self.num_hashes, family=self._family)
-        clone._banks = list(self._banks)
+        clone.word = self.word
         clone._inserted = self._inserted
         clone._foreign = self._foreign
         return clone
@@ -138,19 +148,19 @@ class Signature:
         hardware can only re-wire the hash network between transactions,
         when no bits depend on the old family.
         """
-        if not self.is_empty:
+        if self.word:
             raise ValueError("cannot rebind the hash family of a non-empty signature")
-        self._family = family
+        self._bind(family)
         self._foreign = False
 
     @property
     def is_empty(self) -> bool:
-        return not any(self._banks)
+        return not self.word
 
     @property
     def popcount(self) -> int:
         """Number of set bits across all banks."""
-        return sum(bank.bit_count() for bank in self._banks)
+        return self.word.bit_count()
 
     @property
     def inserted_count(self) -> int:
@@ -163,7 +173,10 @@ class Signature:
 
     def bank_fills(self) -> list:
         """Per-bank fill fraction (set bits / bank width)."""
-        return [bank.bit_count() / self._bank_bits for bank in self._banks]
+        word = self.word
+        return [
+            (word & bank).bit_count() / self._bank_bits for bank in self._family.bank_masks
+        ]
 
     def false_positive_estimate(self) -> float:
         """Probability a never-inserted address tests positive.

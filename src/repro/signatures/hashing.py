@@ -17,15 +17,15 @@ signature.
 from __future__ import annotations
 
 import functools
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.sim.rng import DeterministicRng
 
 #: Number of physical-address bits the hash hardware consumes.
 ADDRESS_BITS = 40
 
-#: Per-address index-cache capacity; the cache is flash-cleared when it
-#: fills, so memory stays bounded on adversarial address streams.
+#: Line-to-mask memo capacity; the memo is flash-cleared when it fills,
+#: so memory stays bounded on adversarial address streams.
 INDEX_CACHE_ENTRIES = 1 << 16
 
 
@@ -86,13 +86,17 @@ class H3Hash:
 class HashFamily:
     """``k`` independent hashes feeding the banks of one signature.
 
-    Signature ``insert``/``member`` probes hit :meth:`indices` once per
-    signature operation, and the H3 parity reduction dominates their
-    cost.  The hashes are pure functions of the address, so the family
-    memoizes the per-address index tuple — a transaction re-touching a
-    hot line (or the directory re-probing it for every incoming
-    request) pays for the hash computation once.  ``cache_entries=0``
-    disables the cache (the microbenchmark's baseline).
+    A ``k``-banked signature register is one word: bank *b* holds bits
+    ``[b*W, (b+1)*W)`` with ``W = 1 << index_bits``.  Every insert and
+    probe needs the word's *mask* for an address, one bit per bank, and
+    the H3 parity reductions behind it dominate the cost.  The hashes
+    are pure functions of the address, so the family memoizes
+    line → mask in :attr:`mask_memo` — a transaction re-touching a hot
+    line (or a processor re-probing it for every forwarded request)
+    pays for the hashes once.  The memo is flash-cleared *in place*
+    when it reaches ``cache_entries`` (signatures keep a reference to
+    it); ``cache_entries=0`` disables it (the microbenchmark's
+    baseline).
     """
 
     def __init__(self, hashes: Sequence, cache_entries: int = INDEX_CACHE_ENTRIES):
@@ -100,23 +104,39 @@ class HashFamily:
             raise ValueError("a hash family needs at least one hash")
         if cache_entries < 0:
             raise ValueError("cache_entries must be >= 0")
+        if len({hash_fn.index_bits for hash_fn in hashes}) != 1:
+            raise ValueError("every hash in a family must have the same index_bits")
         self._hashes = tuple(hashes)
         self._cache_entries = cache_entries
-        self._cache: dict = {}
+        bank_bits = 1 << self.index_bits
+        #: Line address → register mask (one set bit per bank).
+        self.mask_memo: Dict[int, int] = {}
+        #: Per-bank masks of the register word, bank 0 first.
+        self.bank_masks: Tuple[int, ...] = tuple(
+            ((1 << bank_bits) - 1) << (bank * bank_bits) for bank in range(len(self._hashes))
+        )
 
     def __len__(self) -> int:
         return len(self._hashes)
 
     def indices(self, address: int) -> Tuple[int, ...]:
         """Bank-local bit indices selected by each hash for ``address``."""
-        indices = self._cache.get(address)
-        if indices is None:
-            indices = tuple(hash_fn(address) for hash_fn in self._hashes)
+        return tuple(hash_fn(address) for hash_fn in self._hashes)
+
+    def mask(self, address: int) -> int:
+        """Register bits ``address`` selects, never 0: bank *b*'s index *i* is bit ``b*W + i``."""
+        memo = self.mask_memo
+        mask = memo.get(address)
+        if mask is None:
+            bank_bits = 1 << self.index_bits
+            mask = 0
+            for bank, index in enumerate(self.indices(address)):
+                mask |= 1 << (bank * bank_bits + index)
             if self._cache_entries:
-                if len(self._cache) >= self._cache_entries:
-                    self._cache.clear()
-                self._cache[address] = indices
-        return indices
+                if len(memo) >= self._cache_entries:
+                    memo.clear()
+                memo[address] = mask
+        return mask
 
     @property
     def index_bits(self) -> int:
@@ -138,8 +158,7 @@ def make_hash_family(
     Construction is deterministic in its arguments, so same-shaped
     requests share one memoized family: every Rsig/Wsig/Osig on a
     machine (and across machines in one process) then shares a single
-    per-address index cache instead of each re-deriving the same
-    hashes.
+    line-to-mask memo instead of each re-deriving the same hashes.
     """
     return _shared_family(signature_bits, num_hashes, seed, kind)
 

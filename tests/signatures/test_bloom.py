@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.signatures.bloom import Signature
+from repro.signatures.hashing import make_hash_family
 
 addresses = st.integers(min_value=0, max_value=(1 << 36) - 1)
 
@@ -88,9 +89,30 @@ def test_copy_is_independent():
 def test_copy_preserves_hash_family():
     signature = Signature(256, 2, seed=123)
     clone = signature.copy()
+    assert clone.family is signature.family
     clone.insert(42)
     signature.insert(42)
-    assert signature._banks == clone._banks
+    assert signature.word == clone.word
+    probes = range(0, 5000, 7)
+    assert [clone.member(p) for p in probes] == [signature.member(p) for p in probes]
+
+
+def test_family_of_the_wrong_shape_is_rejected():
+    # Too wide: 512-bit banks behind a 64-bit-bank register would write
+    # into the neighbouring bank.
+    with pytest.raises(ValueError):
+        Signature(256, 4, family=make_hash_family(2048, 4))
+    # Right bank width, wrong bank count.
+    with pytest.raises(ValueError):
+        Signature(256, 4, family=make_hash_family(128, 2))
+    signature = Signature(256, 4)
+    with pytest.raises(ValueError):
+        signature.rebind_family(make_hash_family(2048, 4))
+    with pytest.raises(ValueError):
+        signature.rebind_family(make_hash_family(512, 8))
+    # A rejected rebind leaves the register wired as it was.
+    assert signature.family is make_hash_family(256, 4)
+    signature.rebind_family(make_hash_family(256, 4, seed=0xBEEF))
 
 
 def test_union_shape_mismatch_rejected():

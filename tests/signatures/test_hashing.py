@@ -6,6 +6,7 @@ from repro.signatures.hashing import (
     ADDRESS_BITS,
     BitSelectHash,
     H3Hash,
+    HashFamily,
     make_hash_family,
 )
 from repro.sim.rng import DeterministicRng
@@ -72,6 +73,8 @@ def test_family_rejects_bad_shapes():
         make_hash_family(96, 2)  # bank not a power of two
     with pytest.raises(ValueError):
         make_hash_family(2048, 4, kind="nope")
+    with pytest.raises(ValueError):
+        HashFamily([BitSelectHash(6), BitSelectHash(7)])  # banks of unequal width
 
 
 def test_families_with_same_seed_match():

@@ -34,7 +34,12 @@ if TYPE_CHECKING:
 #: Grants recorded in the owner vector: the states with Figure 1's M
 #: bit set.  Every other grant lists the requestor as a sharer.
 _OWNER_GRANTS = (LineState.E, LineState.M, LineState.TMI)
+#: Members read per request, bound once: a global read is cheaper than
+#: a class-attribute read of a member.
 _THREATENED = ResponseKind.THREATENED
+_GETS = RequestType.GETS
+_I = LineState.I
+_E = LineState.E
 
 
 @dataclasses.dataclass
@@ -99,7 +104,10 @@ class DirectoryOutcome:
 
     @property
     def conflicts(self) -> List[Tuple[int, ResponseKind]]:
-        return [(proc, kind) for proc, kind in self.responses if kind.signals_conflict]
+        responses = self.responses
+        if not responses:
+            return []
+        return [(proc, kind) for proc, kind in responses if kind.signals_conflict]
 
 
 class Directory:
@@ -121,9 +129,9 @@ class Directory:
         self._l2_tags = CacheArray(params.l2.num_sets, params.l2.associativity)
         #: processor id -> its L1 controller (installed by the machine).
         self.l1s: List["L1Controller"] = []
-        #: request type name -> its ``dir.requests.*`` counter, bound on
-        #: first use: a counter created early would add a zero to the stats.
-        self._request_counters: Dict[str, Counter] = {}
+        #: request type -> its ``dir.requests.*`` counter, bound on first
+        #: use: a counter created early would add a zero to the stats.
+        self._request_counters: Dict[RequestType, Counter] = {}
         #: The ``l2.*`` counters, bound on first use the same way.
         self._l2_hits: Optional[Counter] = None
         self._l2_misses: Optional[Counter] = None
@@ -168,7 +176,7 @@ class Directory:
             victim = self._l2_tags.choose_victim(line_address)
             if victim is not None:
                 self._l2_tags.remove(victim.line_address)
-            self._l2_tags.install(line_address, LineState.E)
+            self._l2_tags.install(line_address, _E)
             counter = self._l2_misses
             if counter is None:
                 counter = self._l2_misses = self.stats.counter("l2.misses")
@@ -189,11 +197,10 @@ class Directory:
         l1s = self.l1s
         if not l1s:
             raise ProtocolError("directory has no L1 controllers installed")
-        name = req_type._name_
-        counter = self._request_counters.get(name)
+        counter = self._request_counters.get(req_type)
         if counter is None:
             counter = self.stats.counter(f"dir.requests.{req_type.value}")
-            self._request_counters[name] = counter
+            self._request_counters[req_type] = counter
         counter.increment()
         cycles = self._l2_latency(line_address)
         if self.chaos is not None and self.chaos.enabled:
@@ -207,7 +214,7 @@ class Directory:
             self.stats.counter("dir.nacks").increment()
             if self.tracer.enabled:
                 self._trace_request(requestor, req_type, line_address, "NACK", [])
-            return DirectoryOutcome(cycles=cycles, responses=[], grant=LineState.I, nacked=True)
+            return DirectoryOutcome(cycles=cycles, responses=[], grant=_I, nacked=True)
 
         entry = self.entry(line_address)
         if self.summary_conflict_check is not None:
@@ -219,7 +226,7 @@ class Directory:
         targets = set_bits(entry.holders() & ~(1 << requestor))
         if targets:
             cycles += self.params.remote_l1_cycles
-        is_gets = req_type is RequestType.GETS
+        is_gets = req_type is _GETS
         for responder in targets:
             kind, retained = l1s[responder].handle_forwarded(requestor, req_type, line_address)
             if kind is not None:

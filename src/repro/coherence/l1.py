@@ -53,12 +53,14 @@ from repro.sim.stats import Counter, StatsRegistry
 #: that costs several times a global's on every forward.
 _I = LineState.I
 _M = LineState.M
+_TMI = LineState.TMI
+_E = LineState.E
 
-#: l1_hit_cycles -> access name -> state name -> the shared result.
-_SHARED_CLEAN_HITS: Dict[int, Dict[str, Dict[str, AccessResult]]] = {}
+#: l1_hit_cycles -> access -> state -> the shared result.
+_SHARED_CLEAN_HITS: Dict[int, Dict[AccessKind, Dict[LineState, AccessResult]]] = {}
 
 
-def shared_clean_hits(cycles: int) -> Dict[str, Dict[str, AccessResult]]:
+def shared_clean_hits(cycles: int) -> Dict[AccessKind, Dict[LineState, AccessResult]]:
     """The clean-hit results for a hit latency, one set per process.
 
     Each ``CLEAN_HITS`` cell maps to ``AccessResult(cycles, state,
@@ -126,9 +128,9 @@ class L1Controller:
         self.tmi_victims = VictimBuffer(None) if tmi_to_victim else None
         #: Cycles accumulated by evictions performed inside an access.
         self._eviction_cycles = 0
-        #: access name -> its ``l1.access.*`` counter, bound on first
-        #: use: a counter created early would add a zero to the stats.
-        self._access_counters: Dict[str, Counter] = {}
+        #: access -> its ``l1.access.*`` counter, bound on first use: a
+        #: counter created early would add a zero to the stats.
+        self._access_counters: Dict[AccessKind, Counter] = {}
         #: Single counters, bound on first use the same way.
         self._misses: Optional[Counter] = None
         self._silent_evictions: Optional[Counter] = None
@@ -144,11 +146,10 @@ class L1Controller:
         accrued by this access) returns a shared, read-only result.
         Everything else takes :meth:`_dispatch` or :meth:`_miss`.
         """
-        name = kind._name_
-        counter = self._access_counters.get(name)
+        counter = self._access_counters.get(kind)
         if counter is None:
             counter = self.stats.counter(f"l1.access.{kind.value}")
-            self._access_counters[name] = counter
+            self._access_counters[kind] = counter
         counter.increment()
         self._eviction_cycles = 0
         if self.chaos is not None and self.chaos.enabled and self.chaos.l1_pressure():
@@ -156,7 +157,7 @@ class L1Controller:
         line = self.array.lookup(line_address)
         if line is not None:
             if not self._eviction_cycles:
-                hit = self._clean_hits[name].get(line._state._name_)
+                hit = self._clean_hits[kind].get(line._state)
                 if hit is not None:
                     if line._state is not hit.state:
                         line.state = hit.state  # the silent E -> M upgrade
@@ -189,7 +190,7 @@ class L1Controller:
         next_state = LOCAL_NEXT_STATE[kind, state]
         cycles = self.params.l1_hit_cycles
         if next_state is not state:
-            if state is LineState.M:
+            if state is _M:
                 # Figure 1: M --TStore/Flush--> TMI.  The modified data
                 # is written back so later Loads see the latest
                 # non-speculative version.  The write-back is *posted*
@@ -221,7 +222,7 @@ class L1Controller:
             result.nacked = True
             return result
         installed = GRANT_INSTALL.get((kind, outcome.grant), outcome.grant)
-        if installed is LineState.I:
+        if installed is _I:
             # Strong isolation: a plain Load that was threatened reads
             # the committed value but leaves the line uncached so that
             # it serializes before the writing transaction.
@@ -265,15 +266,15 @@ class L1Controller:
         if line.a_bit:
             # Tracking for an ALoaded line is lost on eviction; alert.
             self.hooks.on_alert(line.line_address, "evicted")
-        if state is LineState.TMI:
+        if state is _TMI:
             if self.tmi_to_victim:
-                self.tmi_victims.insert(line.line_address, LineState.TMI)
+                self.tmi_victims.insert(line.line_address, _TMI)
             else:
                 self._eviction_cycles += self.hooks.spill_tmi(line.line_address)
                 self.stats.counter("l1.tmi_overflows").increment()
-        elif state is LineState.M:
+        elif state is _M:
             self._eviction_cycles += self.directory.writeback(self.proc_id, line.line_address)
-            self.victims.insert(line.line_address, LineState.E)
+            self.victims.insert(line.line_address, _E)
         else:
             # Silent eviction of E/S/TI: the directory keeps us listed,
             # so conflict-detecting forwards continue to arrive.
@@ -401,9 +402,9 @@ class L1Controller:
     def speculative_lines(self):
         """All locally buffered TMI lines (cache + TMI side buffer)."""
         for line in self.array.transactional_lines():
-            if line.state is LineState.TMI:
+            if line.state is _TMI:
                 yield line.line_address
         if self.tmi_victims is not None:
             for address, state in list(self.tmi_victims._entries.items()):
-                if state is LineState.TMI:
+                if state is _TMI:
                     yield address

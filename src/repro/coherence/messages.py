@@ -29,22 +29,31 @@ import dataclasses
 import enum
 from typing import Sequence, Tuple
 
+from repro.coherence import spec
+
 
 class AccessKind(enum.Enum):
-    """Processor-side memory operations."""
+    """Processor-side memory operations.
+
+    Like every protocol enum, members hash by identity (in C) and carry
+    their predicates as attributes read once from the spec.
+    """
 
     LOAD = "Load"
     STORE = "Store"
     TLOAD = "TLoad"
     TSTORE = "TStore"
 
-    @property
-    def is_transactional(self) -> bool:
-        return self in (AccessKind.TLOAD, AccessKind.TSTORE)
+    __hash__ = object.__hash__
 
-    @property
-    def is_write(self) -> bool:
-        return self in (AccessKind.STORE, AccessKind.TSTORE)
+    #: TLoad or TStore.
+    is_transactional: bool
+    #: Store or TStore.
+    is_write: bool
+
+    def __init__(self, value: str) -> None:
+        self.is_transactional = value in spec.ACCESS_PREDICATES["is_transactional"]
+        self.is_write = value in spec.ACCESS_PREDICATES["is_write"]
 
 
 class RequestType(enum.Enum):
@@ -54,10 +63,13 @@ class RequestType(enum.Enum):
     GETX = "GETX"
     TGETX = "TGETX"
 
-    @property
-    def is_exclusive(self) -> bool:
-        """GETX/TGETX — the 'X' set in Figure 1."""
-        return self in (RequestType.GETX, RequestType.TGETX)
+    __hash__ = object.__hash__
+
+    #: GETX/TGETX — the 'X' set in Figure 1.
+    is_exclusive: bool
+
+    def __init__(self, value: str) -> None:
+        self.is_exclusive = value in spec.REQUEST_PREDICATES["is_exclusive"]
 
 
 class ResponseKind(enum.Enum):
@@ -68,20 +80,17 @@ class ResponseKind(enum.Enum):
     THREATENED = "Threatened"
     EXPOSED_READ = "Exposed-Read"
 
-    @property
-    def signals_conflict(self) -> bool:
-        """True for responses produced by a signature hit.
+    __hash__ = object.__hash__
 
-        ``INVALIDATED`` is included: it is only generated when a
-        non-transactional GETX hits a responder's Rsig (plain MESI
-        invalidations return no signature response at all), and strong
-        isolation requires the requestor to abort that responder.
-        """
-        return self in (
-            ResponseKind.THREATENED,
-            ResponseKind.EXPOSED_READ,
-            ResponseKind.INVALIDATED,
-        )
+    #: True for responses produced by a signature hit.  ``INVALIDATED``
+    #: is included: it is only generated when a non-transactional GETX
+    #: hits a responder's Rsig (plain MESI invalidations return no
+    #: signature response at all), and strong isolation requires the
+    #: requestor to abort that responder.
+    signals_conflict: bool
+
+    def __init__(self, value: str) -> None:
+        self.signals_conflict = value in spec.CONFLICT_RESPONSES
 
 
 @dataclasses.dataclass

@@ -30,7 +30,13 @@ from repro.coherence import spec
 
 
 class LineState(enum.Enum):
-    """Stable L1 line states of the TMESI protocol."""
+    """Stable L1 line states of the TMESI protocol.
+
+    Members hash by identity, in C: the protocol tables are keyed by
+    members, and ``Enum.__hash__`` would run Python code per lookup.
+    Equality is identity either way.  The encoding and predicates are
+    per-member attributes, read once from the spec.
+    """
 
     I = "I"
     S = "S"
@@ -39,20 +45,19 @@ class LineState(enum.Enum):
     TMI = "TMI"
     TI = "TI"
 
-    @property
-    def encoding(self) -> tuple[int, int, int]:
-        """(M bit, V bit, T bit) hardware encoding from Figure 1."""
-        return spec.ENCODINGS[self.name]
+    __hash__ = object.__hash__
 
-    @property
-    def is_valid(self) -> bool:
-        """Line holds usable data (everything except I)."""
-        return self is not LineState.I
+    #: (M bit, V bit, T bit) hardware encoding from Figure 1.
+    encoding: tuple[int, int, int]
+    #: Line holds usable data (everything except I).
+    is_valid: bool
+    #: T bit set (TMI or TI).
+    is_transactional: bool
 
-    @property
-    def is_transactional(self) -> bool:
-        """T bit set (TMI or TI)."""
-        return self in (LineState.TMI, LineState.TI)
+    def __init__(self, value: str) -> None:
+        self.encoding = spec.ENCODINGS[value]
+        self.is_valid = value in spec.STATE_PREDICATES["is_valid"]
+        self.is_transactional = value in spec.STATE_PREDICATES["is_transactional"]
 
     def after_commit(self) -> LineState:
         """Flash-commit transform (Figure 3): TMI -> M, TI -> I."""

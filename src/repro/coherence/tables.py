@@ -25,13 +25,13 @@ Signature categories (``"wsig"``/``"rsig_only"``) and CST names
 (``"r_w"``/``"w_r"``/``"w_w"``, the ``ConflictSummaryTables``
 attributes) stay strings.
 
-A lookup keyed by a pair of enums calls ``Enum.__hash__``, which is
-Python code, twice.  That is fine off the hit path but not on it: an
-L1 hit is most of the accesses a run makes.  So the hit path reads
-:data:`CLEAN_HITS`, the same ``"local"`` cells keyed by the members'
-names.  A member's ``_name_`` is a plain string whose hash is cached,
-so that lookup runs no Python-level hash.  The enums keep their
-default hash, which fixes the iteration order of any set of members.
+The protocol enums hash by identity (``__hash__ = object.__hash__``),
+which runs in C, so a lookup keyed by members or pairs of members runs
+no Python-level hash; the L1's clean hits read :data:`CLEAN_HITS` the
+same way.  Tables keep their members in the order they were built:
+dicts preserve insertion order.  A set of members has no fixed order
+(identity hashes follow memory addresses), and SIM-D005 forbids
+iterating one.
 """
 
 from __future__ import annotations
@@ -54,13 +54,13 @@ LOCAL_NEXT_STATE: Dict[Tuple[AccessKind, LineState], LineState] = {
     for (access, state), target in spec.LOCAL_NEXT_STATE.items()
 }
 
-#: access name -> state name -> next state, for every ``"local"`` cell
-#: that only changes the line's state: the L1's clean hits.  M -> TMI
-#: is left out, because its flush writes the line back first; it takes
-#: the full dispatch.
-CLEAN_HITS: Dict[str, Dict[str, LineState]] = {
-    kind._name_: {
-        state._name_: LOCAL_NEXT_STATE[kind, state]
+#: access -> state -> next state, for every ``"local"`` cell that only
+#: changes the line's state: the L1's clean hits.  M -> TMI is left
+#: out, because its flush writes the line back first; it takes the
+#: full dispatch.
+CLEAN_HITS: Dict[AccessKind, Dict[LineState, LineState]] = {
+    kind: {
+        state: LOCAL_NEXT_STATE[kind, state]
         for state in LineState
         if LOCAL_DISPATCH.get((kind, state)) == "local"
         and not (state is LineState.M and LOCAL_NEXT_STATE[kind, state] is not state)

@@ -41,6 +41,11 @@ OT_REFILL_CYCLES = 20
 #: defines the NACK window seen by other processors).
 OT_COPYBACK_CYCLES_PER_LINE = 20
 
+#: Members read per conflicting forward, bound once: a global read is
+#: cheaper than a class-attribute read of a member.
+_THREATENED = ResponseKind.THREATENED
+_EXPOSED_READ = ResponseKind.EXPOSED_READ
+
 
 class FlexTMProcessor:
     """Per-core FlexTM state and hook logic."""
@@ -143,9 +148,9 @@ class FlexTMProcessor:
         if cst is not None:
             self._record_conflict(cst, requestor)
         response = RESPONSE_TABLE[req_type, category]
-        if response is ResponseKind.THREATENED:
+        if response is _THREATENED:
             self.stats.counter("cst.threatened_responses").increment()
-        elif response is ResponseKind.EXPOSED_READ:
+        elif response is _EXPOSED_READ:
             self.stats.counter("cst.exposed_read_responses").increment()
         return response
 

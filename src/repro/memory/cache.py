@@ -116,22 +116,32 @@ class CacheArray:
         return line
 
     def choose_victim(self, line_address: int) -> Optional[CacheLine]:
-        """LRU victim in ``line_address``'s set, or None if there is room."""
-        cache_set = self._set_for(line_address)
-        valid = [line for line in cache_set.values() if line._state is not LineState.I]
+        """LRU victim in ``line_address``'s set, or None if there is room.
+
+        A set with fewer entries than ways has room whatever their
+        states, so only a set with no free way is scanned.
+        """
+        cache_set = self._sets[line_address & (self.num_sets - 1)]
+        if len(cache_set) < self.associativity:
+            return None
+        valid = [line for line in cache_set.values() if line._state is not _I]
         if len(valid) < self.associativity:
             return None
         return min(valid, key=lambda line: line.last_use)
 
     def install(self, line_address: int, state: LineState) -> CacheLine:
-        """Place a line; the set must have room (caller evicts first)."""
-        cache_set = self._set_for(line_address)
+        """Place a line; the set must have room (caller evicts first).
+
+        Only a set with no free way is counted for the full-set check.
+        """
+        cache_set = self._sets[line_address & (self.num_sets - 1)]
         existing = cache_set.get(line_address)
-        if existing is not None and existing._state is not LineState.I:
+        if existing is not None and existing._state is not _I:
             raise ProtocolError(f"line 0x{line_address:x} already present as {existing.state.name}")
-        valid = sum(1 for line in cache_set.values() if line._state is not LineState.I)
-        if valid >= self.associativity:
-            raise ProtocolError(f"set for 0x{line_address:x} is full; evict first")
+        if len(cache_set) >= self.associativity:
+            valid = sum(1 for line in cache_set.values() if line._state is not _I)
+            if valid >= self.associativity:
+                raise ProtocolError(f"set for 0x{line_address:x} is full; evict first")
         self._use_tick += 1
         line = CacheLine(line_address, state, self._use_tick, self._t_lines)
         cache_set[line_address] = line
@@ -146,7 +156,7 @@ class CacheArray:
         """All lines whose state is not I."""
         for cache_set in self._sets:
             for line in cache_set.values():
-                if line._state is not LineState.I:
+                if line._state is not _I:
                     yield line
 
     def transactional_lines(self) -> List[CacheLine]:
@@ -158,7 +168,7 @@ class CacheArray:
 
     def set_occupancy(self, line_address: int) -> int:
         cache_set = self._set_for(line_address)
-        return sum(1 for line in cache_set.values() if line._state is not LineState.I)
+        return sum(1 for line in cache_set.values() if line._state is not _I)
 
     def flash_transform(self, transform: Callable[[LineState], LineState]) -> int:
         """Apply a state transform to every T-state line; returns lines touched.
@@ -171,6 +181,6 @@ class CacheArray:
         lines = self.transactional_lines()
         for line in lines:
             line.state = transform(line._state)
-            if line._state is LineState.I:
+            if line._state is _I:
                 self._set_for(line.line_address).pop(line.line_address, None)
         return len(lines)

@@ -77,7 +77,7 @@ class VictimBuffer:
         """
         for line_address in list(self._transactional):
             state = transform(self._entries[line_address])
-            if state is LineState.I:
+            if state is _I:
                 self.invalidate(line_address)
             else:
                 self._entries[line_address] = state

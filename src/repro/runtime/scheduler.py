@@ -7,9 +7,13 @@ pathologies reproducible (DESIGN.md §4).  The policy is served by a
 min-heap of ``(clock, proc)`` entries with lazy re-keying: clocks only
 move forward, so a stored key is never ahead of its processor's clock,
 and :meth:`Scheduler.next_processor` refreshes an entry only when it
-reaches the top.  A step therefore costs O(log cores), not O(cores),
-and anything that advances a clock (an op, a switch cost, a director's
-``stall``) needs to tell the heap nothing.
+reaches the top.  A step that executes an op re-keys its processor's
+entry itself when that entry is still the top, the refresh
+``next_processor`` would make first; the key stays ``(clock, proc)``,
+so ties break as before.  A step therefore costs O(log cores), not
+O(cores), and everything else that advances a clock (a switch cost, a
+spurious alert, a director's ``stall``) needs to tell the heap nothing:
+the lazy re-keying covers it.
 
 With more threads than processors (or an explicit quantum) the
 scheduler context-switches: the OS path spills the running
@@ -40,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core.machine import FlexTMMachine, MemoryOpResult
 from repro.errors import InvariantViolation, SchedulerError, TransactionAborted
 from repro.obs.tracer import NULL_TRACER
+from repro.runtime.api import TMBackend
 from repro.runtime.txthread import TxThread
 
 #: OS cost to switch a thread out / in (trap + register state).
@@ -92,7 +97,7 @@ class RunResult:
 class _Slot:
     """Book-keeping for one thread's generator."""
 
-    __slots__ = ("thread", "gen", "pending_value", "pending_exc", "slice_start", "done")
+    __slots__ = ("thread", "gen", "pending_value", "pending_exc", "slice_start", "done", "poll")
 
     def __init__(self, thread: TxThread):
         self.thread = thread
@@ -101,6 +106,9 @@ class _Slot:
         self.pending_exc: Optional[BaseException] = None
         self.slice_start = 0
         self.done = False
+        #: The backend's abort poll, bound by :meth:`Scheduler.run`; None
+        #: when the backend only inherits ``TMBackend.check_aborted``.
+        self.poll: Optional[Callable[[TxThread], bool]] = None
 
 
 class Scheduler:
@@ -186,6 +194,11 @@ class Scheduler:
         }
         self._chaos = machine.chaos
         self._pinning = resilience is not None or director is not None
+        # The inherited poll always answers False, so it is never called.
+        never_aborts = TMBackend.check_aborted
+        for slot in self.slots:
+            poll = slot.thread.backend.check_aborted
+            slot.poll = None if getattr(poll, "__func__", None) is never_aborts else poll
         observed = not (
             watchdog is None
             and resilience is None
@@ -279,10 +292,12 @@ class Scheduler:
             self._preempt(proc, slot)
             return
         thread = slot.thread
+        poll = slot.poll
         if (
-            slot.pending_exc is None
+            poll is not None
+            and slot.pending_exc is None
             and thread.in_transaction
-            and thread.backend.check_aborted(thread)
+            and poll(thread)
         ):
             slot.pending_exc = self._abort_exception(thread, "status word changed")
         try:
@@ -299,27 +314,33 @@ class Scheduler:
         # check of ``CycleClock.advance``.
         kind = op[0]
         if kind == "work":
-            clock._now += max(1, op[1])
+            cycles = op[1]
             slot.pending_value = None
-            return
-        method = self._ops.get(kind)
-        if method is None:
-            if kind != "yield_cpu":
-                raise SchedulerError(f"unknown op {op!r}")
-            self._voluntary_yield(proc, slot)
-            slot.pending_value = None
-            return
-        # Spelled out for the common arities: ``method(proc, *op[1:])``
-        # builds two tuples per call.
-        nargs = len(op)
-        if nargs == 2:
-            result = method(proc, op[1])
-        elif nargs == 3:
-            result = method(proc, op[1], op[2])
         else:
-            result = method(proc, *op[1:])
-        clock._now += max(1, result.cycles)
-        slot.pending_value = result
+            method = self._ops.get(kind)
+            if method is None:
+                if kind != "yield_cpu":
+                    raise SchedulerError(f"unknown op {op!r}")
+                self._voluntary_yield(proc, slot)
+                slot.pending_value = None
+                return
+            # Spelled out for the common arities: ``method(proc, *op[1:])``
+            # builds two tuples per call.
+            nargs = len(op)
+            if nargs == 2:
+                result = method(proc, op[1])
+            elif nargs == 3:
+                result = method(proc, op[1], op[2])
+            else:
+                result = method(proc, *op[1:])
+            cycles = result.cycles
+            slot.pending_value = result
+        clock._now += cycles if cycles > 1 else 1
+        # Still on top of the heap: re-key now, the refresh
+        # ``next_processor`` would make first.
+        heap = self._heap
+        if heap[0][1] == proc:
+            heapq.heapreplace(heap, (clock._now, proc))
 
     def _abort_exception(self, thread, cause: str) -> TransactionAborted:
         """Build a TransactionAborted carrying descriptor attribution.

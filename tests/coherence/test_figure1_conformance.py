@@ -419,3 +419,67 @@ def test_machine_follows_a_patched_table_cell(monkeypatch):
     machine.load(2, address)
     # Figure 1 demotes E to S on a remote GETS; the patched cell drops it.
     assert _state_of(machine, 0, address) is LineState.I
+
+
+def test_machine_follows_a_patched_grant_install_cell(monkeypatch):
+    """The L1 installs what a patched ``GRANT_INSTALL`` cell names."""
+    monkeypatch.setitem(
+        tables.GRANT_INSTALL, (AccessKind.LOAD, LineState.E), LineState.S
+    )
+    machine = _machine()
+    address = machine.allocate_words(1, line_aligned=True)
+    machine.load(0, address)
+    # Figure 1 installs the E grant of a sole reader; the patched cell
+    # installs S instead.
+    assert _state_of(machine, 0, address) is LineState.S
+
+
+def test_directory_follows_a_patched_grant_rule(monkeypatch):
+    """The directory grants what a patched ``GRANT_RULES`` entry names."""
+    monkeypatch.setitem(
+        tables.GRANT_RULES,
+        RequestType.GETS,
+        ((lambda entry, responses: True, LineState.S),),
+    )
+    machine = _machine()
+    address = machine.allocate_words(1, line_aligned=True)
+    machine.load(0, address)
+    line = machine.amap.line_of(address)
+    # Figure 1 grants E to a sole reader and lists it as an owner; the
+    # patched rule grants S, so the reader is listed as a sharer.
+    assert _state_of(machine, 0, address) is LineState.S
+    assert machine.directory.sharers_of(line) == [0]
+    assert machine.directory.owners_of(line) == []
+
+
+def test_l1_follows_a_patched_local_next_state_cell(monkeypatch):
+    """The local dispatch moves a line where a patched
+    ``LOCAL_NEXT_STATE`` cell says.
+
+    The cell is M --TStore--> TMI, which the dispatch reads on every
+    access: the clean-hit cells are compiled into ``CLEAN_HITS`` at
+    import, and this one is not among them.
+    """
+    monkeypatch.setitem(
+        tables.LOCAL_NEXT_STATE, (AccessKind.TSTORE, LineState.M), LineState.M
+    )
+    machine = _machine()
+    address = _put_in_state(machine, LineState.M)
+    _ensure_txn(machine, 0)
+    machine.tstore(0, address, 2)
+    # Figure 1 flushes the line and moves it to TMI; the patched cell
+    # leaves it in M, with no flush.
+    assert _state_of(machine, 0, address) is LineState.M
+    assert machine.stats.counter("l1.m_to_tmi_flush").value == 0
+
+
+@pytest.mark.parametrize(
+    "enum_cls", [LineState, AccessKind, RequestType, ResponseKind],
+    ids=lambda cls: cls.__name__,
+)
+def test_protocol_enums_hash_by_identity(enum_cls):
+    """Members hash with ``object.__hash__``, which runs in C, so an
+    enum-keyed table lookup runs no Python-level ``Enum.__hash__``."""
+    assert enum_cls.__hash__ is object.__hash__
+    for member in enum_cls:
+        assert hash(member) == object.__hash__(member)

@@ -59,13 +59,14 @@ def test_clean_hits_are_the_local_cells_minus_the_flush():
     assert _FLUSH_CELL in local and local[_FLUSH_CELL] is LineState.TMI
     del local[_FLUSH_CELL]
     compiled = {
-        (AccessKind[kind], LineState[state]): target
+        (kind, state): target
         for kind, row in tables.CLEAN_HITS.items()
         for state, target in row.items()
     }
     assert compiled == local
-    # Keyed by member names (plain strings), one row per access kind.
-    assert set(tables.CLEAN_HITS) == {kind._name_ for kind in AccessKind}
+    # Keyed by the members themselves, one row per access kind.
+    assert list(tables.CLEAN_HITS) == list(AccessKind)
+    assert all(type(state) is LineState for row in tables.CLEAN_HITS.values() for state in row)
 
 
 def test_flush_cell_takes_the_full_path():
@@ -77,7 +78,7 @@ def test_flush_cell_takes_the_full_path():
     result = l1.access(AccessKind.TSTORE, machine.amap.line_of(address))
     assert result.hit and result.state is LineState.TMI
     assert result.cycles == machine.params.l1_hit_cycles + 2  # posted write-back
-    assert result not in shared["TSTORE"].values()
+    assert result not in shared[AccessKind.TSTORE].values()
     assert machine.stats.counter("l1.m_to_tmi_flush").value == 1
 
 
@@ -134,8 +135,8 @@ def test_every_cell_matches_the_reference_walk(start, op, expected):
         assert result.cycles == machine.params.l1_hit_cycles + (2 if flush else 0)
         assert not result.conflicts and not result.nacked
         assert not result.threatened_uncached
-        shared = shared_clean_hits(machine.params.l1_hit_cycles)[op._name_]
-        assert (result is shared.get(start._name_)) == (not flush)
+        shared = shared_clean_hits(machine.params.l1_hit_cycles)[op]
+        assert (result is shared.get(start)) == (not flush)
     if lru_checked:
         # The access made the line most recently used.
         assert l1.array.choose_victim(line).line_address != line
@@ -148,8 +149,9 @@ def test_shared_results_are_per_latency_and_per_process():
     second = FlexTMMachine(small_test_params(2))
     assert first.processors[0].l1._clean_hits is second.processors[1].l1._clean_hits
     other = shared_clean_hits(cycles + 3)
-    assert other["LOAD"]["E"].cycles == cycles + 3
-    assert other["LOAD"]["E"] is not shared_clean_hits(cycles)["LOAD"]["E"]
+    load, e = AccessKind.LOAD, LineState.E
+    assert other[load][e].cycles == cycles + 3
+    assert other[load][e] is not shared_clean_hits(cycles)[load][e]
 
 
 # ------------------------------------------- (c) shared results stay intact

@@ -96,3 +96,75 @@ def test_peek_does_not_touch_lru():
     cache.peek(0)  # must not refresh 0
     victim = cache.choose_victim(8)
     assert victim.line_address == 0
+
+
+# -------------------------------------------- the free-way short-circuit
+#
+# ``choose_victim`` and ``install`` skip their set scans when the set has
+# fewer entries than ways.  A set can also hold entries forced to I,
+# which count as entries but not as valid lines; these tests pin both
+# methods to the valid-line count in either case.
+
+
+@pytest.mark.parametrize("associativity", [1, 2, 4])
+def test_choose_victim_is_none_exactly_when_a_way_is_free(associativity):
+    cache = CacheArray(4, associativity)
+    for k in range(associativity + 1):
+        free = cache.set_occupancy(0) < associativity
+        assert (cache.choose_victim(0) is None) == free
+        if free:
+            cache.install(4 * k, LineState.S)
+    assert not free
+
+
+def test_choose_victim_skips_a_line_forced_to_invalid():
+    cache = CacheArray(4, 2)
+    cache.install(0, LineState.S)
+    cache.install(4, LineState.E)
+    cache.lookup(0)  # 4 is now the LRU line
+    cache.peek(4).state = LineState.I
+    # Two entries, one valid line: a way is free.
+    assert len(cache._sets[0]) == 2 and cache.set_occupancy(0) == 1
+    assert cache.choose_victim(8) is None
+    cache.install(8, LineState.S)
+    # Three entries, two valid lines: the set is full, and the forced
+    # line is never the victim although it is the least recently used.
+    assert len(cache._sets[0]) == 3
+    victim = cache.choose_victim(12)
+    assert victim is not None and victim.line_address == 0
+
+
+def test_install_still_rejects_full_sets_and_present_lines():
+    cache = CacheArray(4, 2)
+    cache.install(0, LineState.S)
+    cache.install(4, LineState.S)
+    with pytest.raises(ProtocolError, match="full"):
+        cache.install(8, LineState.S)
+    with pytest.raises(ProtocolError, match="already present"):
+        cache.install(4, LineState.M)
+    # A line forced to I frees its way, and its address may be
+    # installed again.
+    cache.peek(4).state = LineState.I
+    cache.install(4, LineState.M)
+    assert cache.lookup(4).state is LineState.M
+    cache.peek(0).state = LineState.I
+    cache.install(8, LineState.S)
+    # Three entries (one in I), two valid lines: full again.
+    assert len(cache._sets[0]) == 3
+    with pytest.raises(ProtocolError, match="full"):
+        cache.install(12, LineState.S)
+    with pytest.raises(ProtocolError, match="already present"):
+        cache.install(8, LineState.S)
+
+
+def test_install_on_a_one_way_set():
+    cache = CacheArray(2, 1)
+    cache.install(0, LineState.E)
+    with pytest.raises(ProtocolError, match="already present"):
+        cache.install(0, LineState.E)
+    with pytest.raises(ProtocolError, match="full"):
+        cache.install(2, LineState.E)
+    assert cache.choose_victim(2).line_address == 0
+    # The other set is untouched.
+    assert cache.choose_victim(1) is None
+    cache.install(1, LineState.S)

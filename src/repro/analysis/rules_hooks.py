@@ -1,14 +1,15 @@
 """SIM-H1xx — hook-site hygiene rules.
 
 Observability (the ``tracer``, which also carries the metrics hub,
-and ``probes``), fault injection (``chaos``) and adaptive degradation
-(``resilience``) are *opt-in* layers: the core simulator must run
+and ``probes``), fault injection (``chaos``), protocol assertions
+(``invariants``) and adaptive degradation (``resilience``) are
+*opt-in* layers: the core simulator must run
 bit-identically with all of them absent.  That only holds if every
 hook use in ``core/``, ``coherence/`` and ``runtime/`` is behind its
 guard:
 
-* ``chaos`` / ``resilience`` / ``probes`` attributes are ``None`` by
-  default, so any member access must be dominated by an ``is not None``
+* ``chaos`` / ``resilience`` / ``probes`` / ``invariants`` attributes
+  are ``None`` by default, so any member access must be dominated by an ``is not None``
   check on the same expression (``SIM-H101``);
 * the tracer is a shared ``NULL_TRACER`` whose methods are no-ops, so a
   bare emit is *functionally* safe — but the performance contract (one
@@ -38,7 +39,7 @@ from repro.analysis.engine import Finding, ModuleUnit, Rule, dotted_name, regist
 HOOK_SCOPE = ("repro/core/", "repro/coherence/", "repro/runtime/")
 
 #: Optional hooks that default to None.
-OPTIONAL_HOOKS = ("chaos", "resilience", "probes")
+OPTIONAL_HOOKS = ("chaos", "resilience", "probes", "invariants")
 
 
 def _in_scope(unit: ModuleUnit) -> bool:
@@ -218,13 +219,13 @@ def _hook_receiver(node: ast.expr, hooks: Tuple[str, ...]) -> Optional[str]:
 
 @register
 class UnguardedOptionalHookRule(Rule):
-    """SIM-H101: chaos/resilience member access without a None guard."""
+    """SIM-H101: optional-hook member access without a None guard."""
 
     name = "SIM-H101"
     severity = "error"
     description = (
-        "chaos/resilience hook member access not dominated by an "
-        "'is not None' check in the same function"
+        "chaos/resilience/probes/invariants hook member access not "
+        "dominated by an 'is not None' check in the same function"
     )
 
     def applies_to(self, unit: ModuleUnit) -> bool:

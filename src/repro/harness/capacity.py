@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine
+from repro.harness.sweep import int_list
 from repro.params import small_test_params
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.txthread import TxThread, WorkItem
@@ -209,7 +210,7 @@ def run_capacity_command(argv=None) -> int:
         "the wrong sizes.",
     )
     parser.add_argument("--sizes", default=",".join(map(str, DEFAULT_SIZES)),
-                        help="comma-separated working-set sizes in lines")
+                        type=int_list, help="comma-separated working-set sizes in lines")
     parser.add_argument("--threads", type=int, default=DEFAULT_THREADS,
                         help="transactional threads (disjoint working sets)")
     parser.add_argument("--txns", type=int, default=DEFAULT_TXNS,
@@ -224,9 +225,7 @@ def run_capacity_command(argv=None) -> int:
                         help="write the JSON sweep report here")
     args = parser.parse_args(argv)
 
-    sizes = tuple(
-        int(part) for part in args.sizes.split(",") if part.strip()
-    )
+    sizes = args.sizes
     if not sizes:
         raise SystemExit("no sizes selected")
     kwargs = dict(

@@ -30,7 +30,7 @@ import io
 import itertools
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.descriptor import ConflictMode
 from repro.harness.matrix import comma_list, resolve_names
@@ -200,14 +200,31 @@ def run_sweep(
     ``metrics_out`` names a directory receiving one windowed-metrics
     JSON artifact per point (row schema stays unchanged).
     """
-    configs = list(spec.configs())
-    specs = [_point_spec(config, metrics_out) for config in configs]
     callback = None
     if progress is not None:
         callback = lambda done, total, outcome: progress(done, total)
+    rows, _, _ = _sweep(
+        spec, callback, jobs, timeout, retries, bench_out, pathology, metrics_out
+    )
+    return rows
+
+
+def _sweep(
+    spec: SweepSpec,
+    progress: Optional[Callable[[int, int, PointOutcome], None]],
+    jobs: int,
+    timeout: Optional[float],
+    retries: int,
+    bench_out: Optional[str],
+    pathology: bool,
+    metrics_out: Optional[str],
+) -> Tuple[List[Dict[str, object]], List[PointOutcome], float]:
+    """The one sweep path: the rows, the point outcomes and the wall time."""
+    configs = list(spec.configs())
+    specs = [_point_spec(config, metrics_out) for config in configs]
     started = time.perf_counter()
     outcomes = run_points(
-        specs, jobs=jobs, timeout=timeout, retries=retries, progress=callback
+        specs, jobs=jobs, timeout=timeout, retries=retries, progress=progress
     )
     elapsed = time.perf_counter() - started
     if bench_out:
@@ -225,10 +242,11 @@ def run_sweep(
                 "cycle_limit": spec.cycle_limit,
             },
         )
-    return [
+    rows = [
         _row(config, outcome, pathology=pathology)
         for config, outcome in zip(configs, outcomes)
     ]
+    return rows, outcomes, elapsed
 
 
 def to_csv(rows: List[Dict[str, object]], fields: Optional[List[str]] = None) -> str:
@@ -253,6 +271,27 @@ def write_csv(
 # -- CLI ----------------------------------------------------------------------
 
 
+def int_list(text: str) -> Tuple[int, ...]:
+    """argparse type for a comma-separated list of integers."""
+    try:
+        return tuple(int(part) for part in comma_list(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def mode_list(text: str) -> Tuple[ConflictMode, ...]:
+    """argparse type for a comma-separated list of conflict modes."""
+    try:
+        return tuple(ConflictMode(part.lower()) for part in comma_list(text))
+    except ValueError:
+        choices = ", ".join(mode.value for mode in ConflictMode)
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated conflict modes ({choices}), got {text!r}"
+        ) from None
+
+
 def run_sweep_command(argv=None) -> int:
     """``python -m repro.harness sweep`` — run a sweep from the shell."""
     from repro.harness.runner import SYSTEMS
@@ -269,11 +308,11 @@ def run_sweep_command(argv=None) -> int:
     )
     parser.add_argument("--systems", default="FlexTM",
                         help="comma-separated TM system names")
-    parser.add_argument("--threads", default="1,4,8",
+    parser.add_argument("--threads", default="1,4,8", type=int_list,
                         help="comma-separated thread counts")
-    parser.add_argument("--modes", default="eager",
+    parser.add_argument("--modes", default="eager", type=mode_list,
                         help="comma-separated conflict modes (eager, lazy)")
-    parser.add_argument("--seeds", default="42",
+    parser.add_argument("--seeds", default="42", type=int_list,
                         help="comma-separated RNG seeds")
     parser.add_argument("--cycles", type=int, default=100_000,
                         help="simulated cycles per point")
@@ -305,37 +344,27 @@ def run_sweep_command(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-point progress on stderr")
     args = parser.parse_args(argv)
+    for flag in ("threads", "modes", "seeds"):
+        if not getattr(args, flag):
+            parser.error(f"argument --{flag}: no values selected")
 
     spec = SweepSpec(
         workloads=resolve_names(comma_list(args.workloads), WORKLOADS, "workload"),
         systems=resolve_names(comma_list(args.systems), SYSTEMS, "system"),
-        thread_counts=tuple(int(part) for part in comma_list(args.threads)),
-        modes=tuple(
-            ConflictMode(part.lower()) for part in comma_list(args.modes)
-        ),
-        seeds=tuple(int(part) for part in comma_list(args.seeds)),
+        thread_counts=args.threads,
+        modes=args.modes,
+        seeds=args.seeds,
         cycle_limit=args.cycles,
     )
-    configs = list(spec.configs())
-    specs = [_point_spec(config, args.metrics_out) for config in configs]
     jobs = effective_jobs(args.jobs)
     if not args.quiet:
         sys.stderr.write(
-            f"sweep: {len(specs)} points across {jobs} worker(s)\n"
+            f"sweep: {spec.size()} points across {jobs} worker(s)\n"
         )
-    started = time.perf_counter()
-    outcomes = run_points(
-        specs,
-        jobs=jobs,
-        timeout=args.timeout or None,
-        retries=args.retries,
-        progress=None if args.quiet else render_progress,
+    rows, outcomes, elapsed = _sweep(
+        spec, None if args.quiet else render_progress, jobs, args.timeout or None,
+        args.retries, args.bench_out, args.pathology, args.metrics_out,
     )
-    elapsed = time.perf_counter() - started
-    rows = [
-        _row(config, outcome, pathology=args.pathology)
-        for config, outcome in zip(configs, outcomes)
-    ]
 
     fields = ROW_FIELDS + PATHOLOGY_FIELDS if args.pathology else ROW_FIELDS
     text = to_csv(rows, fields)
@@ -344,18 +373,6 @@ def run_sweep_command(argv=None) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    if args.bench_out:
-        write_bench_json(
-            args.bench_out, outcomes, jobs=jobs, total_wall_time=elapsed,
-            extra={
-                "workloads": list(spec.workloads),
-                "systems": list(spec.systems),
-                "thread_counts": list(spec.thread_counts),
-                "modes": [mode.value for mode in spec.modes],
-                "seeds": list(spec.seeds),
-                "cycle_limit": spec.cycle_limit,
-            },
-        )
     errors = sum(1 for outcome in outcomes if not outcome.ok)
     serial_estimate = sum(outcome.wall_time for outcome in outcomes)
     if not args.quiet:

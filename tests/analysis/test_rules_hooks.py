@@ -19,6 +19,21 @@ class TestOptionalHookGuard:
         )
         assert rule_ids(report) == ["SIM-H101"]
 
+    def test_flags_unguarded_invariants(self, tmp_path):
+        report = analyze_snippet(
+            tmp_path,
+            "repro/core/bad.py",
+            """
+            class Machine:
+                def tload(self, proc_id, address):
+                    self.invariants.on_access_conflicts(proc_id, ())
+                    if self.invariants is not None:
+                        self.invariants.on_access_conflicts(proc_id, ())
+            """,
+            ["SIM-H101"],
+        )
+        assert rule_ids(report) == ["SIM-H101"]
+
     def test_if_guard_is_recognized(self, tmp_path):
         report = analyze_snippet(
             tmp_path,

@@ -150,7 +150,7 @@ class L1Controller:
         if counter is None:
             counter = self.stats.counter(f"l1.access.{kind.value}")
             self._access_counters[kind] = counter
-        counter.increment()
+        counter.value += 1
         self._eviction_cycles = 0
         if self.chaos is not None and self.chaos.enabled and self.chaos.l1_pressure():
             self._chaos_evict(line_address)

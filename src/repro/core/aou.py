@@ -32,7 +32,9 @@ class AlertUnit:
 
     def __init__(self):
         self._handler: Optional[Callable[[PendingAlert], None]] = None
-        self._pending: List[PendingAlert] = []
+        #: Undelivered alerts, FIFO.  The runtime's per-step abort poll
+        #: tests it directly; only :meth:`raise_alert` appends to it.
+        self.pending: List[PendingAlert] = []
         self._marked: Dict[int, bool] = {}
         self.alerts_raised = 0
         self.alerts_delivered = 0
@@ -59,7 +61,7 @@ class AlertUnit:
     def clear(self) -> None:
         """Drop marks and pending alerts (transaction boundary)."""
         self._marked.clear()
-        self._pending.clear()
+        self.pending.clear()
 
     # -- raising / draining ------------------------------------------------------
 
@@ -79,22 +81,15 @@ class AlertUnit:
             self.alerts_lost += 1
             return
         self.alerts_raised += 1
-        self._pending.append(PendingAlert(line_address, reason))
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self._pending)
+        self.pending.append(PendingAlert(line_address, reason))
 
     def drain(self) -> List[PendingAlert]:
         """Deliver all pending alerts through the handler, FIFO."""
         delivered: List[PendingAlert] = []
-        while self._pending:
-            alert = self._pending.pop(0)
+        while self.pending:
+            alert = self.pending.pop(0)
             self.alerts_delivered += 1
             delivered.append(alert)
             if self._handler is not None:
                 self._handler(alert)
         return delivered
-
-    def peek_pending(self) -> List[PendingAlert]:
-        return list(self._pending)

@@ -111,6 +111,8 @@ class FlexTMMachine:
         self.stats = StatsRegistry()
         self.tracer: Tracer = NULL_TRACER
         self.memory = MainMemory()
+        #: ``memory.words``, read directly by the load paths.
+        self._words = self.memory.words
         self.amap = AddressMap(params.line_bytes)
         #: ``amap.offset_bits``, for the access paths that inline
         #: ``AddressMap.line_of`` (its non-negative check included).
@@ -230,7 +232,9 @@ class FlexTMMachine:
         instruction that makes them globally visible) and transactional
         reads; they never touch simulated state, so an armed run is
         bit-identical to an unarmed one — the same contract as the
-        tracer and metrics hub.
+        tracer and metrics hub.  Install them before a run starts:
+        :meth:`TxContext.read <repro.runtime.api.TxContext.read>` decides
+        per access whether to wrap the backend's generator.
         """
         self.probes = probes
         if probes is not None:
@@ -362,7 +366,7 @@ class FlexTMMachine:
             self._take_summary_conflicts()  # plain reads don't act on them
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles, nacked=True)
-        return MemoryOpResult(value=self.memory.read(address), cycles=result.cycles)
+        return MemoryOpResult(value=self._words.get(address, 0), cycles=result.cycles)
 
     def store(self, proc_id: int, address: int, value: int) -> MemoryOpResult:
         """Non-transactional store; aborts conflicting transactions.
@@ -430,7 +434,7 @@ class FlexTMMachine:
         if self.tracer.enabled:
             self._trace_access(proc, _TLOAD, address, line, conflicts)
         overlay = proc.overlay
-        value = overlay[address] if address in overlay else self.memory.read(address)
+        value = overlay[address] if address in overlay else self._words.get(address, 0)
         return MemoryOpResult(value, result.cycles + refill_cycles, conflicts)
 
     def tstore(self, proc_id: int, address: int, value: int) -> MemoryOpResult:

@@ -18,17 +18,16 @@ class MainMemory:
     """Flat word-addressable backing store with a default value of 0."""
 
     def __init__(self):
-        self._words: Dict[int, int] = {}
-        self.reads = 0
-        self.writes = 0
+        #: address -> word; an absent word reads 0.  The machine's load
+        #: paths and the FlexTM abort poll call ``words.get(address, 0)``
+        #: rather than :meth:`read`.
+        self.words: Dict[int, int] = {}
 
     def read(self, address: int) -> int:
-        self.reads += 1
-        return self._words.get(address, 0)
+        return self.words.get(address, 0)
 
     def write(self, address: int, value: int) -> None:
-        self.writes += 1
-        self._words[address] = value
+        self.words[address] = value
 
     def bulk_write(self, updates: Iterable[tuple]) -> None:
         """Apply (address, value) pairs — commit-time redo-log drain."""
@@ -37,7 +36,7 @@ class MainMemory:
 
     def snapshot(self) -> Dict[int, int]:
         """Copy of all non-default words (test/debug aid)."""
-        return dict(self._words)
+        return dict(self.words)
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self.words)

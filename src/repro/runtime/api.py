@@ -99,19 +99,34 @@ class TxContext:
         probes: every backend's logical read returns its value here, so
         an armed ``machine.probes`` sees exactly what the transaction
         saw — including values a zombie reads before its abort lands.
+        Unarmed, the backend's own generator is returned, so a read
+        costs no wrapping frame.  Probes are armed before a run starts,
+        never during it.
         """
-        value = yield from self._backend.read(self._thread, address)
         machine = self._machine
-        if machine is not None and machine.probes is not None:
-            machine.probes.on_read(self._thread.thread_id, address, value)
-        return value
+        if machine is None or machine.probes is None:
+            return self._backend.read(self._thread, address)
+        return self._probed_read(address)
 
     def write(self, address: int, value: int) -> Iterator[Tuple]:
-        """Transactional write of one word."""
-        yield from self._backend.write(self._thread, address, value)
+        """Transactional write of one word (unwrapped when unprobed)."""
         machine = self._machine
-        if machine is not None and machine.probes is not None:
-            machine.probes.on_write(self._thread.thread_id, address, value)
+        if machine is None or machine.probes is None:
+            return self._backend.write(self._thread, address, value)
+        return self._probed_write(address, value)
+
+    def _probed_read(self, address: int) -> Iterator[Tuple]:
+        value = yield from self._backend.read(self._thread, address)
+        probes = self._machine.probes
+        if probes is not None:
+            probes.on_read(self._thread.thread_id, address, value)
+        return value
+
+    def _probed_write(self, address: int, value: int) -> Iterator[Tuple]:
+        yield from self._backend.write(self._thread, address, value)
+        probes = self._machine.probes
+        if probes is not None:
+            probes.on_write(self._thread.thread_id, address, value)
 
     def work(self, cycles: int) -> Iterator[Tuple]:
         """Non-memory computation inside the transaction."""

@@ -60,6 +60,9 @@ class FlexTMRuntime(TMBackend):
         #: at commit to avoid spurious aborts of the next incarnation.
         self.clean_r_w = clean_r_w
         self.cmt = ConflictManagementTable(machine.params.num_processors)
+        # Bound once for the per-step abort poll.
+        self._processors = machine.processors
+        self._words = machine.memory.words
 
     # ----------------------------------------------------------------- begin
 
@@ -286,11 +289,10 @@ class FlexTMRuntime(TMBackend):
         descriptor = thread.descriptor
         if descriptor is None or not thread.in_transaction:
             return False
-        machine = self.machine
-        alerts = machine.processors[thread.processor].alerts
-        if alerts.has_pending:
+        alerts = self._processors[thread.processor].alerts
+        if alerts.pending:
             alerts.drain()
-        return machine.memory.read(descriptor.tsw_address) == _ABORTED
+        return self._words.get(descriptor.tsw_address, 0) == _ABORTED
 
     def retry_backoff(self, aborts_in_a_row: int) -> int:
         return self.manager.retry_backoff(aborts_in_a_row)

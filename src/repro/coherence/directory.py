@@ -49,9 +49,6 @@ class DirectoryEntry:
     sharers: int = 0
     owners: int = 0
 
-    def holders(self) -> int:
-        return self.sharers | self.owners
-
     def add_sharer(self, proc: int) -> None:
         self.sharers |= 1 << proc
 
@@ -93,21 +90,31 @@ def set_bits(mask: int) -> List[int]:
     return out
 
 
-@dataclasses.dataclass
 class DirectoryOutcome:
-    """Result of one directory request, consumed by the requesting L1."""
+    """Result of one directory request, consumed by the requesting L1.
 
-    cycles: int
-    responses: List[Tuple[int, ResponseKind]]
-    grant: LineState
-    nacked: bool = False
+    ``conflicts`` is the list of responses that signal a conflict,
+    computed once, here.
+    """
 
-    @property
-    def conflicts(self) -> List[Tuple[int, ResponseKind]]:
-        responses = self.responses
-        if not responses:
-            return []
-        return [(proc, kind) for proc, kind in responses if kind.signals_conflict]
+    __slots__ = ("cycles", "responses", "grant", "nacked", "conflicts")
+
+    def __init__(
+        self,
+        cycles: int,
+        responses: List[Tuple[int, ResponseKind]],
+        grant: LineState,
+        nacked: bool = False,
+    ):
+        self.cycles = cycles
+        self.responses = responses
+        self.grant = grant
+        self.nacked = nacked
+        self.conflicts: List[Tuple[int, ResponseKind]] = (
+            [response for response in responses if response[1].signals_conflict]
+            if responses
+            else []
+        )
 
 
 class Directory:
@@ -151,12 +158,6 @@ class Directory:
         # Fault injection (installed by FlexTMMachine.set_chaos).
         self.chaos = None
 
-    def entry(self, line_address: int) -> DirectoryEntry:
-        entry = self._entries.get(line_address)
-        if entry is None:
-            entry = self._entries[line_address] = DirectoryEntry()
-        return entry
-
     def peek_entry(self, line_address: int) -> Optional[DirectoryEntry]:
         return self._entries.get(line_address)
 
@@ -184,7 +185,7 @@ class Directory:
             counter = self._l2_hits
             if counter is None:
                 counter = self._l2_hits = self.stats.counter("l2.hits")
-        counter.increment()
+        counter.value += 1
         return cycles
 
     def request(self, requestor: int, req_type: RequestType, line_address: int) -> DirectoryOutcome:
@@ -201,7 +202,7 @@ class Directory:
         if counter is None:
             counter = self.stats.counter(f"dir.requests.{req_type.value}")
             self._request_counters[req_type] = counter
-        counter.increment()
+        counter.value += 1
         cycles = self._l2_latency(line_address)
         if self.chaos is not None and self.chaos.enabled:
             # Dropped/delayed request messages: the requestor retries
@@ -216,30 +217,39 @@ class Directory:
                 self._trace_request(requestor, req_type, line_address, "NACK", [])
             return DirectoryOutcome(cycles=cycles, responses=[], grant=_I, nacked=True)
 
-        entry = self.entry(line_address)
+        entry = self._entries.get(line_address)
+        if entry is None:
+            entry = self._entries[line_address] = DirectoryEntry()
         if self.summary_conflict_check is not None:
             # Summary signatures are consulted on every L1 miss; the
             # callee traps to the software handler when they hit.
             cycles += self.summary_conflict_check(requestor, line_address, req_type)
 
         responses: List[Tuple[int, ResponseKind]] = []
-        targets = set_bits(entry.holders() & ~(1 << requestor))
+        # The holders other than the requestor, walked by lowest set bit
+        # (what ``set_bits`` lists), each forward seeing the entry as the
+        # earlier ones left it.
+        targets = (entry.sharers | entry.owners) & ~(1 << requestor)
         if targets:
             cycles += self.params.remote_l1_cycles
         is_gets = req_type is _GETS
-        for responder in targets:
+        sticky = self.sticky_check
+        pending = targets
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            responder = bit.bit_length() - 1
             kind, retained = l1s[responder].handle_forwarded(requestor, req_type, line_address)
             if kind is not None:
                 responses.append((responder, kind))
-            if not retained and not self._sticky(line_address, responder):
+            if not retained and not (sticky is not None and sticky(line_address, responder)):
                 entry.drop(responder)
             elif kind is not None and not retained:
                 # Dropped but sticky: stays listed so future requests
                 # keep reaching this processor's signatures.
                 self.stats.counter("dir.sticky_retained").increment()
-            elif is_gets and retained and entry.is_owner(responder):
-                threatened = kind is _THREATENED
-                if not threatened:
+            elif is_gets and retained and entry.owners & bit:
+                if kind is not _THREATENED:
                     # M/E owner flushed and dropped to S; TMI owners
                     # (threatened) keep ownership.
                     entry.demote_owner_to_sharer(responder)
@@ -254,7 +264,7 @@ class Directory:
             # snoops the same request twice.  The protocol must treat
             # repeated forwards idempotently; the duplicate response is
             # appended so CST updates see it again too.
-            responder = targets[0]
+            responder = (targets & -targets).bit_length() - 1
             kind, _ = l1s[responder].handle_forwarded(requestor, req_type, line_address)
             if kind is not None:
                 responses.append((responder, kind))
@@ -262,7 +272,7 @@ class Directory:
         grant = self._grant_and_record(requestor, req_type, line_address, entry, responses)
         if self.tracer.enabled:
             self._trace_request(requestor, req_type, line_address, grant.name, responses)
-        return DirectoryOutcome(cycles=cycles, responses=responses, grant=grant)
+        return DirectoryOutcome(cycles, responses, grant)
 
     def _trace_request(
         self,
@@ -285,10 +295,6 @@ class Directory:
                 requestor, now, "coh_response", line_address,
                 responder=responder, detail=kind.value,
             )
-
-    def _sticky(self, line_address: int, processor: int) -> bool:
-        """Cores-Summary stickiness for descheduled transactions."""
-        return self.sticky_check is not None and self.sticky_check(line_address, processor)
 
     def _grant_and_record(
         self,
@@ -323,12 +329,6 @@ class Directory:
         """M-line eviction: update the L2 copy, keep directory state."""
         self.stats.counter("dir.writebacks").increment()
         return self._l2_latency(line_address)
-
-    def drop_processor(self, processor: int, line_address: int) -> None:
-        """Remove a processor from a line's lists (explicit, e.g. tests)."""
-        entry = self._entries.get(line_address)
-        if entry is not None:
-            entry.drop(processor)
 
     def owners_of(self, line_address: int) -> List[int]:
         entry = self._entries.get(line_address)

@@ -119,6 +119,9 @@ class L1Controller:
         #: Fault injection (installed by FlexTMMachine.set_chaos).
         self.chaos = None
         self.array = CacheArray(params.l1.num_sets, params.l1.associativity)
+        #: The array's sets and set-index mask, read by the hit path.
+        self._sets = self.array._sets
+        self._set_mask = self.array.num_sets - 1
         self.victims = VictimBuffer(params.victim_buffer_entries)
         #: E7 knob — route TMI evictions into an unbounded side buffer
         #: instead of the OT (the paper's "ideal" overflow machine).
@@ -144,7 +147,9 @@ class L1Controller:
 
         A clean hit (a ``CLEAN_HITS`` cell, with no eviction cycles
         accrued by this access) returns a shared, read-only result.
-        Everything else takes :meth:`_dispatch` or :meth:`_miss`.
+        Everything else takes :meth:`_dispatch` or :meth:`_miss`.  The
+        array is probed here rather than through ``CacheArray.lookup``,
+        with the same LRU tick on a hit.
         """
         counter = self._access_counters.get(kind)
         if counter is None:
@@ -154,8 +159,10 @@ class L1Controller:
         self._eviction_cycles = 0
         if self.chaos is not None and self.chaos.enabled and self.chaos.l1_pressure():
             self._chaos_evict(line_address)
-        line = self.array.lookup(line_address)
-        if line is not None:
+        line = self._sets[line_address & self._set_mask].get(line_address)
+        if line is not None and line._state is not _I:
+            array = self.array
+            array._use_tick = line.last_use = array._use_tick + 1
             if not self._eviction_cycles:
                 hit = self._clean_hits[kind].get(line._state)
                 if hit is not None:
@@ -180,7 +187,7 @@ class L1Controller:
 
     def _dispatch(self, kind: AccessKind, line: CacheLine) -> AccessResult:
         """An access to a present line, as ``LOCAL_DISPATCH`` directs."""
-        state = line.state
+        state = line._state
         outcome = LOCAL_DISPATCH[kind, state]
         if outcome == "request":
             # An upgrade that needs new permissions (GETX / TGETX).
@@ -208,7 +215,7 @@ class L1Controller:
         counter = self._misses
         if counter is None:
             counter = self._misses = self.stats.counter("l1.misses")
-        counter.increment()
+        counter.value += 1
         return self._request(kind, MISS_REQUESTS[kind], line_address)
 
     def _request(self, kind: AccessKind, request: RequestType, line_address: int) -> AccessResult:
@@ -253,7 +260,7 @@ class L1Controller:
 
     def evict(self, line: CacheLine) -> None:
         """Apply the per-state eviction policy to a chosen victim."""
-        state = line.state
+        state = line._state
         if self.tracer.enabled:
             clock = getattr(self.hooks, "clock", None)
             self.tracer.coherence(
@@ -282,7 +289,7 @@ class L1Controller:
             counter = self._silent_evictions
             if counter is None:
                 counter = self._silent_evictions = self.stats.counter("l1.silent_evictions")
-            counter.increment()
+            counter.value += 1
         self.array.remove(line.line_address)
 
     def _chaos_evict(self, line_address: int) -> None:
@@ -321,15 +328,16 @@ class L1Controller:
         # state, GETS demotes M/E to S.  One snoop: a line is in the
         # array or in the victim buffer, never both, and ``next_state``
         # is what the transition left behind (I when neither held it).
-        line = self.array.peek(line_address)
-        if line is not None:
-            state = line.state
+        # The array is probed as ``CacheArray.peek`` does, LRU untouched.
+        line = self._sets[line_address & self._set_mask].get(line_address)
+        if line is not None and line._state is not _I:
+            state = line._state
             next_state = REMOTE_NEXT_STATE[req_type, state]
             if state is _M:
                 counter = self._remote_flushes
                 if counter is None:
                     counter = self._remote_flushes = self.stats.counter("l1.remote_flushes")
-                counter.increment()
+                counter.value += 1
             if next_state is _I:
                 self._drop_line(line)
             elif next_state is not state:
@@ -402,7 +410,7 @@ class L1Controller:
     def speculative_lines(self):
         """All locally buffered TMI lines (cache + TMI side buffer)."""
         for line in self.array.transactional_lines():
-            if line.state is _TMI:
+            if line._state is _TMI:
                 yield line.line_address
         if self.tmi_victims is not None:
             for address, state in list(self.tmi_victims._entries.items()):

@@ -6,6 +6,11 @@ transaction, T's descriptor appears in P's active list, whether T's
 thread is running or suspended.*  Software handlers (and lazy
 committers) use the processor ids in their CSTs to find the actual
 descriptors to test and abort.
+
+A transaction runs on one processor only: resuming it elsewhere aborts
+it (the migration policy of ``FlexTMRuntime.resume``).  So each
+descriptor sits in exactly one list, that of its ``last_processor``,
+and commit or abort removes it from that list alone.
 """
 
 from __future__ import annotations
@@ -27,10 +32,15 @@ class ConflictManagementTable:
     def register(self, processor: int, descriptor: TransactionDescriptor) -> None:
         """Add a descriptor to a processor's active list (idempotent).
 
-        Membership is by identity: two transactions whose descriptors
-        happen to hold equal fields are still two entries.
+        A descriptor lives in one list, its ``last_processor``'s:
+        registering it on another processor moves it there.  Membership
+        is by identity: two transactions whose descriptors happen to
+        hold equal fields are still two entries.
         """
         self._check(processor)
+        previous = descriptor.last_processor
+        if previous != processor and 0 <= previous < self.num_processors:
+            self._remove(self._lists[previous], descriptor)
         active = self._lists[processor]
         for entry in active:
             if entry is descriptor:
@@ -40,16 +50,20 @@ class ConflictManagementTable:
         descriptor.last_processor = processor
 
     def unregister(self, descriptor: TransactionDescriptor) -> None:
-        """Remove a descriptor from every list (commit/final abort)."""
-        for active in self._lists:
-            for index, entry in enumerate(active):
-                if entry is descriptor:
-                    del active[index]
-                    break
+        """Remove a descriptor from its list (commit/final abort)."""
+        previous = descriptor.last_processor
+        if 0 <= previous < self.num_processors:
+            self._remove(self._lists[previous], descriptor)
+
+    @staticmethod
+    def _remove(active: List[TransactionDescriptor], descriptor: TransactionDescriptor) -> None:
+        for index, entry in enumerate(active):
+            if entry is descriptor:
+                del active[index]
+                return
 
     def move(self, descriptor: TransactionDescriptor, new_processor: int) -> None:
         """Re-home a descriptor (reschedule on a different processor)."""
-        self.unregister(descriptor)
         self.register(new_processor, descriptor)
 
     def active_on(self, processor: int) -> List[TransactionDescriptor]:

@@ -14,7 +14,6 @@ import dataclasses
 import enum
 from typing import Dict, Optional
 
-from repro.core.tsw import TxStatus
 from repro.signatures.bloom import Signature
 
 
@@ -79,8 +78,3 @@ class TransactionDescriptor:
     wound_kind: str = ""
     #: Wounds this transaction has inflicted on others (watchdog input).
     wounds_inflicted: int = 0
-
-
-def make_status(value: int) -> TxStatus:
-    """Convenience re-export used by runtime code."""
-    return TxStatus(value)

@@ -366,7 +366,7 @@ class FlexTMMachine:
             self._take_summary_conflicts()  # plain reads don't act on them
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles, nacked=True)
-        return MemoryOpResult(value=self._words.get(address, 0), cycles=result.cycles)
+        return MemoryOpResult(self._words.get(address, 0), result.cycles)
 
     def store(self, proc_id: int, address: int, value: int) -> MemoryOpResult:
         """Non-transactional store; aborts conflicting transactions.

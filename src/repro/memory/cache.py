@@ -119,15 +119,20 @@ class CacheArray:
         """LRU victim in ``line_address``'s set, or None if there is room.
 
         A set with fewer entries than ways has room whatever their
-        states, so only a set with no free way is scanned.
+        states, so only a set with no free way is scanned.  The scan
+        keeps the first valid line with the least ``last_use``.
         """
         cache_set = self._sets[line_address & (self.num_sets - 1)]
         if len(cache_set) < self.associativity:
             return None
-        valid = [line for line in cache_set.values() if line._state is not _I]
-        if len(valid) < self.associativity:
-            return None
-        return min(valid, key=lambda line: line.last_use)
+        victim = None
+        valid = 0
+        for line in cache_set.values():
+            if line._state is not _I:
+                valid += 1
+                if victim is None or line.last_use < victim.last_use:
+                    victim = line
+        return victim if valid >= self.associativity else None
 
     def install(self, line_address: int, state: LineState) -> CacheLine:
         """Place a line; the set must have room (caller evicts first).

@@ -33,7 +33,7 @@ into the call.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.obs.causality import AbortRecord
 from repro.obs.events import EVENT_KINDS, SCHED_KINDS
@@ -517,11 +517,3 @@ class MetricsHub:
         """Window index -> commit count (for the pathology annotators)."""
         series = self.series_map.get("tx.commits")
         return series.by_window() if series is not None else {}
-
-
-def series_points(hub: Optional[MetricsHub], name: str) -> List[List[int]]:
-    """A series' points, or [] when the hub or series is absent."""
-    if hub is None:
-        return []
-    series = hub.series_map.get(name)
-    return series.points() if series is not None else []

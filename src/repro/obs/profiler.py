@@ -62,9 +62,6 @@ class ProcessorProfile:
     def total(self) -> int:
         return sum(getattr(self, bucket) for bucket in BUCKETS)
 
-    def as_dict(self) -> Dict[str, int]:
-        return {bucket: getattr(self, bucket) for bucket in BUCKETS}
-
 
 @dataclasses.dataclass
 class CycleProfile:

@@ -6,14 +6,20 @@ the relative progress of the cores — the property that makes contention
 pathologies reproducible (DESIGN.md §4).  The policy is served by a
 min-heap of ``(clock, proc)`` entries with lazy re-keying: clocks only
 move forward, so a stored key is never ahead of its processor's clock,
-and :meth:`Scheduler.next_processor` refreshes an entry only when it
-reaches the top.  A step that executes an op re-keys its processor's
-entry itself when that entry is still the top, the refresh
-``next_processor`` would make first; the key stays ``(clock, proc)``,
-so ties break as before.  A step therefore costs O(log cores), not
-O(cores), and everything else that advances a clock (a switch cost, a
-spurious alert, a director's ``stall``) needs to tell the heap nothing:
-the lazy re-keying covers it.
+and an entry is refreshed only when it reaches the top.  A step that
+executes an op re-keys its processor's entry itself when that entry is
+still the top, the refresh the next pick would make first; the key
+stays ``(clock, proc)``, so ties break as before.  A step therefore
+costs O(log cores), not O(cores), and everything else that advances a
+clock (a switch cost, a spurious alert, a director's ``stall``) needs to
+tell the heap nothing: the lazy re-keying covers it.
+
+:meth:`Scheduler.run` is the one step loop.  Each iteration lets the
+per-step observers see the previous step, picks a processor (refreshing
+the heap's top in place), resumes that processor's thread and executes
+the op it yields.  The loop binds the machine, its hooks and its op
+methods to locals once per run, and serves every kind of run: plain,
+chaos-armed, pinned, quantum-sliced, observed and directed.
 
 With more threads than processors (or an explicit quantum) the
 scheduler context-switches: the OS path spills the running
@@ -23,15 +29,16 @@ migration) via ``resume`` — Section 5 of the paper.
 
 Scheduling is also scriptable: a *director* (see
 :class:`repro.adversary.director.ScheduleDirector`) may be installed to
-take over processor selection.  Each iteration the scheduler asks the
-director which processor to step instead of applying the
-least-advanced-clock policy, and the director can use the first-class
-control primitives — :meth:`Scheduler.park`, :meth:`Scheduler.place`,
+take over processor selection.  Each iteration the loop asks the
+director which processor to step instead of taking the heap's top, and
+the director can use the first-class control primitives —
+:meth:`Scheduler.park`, :meth:`Scheduler.place`,
 :meth:`Scheduler.release_parked`, :meth:`Scheduler.free_processors`,
 :meth:`Scheduler.running_threads` — to pin exact interleavings, falling
-back to :meth:`Scheduler.next_processor` when it has no opinion.  The
-primitives reuse the same suspend/resume path as quantum preemption, so
-scripted context switches cost and behave exactly like organic ones.
+back to :meth:`Scheduler.next_processor` (the same least-advanced-clock
+pick) when it has no opinion.  The primitives reuse the same
+suspend/resume path as quantum preemption, so scripted context switches
+cost and behave exactly like organic ones.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import dataclasses
 import heapq
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.machine import FlexTMMachine, MemoryOpResult
+from repro.core.machine import FlexTMMachine
 from repro.errors import InvariantViolation, SchedulerError, TransactionAborted
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.api import TMBackend
@@ -162,28 +169,36 @@ class Scheduler:
                 self._ready.append(slot)
         if len(self.slots) > len(available) and self.quantum is None:
             self.quantum = machine.params.quantum_cycles
-        #: Per-run bindings, made by :meth:`run`: op kind -> the bound
-        #: machine method that executes it, the chaos engine, and
-        #: whether any pinning hook (resilience, director) is installed.
-        self._ops: Dict[str, Callable[..., MemoryOpResult]] = {}
-        self._chaos = None
-        self._pinning = False
 
     # ---------------------------------------------------------------- running
 
     def run(self, cycle_limit: int) -> RunResult:
-        """Simulate until every thread finishes or passes the limit."""
+        """Simulate until every thread finishes or passes the limit.
+
+        The scheduler's one step loop (see the module docstring).
+        Everything a step needs is bound to a local here, once per run.
+        """
         if cycle_limit <= 0:
             raise SchedulerError("cycle_limit must be positive")
         machine = self.machine
+        processors = machine.processors
         invariants = machine.invariants
         resilience = machine.resilience
         tracer = machine.tracer
+        chaos = machine.chaos
         watchdog = self.watchdog
         director = self.director
+        quantum = self.quantum
+        heap = self._heap
+        keyed = self._keyed
+        running = self._running
+        clocks = self._clocks
+        ready = self._ready
+        heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         # Bound here, not at construction, so a method wrapped on the
         # machine's class before the run is what every step calls.
-        self._ops = {
+        ops = {
             "tload": machine.tload,
             "tstore": machine.tstore,
             "load": machine.load,
@@ -192,8 +207,12 @@ class Scheduler:
             "cas_commit": machine.cas_commit,
             "aload": machine.aload,
         }
-        self._chaos = machine.chaos
-        self._pinning = resilience is not None or director is not None
+        # The serial-irrevocable holder is pinned: neither chaos storms
+        # nor quantum expiry may deschedule it (a migration would abort
+        # it and void the forward-progress guarantee).  The chaos dice
+        # still roll so the injection streams stay aligned.  A schedule
+        # director can pin threads the same way (the "pin" directive).
+        pinning = resilience is not None or director is not None
         # The inherited poll always answers False, so it is never called.
         never_aborts = TMBackend.check_aborted
         for slot in self.slots:
@@ -206,15 +225,10 @@ class Scheduler:
             and tracer is NULL_TRACER
         )
         steps = 0
+        # A step has run that the observers have not seen yet.
+        unseen = False
         while True:
-            if director is not None:
-                proc = director.pick(self, cycle_limit)
-            else:
-                proc = self.next_processor(cycle_limit)
-            if proc is None:
-                break
-            self._step(proc, cycle_limit)
-            if observed:
+            if unseen:
                 steps += 1
                 if watchdog is not None:
                     watchdog.observe(self)
@@ -224,13 +238,112 @@ class Scheduler:
                     tracer.step(self)
                 if invariants is not None and steps % invariants.check_interval == 0:
                     invariants.check_machine(machine)
+            # ---- pick: the director's choice, else the heap's top
+            # (what ``next_processor`` answers, refreshed in place).
+            if director is not None:
+                proc = director.pick(self, cycle_limit)
+                if proc is None:
+                    break
+                slot = running[proc]
+                clock = clocks[proc]
+            else:
+                while heap:
+                    stored, proc = heap[0]
+                    slot = running.get(proc)
+                    if slot is None or slot.done:
+                        heappop(heap)
+                        keyed.discard(proc)
+                        continue
+                    clock = clocks[proc]
+                    now = clock._now
+                    if now == stored:
+                        break
+                    heapreplace(heap, (now, proc))
+                else:
+                    break
+                if now >= cycle_limit:
+                    break
+            unseen = observed
+            # ---- step: resume the thread, execute the op it yields.
+            thread = slot.thread
+            pinned = pinning and (
+                (resilience is not None and resilience.pinned(thread))
+                or (director is not None and director.pins(thread))
+            )
+            if chaos is not None and chaos.enabled:
+                if chaos.spurious_alert():
+                    processors[proc].alerts.raise_alert(-1, "spurious")
+                    clock.advance(SPURIOUS_ALERT_CYCLES)
+                if chaos.forced_preempt() and not pinned:
+                    # Context-switch storm: preempt regardless of quantum.
+                    self._preempt(proc, slot)
+                    continue
+            if (
+                quantum is not None
+                and ready
+                and not pinned
+                and clock._now - slot.slice_start >= quantum
+            ):
+                self._preempt(proc, slot)
+                continue
+            exc = slot.pending_exc
+            if exc is None:
+                poll = slot.poll
+                if poll is not None and thread.in_transaction and poll(thread):
+                    exc = self._abort_exception(thread, "status word changed")
+            try:
+                if exc is None:
+                    op = slot.gen.send(slot.pending_value)
+                else:
+                    slot.pending_exc = None
+                    op = slot.gen.throw(exc)
+            except StopIteration:
+                self._retire(proc, slot)
+                continue
+            # The op engine.  A clock advance is at least one cycle, so
+            # the clock is bumped directly rather than through the
+            # negative check of ``CycleClock.advance``.
+            kind = op[0]
+            if kind == "work":
+                cycles = op[1]
+                slot.pending_value = None
+            else:
+                method = ops.get(kind)
+                if method is None:
+                    if kind != "yield_cpu":
+                        raise SchedulerError(f"unknown op {op!r}")
+                    self._voluntary_yield(proc, slot)
+                    slot.pending_value = None
+                    continue
+                # Spelled out for the common arities:
+                # ``method(proc, *op[1:])`` builds two tuples per call.
+                nargs = len(op)
+                if nargs == 2:
+                    result = method(proc, op[1])
+                elif nargs == 3:
+                    result = method(proc, op[1], op[2])
+                else:
+                    result = method(proc, *op[1:])
+                cycles = result.cycles
+                slot.pending_value = result
+            now = clock._now + (cycles if cycles > 1 else 1)
+            clock._now = now
+            # Still on top of the heap: re-key now, the refresh the next
+            # pick would make first.  Nothing touches the heap between a
+            # pick and an executed op, so the heap's own pick is on top.
+            if director is None or heap[0][1] == proc:
+                heapreplace(heap, (now, proc))
         if invariants is not None:
             invariants.check_machine(machine)
         return self._result(cycle_limit)
 
     def next_processor(self, cycle_limit: int) -> Optional[int]:
         """Least-advanced running processor (lowest id on ties), or None
-        when it has already reached ``cycle_limit`` or nothing runs."""
+        when it has already reached ``cycle_limit`` or nothing runs.
+
+        The directors' fallback: :meth:`run` makes the same pick inline
+        when no director is installed.
+        """
         heap = self._heap
         running = self._running
         clocks = self._clocks
@@ -253,94 +366,6 @@ class Scheduler:
         if proc not in self._keyed:
             self._keyed.add(proc)
             heapq.heappush(self._heap, (self._clocks[proc]._now, proc))
-
-    def _step(self, proc: int, cycle_limit: int) -> None:
-        """Resume one thread's generator and execute the op it yields.
-
-        A step is one ``_ops`` lookup plus the machine call it names;
-        ``work`` and ``yield_cpu`` are handled here.  The chaos engine
-        and the pinning hooks were bound by :meth:`run`.
-        """
-        slot = self._running[proc]
-        clock = self._clocks[proc]
-        # The serial-irrevocable holder is pinned: neither chaos storms
-        # nor quantum expiry may deschedule it (a migration would abort
-        # it and void the forward-progress guarantee).  The chaos dice
-        # still roll so the injection streams stay aligned.  A schedule
-        # director can pin threads the same way (the "pin" directive).
-        pinned = False
-        if self._pinning:
-            resilience = self.machine.resilience
-            pinned = resilience is not None and resilience.pinned(slot.thread)
-            if not pinned and self.director is not None:
-                pinned = self.director.pins(slot.thread)
-        chaos = self._chaos
-        if chaos is not None and chaos.enabled:
-            if chaos.spurious_alert():
-                self.machine.processors[proc].alerts.raise_alert(-1, "spurious")
-                clock.advance(SPURIOUS_ALERT_CYCLES)
-            if chaos.forced_preempt() and not pinned:
-                # Context-switch storm: preempt regardless of quantum.
-                self._preempt(proc, slot)
-                return
-        if (
-            self.quantum is not None
-            and self._ready
-            and not pinned
-            and clock._now - slot.slice_start >= self.quantum
-        ):
-            self._preempt(proc, slot)
-            return
-        thread = slot.thread
-        poll = slot.poll
-        if (
-            poll is not None
-            and slot.pending_exc is None
-            and thread.in_transaction
-            and poll(thread)
-        ):
-            slot.pending_exc = self._abort_exception(thread, "status word changed")
-        try:
-            if slot.pending_exc is not None:
-                exc, slot.pending_exc = slot.pending_exc, None
-                op = slot.gen.throw(exc)
-            else:
-                op = slot.gen.send(slot.pending_value)
-        except StopIteration:
-            self._retire(proc, slot)
-            return
-        # The op engine.  A clock advance is at least one cycle, so the
-        # clock is bumped directly rather than through the negative
-        # check of ``CycleClock.advance``.
-        kind = op[0]
-        if kind == "work":
-            cycles = op[1]
-            slot.pending_value = None
-        else:
-            method = self._ops.get(kind)
-            if method is None:
-                if kind != "yield_cpu":
-                    raise SchedulerError(f"unknown op {op!r}")
-                self._voluntary_yield(proc, slot)
-                slot.pending_value = None
-                return
-            # Spelled out for the common arities: ``method(proc, *op[1:])``
-            # builds two tuples per call.
-            nargs = len(op)
-            if nargs == 2:
-                result = method(proc, op[1])
-            elif nargs == 3:
-                result = method(proc, op[1], op[2])
-            else:
-                result = method(proc, *op[1:])
-            cycles = result.cycles
-            slot.pending_value = result
-        clock._now += cycles if cycles > 1 else 1
-        # Still on top of the heap: re-key now, the refresh
-        # ``next_processor`` would make first.
-        heap = self._heap
-        if heap[0][1] == proc:
-            heapq.heapreplace(heap, (clock._now, proc))
 
     def _abort_exception(self, thread, cause: str) -> TransactionAborted:
         """Build a TransactionAborted carrying descriptor attribution.

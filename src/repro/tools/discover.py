@@ -33,9 +33,3 @@ class DiscoverInstrumenter:
         per_access = program.discover_cycles_per_access + self.dispatch_overhead_cycles
         # Baseline cost is ~1 cycle/access in our synthetic programs.
         return 1.0 + per_access
-
-    def run_cycles(self, program: BugBenchProgram) -> Optional[int]:
-        multiple = self.slowdown(program)
-        if multiple is None:
-            return None
-        return int(program.accesses * multiple)

@@ -6,7 +6,9 @@ L1 of the same hit latency.  These tests pin that table to the spec's
 ``"local"`` cells, check every (access, state) cell against the
 hand-written Figure 1 reference walk, and check that the shortcut keeps
 the shared results intact, still charges chaos eviction cycles, and
-creates no counter a run never increments.
+creates no counter a run never increments.  ``access`` probes the array
+itself, after the chaos roll, and ticks the LRU state exactly as
+``CacheArray.lookup`` does.
 """
 
 import pytest
@@ -241,3 +243,64 @@ def test_a_run_without_plain_stores_has_no_store_counter():
     assert not any(
         name.startswith("l1.access.") and name != "l1.access.Load" for name in result.stats
     )
+
+
+# ------------------------------------------- (f) the probe inlined in access
+
+
+def _filled_set():
+    """A machine whose processor 0 holds a full set of plain lines;
+    returns (machine, the set's line addresses)."""
+    machine = _machine()
+    line = machine.amap.line_of(machine.allocate_words(1, line_aligned=True))
+    _fill_set(machine, line)
+    array = machine.processors[0].l1.array
+    lines = sorted(cached.line_address for cached in array.valid_lines()
+                   if array.set_index(cached.line_address) == array.set_index(line))
+    assert len(lines) == array.associativity
+    return machine, lines
+
+
+def test_hits_tick_the_lru_exactly_as_the_array_lookup_does():
+    """A run of hits through ``L1Controller.access`` leaves the ticks and
+    the LRU victim that the same run through ``CacheArray.lookup`` does."""
+    by_access, lines = _filled_set()
+    by_lookup, same_lines = _filled_set()
+    assert same_lines == lines
+    l1 = by_access.processors[0].l1
+    array = by_lookup.processors[0].l1.array
+    order = [lines[(7 * k + k // 3) % len(lines)] for k in range(40)]
+    for line in order:
+        assert l1.access(AccessKind.LOAD, line).hit
+        assert array.lookup(line) is not None
+        ticks = {cached.line_address: cached.last_use for cached in l1.array.valid_lines()}
+        assert ticks == {cached.line_address: cached.last_use
+                         for cached in array.valid_lines()}
+        assert l1.array._use_tick == array._use_tick
+        assert (l1.array.choose_victim(line).line_address
+                == array.choose_victim(line).line_address)
+
+
+def test_a_chaos_armed_hit_rolls_l1_pressure_before_the_probe(monkeypatch):
+    machine = _machine()
+    address = machine.allocate_words(1, line_aligned=True)
+    machine.load(0, address)
+    line = machine.amap.line_of(address)
+    l1 = machine.processors[0].l1
+    cached = l1.array.peek(line)
+    machine.set_chaos(ChaosEngine(ChaosSpec(seed=1, l1_evict=0.5)))
+    seen = []
+    roll = ChaosEngine.l1_pressure
+
+    def l1_pressure(self):
+        seen.append((cached.last_use, l1.array._use_tick))
+        return roll(self)
+
+    monkeypatch.setattr(ChaosEngine, "l1_pressure", l1_pressure)
+    for count in range(1, 21):
+        before = (cached.last_use, l1.array._use_tick)
+        assert l1.access(AccessKind.LOAD, line).hit
+        # Rolled once, before the hit touched the LRU state.
+        assert len(seen) == count and seen[-1] == before
+        assert cached.last_use == l1.array._use_tick == before[1] + 1
+    assert machine.stats.counter("chaos.l1.evict").value > 0

@@ -1,13 +1,22 @@
 """Dispatch order: the scheduler's heap agrees with a linear scan.
 
 The scheduler serves its least-advanced-clock policy from a lazily
-re-keyed ``(clock, proc)`` heap.  These tests run it beside the
-reference definition of the policy, a scan over the running processors
-(least clock, lowest processor id on ties, skipping finished slots and
-clocks at or past the limit), and assert the two agree before every
-step.  They cover the paths that move clocks or change which processors
-run outside the ordinary step: preemption churn, processor subsets,
-retirement, chaos context-switch storms and scripted directives.
+re-keyed ``(clock, proc)`` heap, refreshed inline by the pick in
+``Scheduler.run`` and by ``Scheduler.next_processor``, the fallback a
+director defers to.  The reference definition of the policy is a scan
+over the running processors (least clock, lowest processor id on ties,
+skipping finished slots and clocks at or past the limit).
+
+An undirected scenario runs twice: once as is, and once under a
+director that picks by the scan and pins nothing.  Both runs must give
+the same result and the same op stream (``tests/op_digest.tapped``),
+which holds only if the inline pick chose the scan's processor at every
+step.  A scripted scenario wraps its director's ``pick`` and checks
+``next_processor`` against the scan before every step, mid-script too.
+The scenarios cover the paths that move clocks or change which
+processors run outside the ordinary step: preemption churn, processor
+subsets, retirement, chaos context-switch storms and scripted
+directives.
 """
 
 from repro.adversary.director import ScheduleDirector
@@ -20,6 +29,7 @@ from repro.params import small_test_params
 from repro.runtime.flextm import FlexTMRuntime
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.txthread import TxThread, WorkItem
+from tests.op_digest import tapped
 
 CYCLE_LIMIT = 40_000
 
@@ -38,24 +48,36 @@ def reference_pick(scheduler, cycle_limit):
     return best
 
 
-class OracleScheduler(Scheduler):
-    """A Scheduler that checks every pick against :func:`reference_pick`."""
+class ReferenceDirector:
+    """Picks by :func:`reference_pick` and pins nothing."""
 
-    checks = 0
+    def __init__(self):
+        self.checks = 0
 
-    def next_processor(self, cycle_limit):
-        expected = reference_pick(self, cycle_limit)
-        picked = super().next_processor(cycle_limit)
-        assert picked == expected, (picked, expected, self.checks)
+    def pick(self, scheduler, cycle_limit):
         self.checks += 1
-        return picked
+        return reference_pick(scheduler, cycle_limit)
 
-    def _step(self, proc, cycle_limit):
-        # Also check mid-script, when a director chose ``proc`` itself.
-        picked = self.next_processor(cycle_limit)
-        if self.director is None:
-            assert picked == proc
-        super()._step(proc, cycle_limit)
+    def pins(self, thread):
+        return False
+
+
+def checked(director):
+    """Wrap a script director's ``pick``: before every step, the heap's
+    ``next_processor`` must agree with the scan."""
+    inner = director.pick
+    director.checks = 0
+
+    def pick(scheduler, cycle_limit):
+        proc = inner(scheduler, cycle_limit)
+        expected = reference_pick(scheduler, cycle_limit)
+        picked = scheduler.next_processor(cycle_limit)
+        assert picked == expected, (picked, expected, director.checks)
+        director.checks += 1
+        return proc
+
+    director.pick = pick
+    return director
 
 
 def _items(thread_id, shared, count):
@@ -76,41 +98,47 @@ def _items(thread_id, shared, count):
         k += 1
 
 
-def _run(scheduler_cls, num_processors, counts, chaos=None, director=None,
-         **scheduler_kwargs):
-    machine = FlexTMMachine(small_test_params(num_processors))
-    if chaos is not None:
-        machine.set_chaos(ChaosEngine(chaos, stats=machine.stats))
-    runtime = FlexTMRuntime(machine, mode=ConflictMode.EAGER)
-    line = machine.params.line_bytes
-    shared = [machine.allocate(line, line_aligned=True) for _ in range(6)]
-    threads = [
-        TxThread(thread_id, runtime, _items(thread_id, shared, count))
-        for thread_id, count in enumerate(counts)
-    ]
-    scheduler = scheduler_cls(machine, threads, director=director,
-                              **scheduler_kwargs)
-    return scheduler, scheduler.run(cycle_limit=CYCLE_LIMIT)
+def _run(num_processors, counts, chaos=None, director=None, **scheduler_kwargs):
+    """One run, with its op stream digested; returns (scheduler, result,
+    op-stream digest)."""
+    with tapped() as recorder:
+        machine = FlexTMMachine(small_test_params(num_processors))
+        if chaos is not None:
+            machine.set_chaos(ChaosEngine(chaos, stats=machine.stats))
+        runtime = FlexTMRuntime(machine, mode=ConflictMode.EAGER)
+        line = machine.params.line_bytes
+        shared = [machine.allocate(line, line_aligned=True) for _ in range(6)]
+        threads = [
+            TxThread(thread_id, runtime, _items(thread_id, shared, count))
+            for thread_id, count in enumerate(counts)
+        ]
+        scheduler = Scheduler(machine, threads, director=director, **scheduler_kwargs)
+        result = scheduler.run(cycle_limit=CYCLE_LIMIT)
+    return scheduler, result, recorder.sha.hexdigest()
 
 
 def _check(num_processors, counts, script=None, chaos=None, **kwargs):
-    """Run under the oracle, then check the oracle changed nothing."""
-
-    def director():
-        return None if script is None else ScheduleDirector(script)
-
-    oracle_director = director()
-    oracle, result = _run(OracleScheduler, num_processors, counts, chaos,
-                          oracle_director, **kwargs)
-    plain_director = director()
-    _, plain = _run(Scheduler, num_processors, counts, chaos,
-                    plain_director, **kwargs)
-    assert result == plain
-    if script is not None:
-        assert oracle_director.log == plain_director.log
-    assert oracle.checks > 100
+    """Run against the reference, then check the reference changed
+    nothing; returns the checked run's (scheduler, result, director)."""
+    if script is None:
+        reference = ReferenceDirector()
+        _, expected, expected_ops = _run(num_processors, counts, chaos, reference, **kwargs)
+        scheduler, result, ops = _run(num_processors, counts, chaos, None, **kwargs)
+        director = None
+        checks = reference.checks
+    else:
+        director = checked(ScheduleDirector(script))
+        scheduler, result, ops = _run(num_processors, counts, chaos, director, **kwargs)
+        plain_director = ScheduleDirector(script)
+        _, expected, expected_ops = _run(num_processors, counts, chaos, plain_director,
+                                         **kwargs)
+        assert director.log == plain_director.log
+        checks = director.checks
+    assert result == expected
+    assert ops == expected_ops
+    assert checks > 100
     assert result.commits > 0
-    return oracle, result, oracle_director
+    return scheduler, result, director
 
 
 def test_sixteen_threads_on_sixteen_cores():
@@ -123,9 +151,9 @@ def test_more_threads_than_cores_with_a_quantum():
 
 
 def test_processor_subset():
-    oracle, result, _ = _check(4, [None] * 5, processors=[1, 2], quantum=500)
+    scheduler, result, _ = _check(4, [None] * 5, processors=[1, 2], quantum=500)
     assert result.stats["ctxsw.switches"] > 0
-    assert all(proc in (1, 2) for proc in oracle._running)
+    assert all(proc in (1, 2) for proc in scheduler._running)
 
 
 def test_threads_retiring_mid_run():

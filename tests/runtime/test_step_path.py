@@ -1,8 +1,8 @@
 """The scheduler's step path.
 
-``Scheduler._step`` executes the op a thread yields through one table
-lookup (``Scheduler._ops``, op kind -> bound machine method, built by
-``run``) and bumps the clock directly.  Every executed op of the
+The step loop in ``Scheduler.run`` executes the op a thread yields
+through one table lookup (op kind -> bound machine method, built at the
+start of each run) and bumps the clock directly.  Every executed op of the
 scenarios below is pinned by the op-digest oracle (``tests/op_digest.py``,
 checked by ``tests/test_op_digest.py``).  These tests check, from the
 counts the oracle's taps keep, that each scenario still exercises what

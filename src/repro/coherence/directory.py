@@ -16,7 +16,7 @@ sticky by the summary signatures (Cores Summary rule, Section 5).
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.coherence.messages import RequestType, ResponseKind
 from repro.coherence.states import LineState
@@ -29,6 +29,7 @@ from repro.sim.stats import Counter, StatsRegistry
 
 if TYPE_CHECKING:
     from repro.coherence.l1 import L1Controller
+    from repro.sim.clock import CycleClock
 
 
 #: Grants recorded in the owner vector: the states with Figure 1's M
@@ -40,6 +41,17 @@ _THREATENED = ResponseKind.THREATENED
 _GETS = RequestType.GETS
 _I = LineState.I
 _E = LineState.E
+
+#: ``coh_request`` detail per (request, grant), and per (request,
+#: "NACK") for a NACKed request: built here so that a traced request
+#: reads no member's name or value.
+_REQUEST_DETAILS: Dict[Tuple[RequestType, object], str] = {
+    **{(request, grant): f"{request.value}->{grant.name}"
+       for request in RequestType for grant in LineState},
+    **{(request, "NACK"): f"{request.value}->NACK" for request in RequestType},
+}
+#: ``coh_response`` detail per response kind.
+_RESPONSE_DETAILS: Dict[ResponseKind, str] = {kind: kind.value for kind in ResponseKind}
 
 
 @dataclasses.dataclass
@@ -152,9 +164,9 @@ class Directory:
         self.sticky_check: Optional[Callable] = None
         # Observability hook (installed by FlexTMMachine.set_tracer).
         self.tracer = NULL_TRACER
-        # Processor-clock accessor for event stamps (installed by
+        # Each processor's clock, for event stamps (installed by
         # FlexTMMachine at construction).
-        self.clock_of: Optional[Callable] = None
+        self.clocks: Sequence["CycleClock"] = ()
         # Fault injection (installed by FlexTMMachine.set_chaos).
         self.chaos = None
 
@@ -214,7 +226,9 @@ class Directory:
         if self.nack_check is not None and self.nack_check(line_address, requestor):
             self.stats.counter("dir.nacks").increment()
             if self.tracer.enabled:
-                self._trace_request(requestor, req_type, line_address, "NACK", [])
+                self._trace_request(
+                    requestor, line_address, _REQUEST_DETAILS[req_type, "NACK"], []
+                )
             return DirectoryOutcome(cycles=cycles, responses=[], grant=_I, nacked=True)
 
         entry = self._entries.get(line_address)
@@ -271,29 +285,29 @@ class Directory:
 
         grant = self._grant_and_record(requestor, req_type, line_address, entry, responses)
         if self.tracer.enabled:
-            self._trace_request(requestor, req_type, line_address, grant.name, responses)
+            self._trace_request(
+                requestor, line_address, _REQUEST_DETAILS[req_type, grant], responses
+            )
         return DirectoryOutcome(cycles, responses, grant)
 
     def _trace_request(
         self,
         requestor: int,
-        req_type: RequestType,
         line_address: int,
-        grant: str,
+        detail: str,
         responses: List[Tuple[int, ResponseKind]],
     ) -> None:
-        """Emit one ``coh_request`` plus a ``coh_response`` per response."""
-        if not self.tracer.enabled:
+        """Emit one ``coh_request`` (``detail`` from ``_REQUEST_DETAILS``)
+        plus a ``coh_response`` per response."""
+        tracer = self.tracer
+        if not tracer.enabled:
             return
-        now = self.clock_of(requestor)
-        self.tracer.coherence(
-            requestor, now, "coh_request", line_address,
-            detail=f"{req_type.value}->{grant}",
-        )
+        now = self.clocks[requestor]._now
+        tracer.coherence(requestor, now, "coh_request", line_address, -1, detail)
         for responder, kind in responses:
-            self.tracer.coherence(
+            tracer.coherence(
                 requestor, now, "coh_response", line_address,
-                responder=responder, detail=kind.value,
+                responder, _RESPONSE_DETAILS[kind],
             )
 
     def _grant_and_record(

@@ -112,7 +112,7 @@ class ConflictSummaryTables:
 
         This is the statistic reported in the Figure 4 conflict table.
         """
-        union = self.r_w.value | self.w_r.value | self.w_w.value
+        union = self.r_w._bits | self.w_r._bits | self.w_w._bits
         return union.bit_count()
 
     def save(self) -> dict:

@@ -129,7 +129,7 @@ class FlexTMMachine:
         self.directory.nack_check = self._nack_check
         self.directory.sticky_check = self.summary.sticky_sharer
         self.directory.summary_conflict_check = self._summary_conflict_check
-        self.directory.clock_of = lambda p: self.processors[p].clock.now
+        self.directory.clocks = [proc.clock for proc in self.processors]
         #: Processors whose OT is committed, in id order: the only ones
         #: whose copy-back can NACK a request.
         self._copying_back: Tuple[FlexTMProcessor, ...] = ()
@@ -304,25 +304,21 @@ class FlexTMMachine:
         taken, self._pending_summary_conflicts = self._pending_summary_conflicts, []
         return taken
 
-    def _trace_access(
+    def _trace_conflicts(
         self,
-        proc: FlexTMProcessor,
+        proc_id: int,
+        now: int,
         kind: AccessKind,
-        address: int,
         line: int,
         conflicts: Sequence[Tuple[int, ResponseKind]],
     ) -> None:
-        """Emit the (sampled) access and any CST-setting conflicts."""
+        """Emit the CST-setting conflicts of a traced access."""
         if not self.tracer.enabled:
             return
-        now = proc.clock.now
-        thread = proc.current.thread_id if proc.current is not None else -1
-        rw = "read" if kind is _TLOAD else "write"
-        self.tracer.tx_access(proc.proc_id, thread, now, rw, address)
         for responder, response in conflicts:
             cst = REQUESTER_CST.get((kind, response))
             if cst is not None:
-                self.tracer.conflict(proc.proc_id, now, responder, CST_LABELS[cst], line)
+                self.tracer.conflict(proc_id, now, responder, CST_LABELS[cst], line)
 
     # -------------------------------------------------------------- allocator
 
@@ -432,7 +428,10 @@ class FlexTMMachine:
             self.invariants.on_access_conflicts(self, proc_id, _TLOAD, result.conflicts)
         proc.current.accesses += 1
         if self.tracer.enabled:
-            self._trace_access(proc, _TLOAD, address, line, conflicts)
+            now = proc.clock._now
+            self.tracer.tx_access(proc_id, proc.current.thread_id, now, "read", address)
+            if conflicts:
+                self._trace_conflicts(proc_id, now, _TLOAD, line, conflicts)
         overlay = proc.overlay
         value = overlay[address] if address in overlay else self._words.get(address, 0)
         return MemoryOpResult(value, result.cycles + refill_cycles, conflicts)
@@ -460,7 +459,10 @@ class FlexTMMachine:
         proc.overlay[address] = value
         proc.current.accesses += 1
         if self.tracer.enabled:
-            self._trace_access(proc, _TSTORE, address, line, conflicts)
+            now = proc.clock._now
+            self.tracer.tx_access(proc_id, proc.current.thread_id, now, "write", address)
+            if conflicts:
+                self._trace_conflicts(proc_id, now, _TSTORE, line, conflicts)
         return MemoryOpResult(value, result.cycles + refill_cycles, conflicts)
 
     def cas(self, proc_id: int, address: int, expected: int, new: int) -> MemoryOpResult:

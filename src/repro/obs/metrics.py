@@ -219,14 +219,18 @@ class TimeSeries:
 
     def record(self, cycle: int, amount: int = 1) -> None:
         window = cycle // self.window_cycles
-        if self.mode == "sum":
-            self._windows[window] = self._windows.get(window, 0) + amount
-        else:
-            current = self._windows.get(window)
-            if current is None or amount > current:
-                self._windows[window] = amount
-        while len(self._windows) > self.capacity:
-            self._windows.pop(min(self._windows))
+        windows = self._windows
+        current = windows.get(window)
+        if current is not None:
+            # The map does not grow, so nothing is evicted.
+            if self.mode == "sum":
+                windows[window] = current + amount
+            elif amount > current:
+                windows[window] = amount
+            return
+        windows[window] = amount
+        while len(windows) > self.capacity:
+            windows.pop(min(windows))
             self.evicted += 1
 
     def points(self) -> List[List[int]]:
@@ -344,19 +348,39 @@ class MetricsHub:
 
     # -- transaction lifecycle -------------------------------------------------
 
+    # The three most frequent kinds (begins, commits, granted requests)
+    # bump their counter and their series' window in place; a series
+    # calls ``TimeSeries.record`` only to open a window.
+
     def _fold_begin(self, record: tuple) -> None:
         cycle = record[1]
-        self.count("tx.begins")
+        counters = self.counters
+        counters["tx.begins"] = counters.get("tx.begins", 0) + 1
         self._begin_cycle[record[3]] = cycle
-        self.series("tx.begins").record(cycle)
+        series = self.series_map.get("tx.begins") or self.series("tx.begins")
+        windows = series._windows
+        window = cycle // series.window_cycles
+        if window in windows:
+            windows[window] += 1
+        else:
+            series.record(cycle)
 
     def _fold_commit(self, record: tuple) -> None:
         cycle = record[1]
-        self.count("tx.commits")
-        self.series("tx.commits").record(cycle)
+        counters = self.counters
+        counters["tx.commits"] = counters.get("tx.commits", 0) + 1
+        series = self.series_map.get("tx.commits") or self.series("tx.commits")
+        windows = series._windows
+        window = cycle // series.window_cycles
+        if window in windows:
+            windows[window] += 1
+        else:
+            series.record(cycle)
         begin = self._begin_cycle.pop(record[3], None)
         if begin is not None:
-            self.histogram("tx.commit_cycles").record(max(0, cycle - begin))
+            histogram = (self.histograms.get("tx.commit_cycles")
+                         or self.histogram("tx.commit_cycles"))
+            histogram.record(max(0, cycle - begin))
 
     def _fold_abort(self, record: tuple) -> None:
         _, cycle, proc, thread, _, _, _, data = record
@@ -420,9 +444,18 @@ class MetricsHub:
         A NACKed request (``cause`` ends in ``->NACK``) never reached
         the holders, so it is not a coherence message.
         """
-        if not record[6].endswith("->NACK"):
-            self.count("coh.messages")
-            self.series("coh.messages").record(record[1])
+        if record[6].endswith("->NACK"):
+            return
+        cycle = record[1]
+        counters = self.counters
+        counters["coh.messages"] = counters.get("coh.messages", 0) + 1
+        series = self.series_map.get("coh.messages") or self.series("coh.messages")
+        windows = series._windows
+        window = cycle // series.window_cycles
+        if window in windows:
+            windows[window] += 1
+        else:
+            series.record(cycle)
 
     def _fold_evict(self, record: tuple) -> None:
         self.count("coh.evictions")
@@ -435,17 +468,26 @@ class MetricsHub:
 
     # -- run boundary ----------------------------------------------------------
 
-    def step(self, scheduler) -> None:
-        """Once per scheduler step (from the tracer whose log this hub
-        folds); sweeps the sensors every Nth step."""
-        self._steps += 1
-        if self._steps % self.sample_interval:
-            return
-        self.sample(scheduler.machine)
+    def step(self, scheduler, steps: int) -> int:
+        """Count ``steps`` more scheduler steps (from the tracer whose log
+        this hub folds) and sweep the sensors when the count reaches a
+        multiple of ``sample_interval``.
 
-    def finalize(self, proc_cycles: List[int]) -> None:
+        Returns the steps to the next sweep.  The scheduler calls again
+        no later than that, so ``steps`` never passes a sweep.
+        """
+        self._steps += steps
+        remainder = self._steps % self.sample_interval
+        if remainder:
+            return self.sample_interval - remainder
+        self.sample(scheduler.machine)
+        return self.sample_interval
+
+    def finalize(self, proc_cycles: List[int], steps: int = 0) -> None:
         """Called once per run, after the last fold, with each
-        processor's final clock."""
+        processor's final clock and the steps run after the last
+        :meth:`step` call (fewer than its budget, so no sweep is due)."""
+        self._steps += steps
         self.proc_cycles = list(proc_cycles)
         self.gauge("cycles.total").set(max(proc_cycles, default=0))
 
@@ -455,11 +497,15 @@ class MetricsHub:
         """One sweep over the PR 4 pressure sensors (observational)."""
         from repro.resilience.pressure import sample_machine
 
-        samples = sample_machine(machine)
         cycle = machine.max_cycle()
-        sig_fill = max((s.sig_fill for s in samples), default=0.0)
-        sig_fp = max((s.sig_fp for s in samples), default=0.0)
-        ot_occupancy = sum(s.ot_occupancy for s in samples)
+        # The worst signature readings and the total OT occupancy (every
+        # reading is >= 0, so 0.0 and 0 start the scan).
+        sig_fill = sig_fp = 0.0
+        ot_occupancy = 0
+        for reading in sample_machine(machine):
+            sig_fill = max(sig_fill, reading.sig_fill)
+            sig_fp = max(sig_fp, reading.sig_fp)
+            ot_occupancy += reading.ot_occupancy
         cst_density = sum(
             proc.csts.conflict_degree() for proc in machine.processors
         )

@@ -26,6 +26,15 @@ to the tracer armed beside it, or to a private log that keeps nothing
 when the hub is armed alone, so every emit site keeps exactly one
 ``tracer.enabled`` guard and an armed event costs one append.
 
+The scheduler does not call the tracer after every step.
+:meth:`Tracer.step` takes the number of steps run since its last call
+and answers how many more may run before the next one: the steps to the
+hub's next pressure sample, so samples land on the same steps and log
+positions as a per-step call would put them.  The scheduler also calls
+as soon as the log holds :data:`CHUNK_RECORDS` records, so the unfolded
+log stays under one chunk plus one step's records.  An armed run makes
+one call per sample or flush, plus the first step's.
+
 Tracing is purely observational: attaching an :class:`EventTracer`
 never changes a single simulated cycle, so a traced run reproduces the
 untraced run bit for bit (tests/obs/test_trace_integration.py).
@@ -38,7 +47,8 @@ that the ``simcheck`` rule ``SIM-E201`` checks every emit site against.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+import sys
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.events import ACCESS_KINDS, COHERENCE_KINDS
 
@@ -89,6 +99,11 @@ class Tracer:
     """
 
     enabled = False
+
+    #: Records logged but not yet folded.  The scheduler reads it after
+    #: every step and calls :meth:`step` once it holds
+    #: :data:`CHUNK_RECORDS`; a tracer without a log has none.
+    _log: Sequence[tuple] = ()
 
     # -- transaction lifecycle -------------------------------------------------
 
@@ -158,12 +173,20 @@ class Tracer:
 
     # -- run boundary ----------------------------------------------------------
 
-    def step(self, scheduler) -> None:
-        """Called by the scheduler after every step (the metrics sampler)."""
-        pass
+    def step(self, scheduler, steps: int) -> int:
+        """Called by the scheduler with the ``steps`` it ran since the last
+        call; returns how many more it may run before the next call.
 
-    def finalize(self, proc_cycles: List[int]) -> None:
-        """Called once by the scheduler with each processor's final clock."""
+        The scheduler calls early when the log holds
+        :data:`CHUNK_RECORDS` records.  The first call of a run follows
+        the run's first step, so 1, the answer here, asks for a call
+        after every step.
+        """
+        return 1
+
+    def finalize(self, proc_cycles: List[int], steps: int = 0) -> None:
+        """Called once by the scheduler with each processor's final clock
+        and the steps it ran after its last :meth:`step` call."""
         pass
 
 
@@ -180,6 +203,13 @@ NULL_TRACER = NullTracer()
 #: Unfolded records a scheduler step lets the log hold before it folds
 #: them: the bound on the memory a metrics-only run holds.
 CHUNK_RECORDS = 4096
+
+#: The step budget of a tracer that needs a call only to flush its log.
+NO_STEP_DUE = sys.maxsize
+
+#: ``tx_access``'s ``rw`` -> the kind it records: one shared string per
+#: kind, not one built per access.
+_ACCESS_KIND = {kind[len("tx_"):]: kind for kind in ACCESS_KINDS}
 
 
 class EventTracer(Tracer):
@@ -243,7 +273,7 @@ class EventTracer(Tracer):
         self._append(("tx_abort", cycle, proc, thread, -1, 0, cause, data))
 
     def tx_access(self, proc, thread, cycle, rw, address):
-        self._append((f"tx_{rw}", cycle, proc, thread, address, 0, "", None))
+        self._append((_ACCESS_KIND[rw], cycle, proc, thread, address, 0, "", None))
 
     # -- conflicts and alerts --------------------------------------------------
 
@@ -291,17 +321,23 @@ class EventTracer(Tracer):
 
     # -- run boundary ----------------------------------------------------------
 
-    def step(self, scheduler):
+    def step(self, scheduler, steps):
+        """Flush a full log; the hub counts the steps and may sample.
+
+        Returns the hub's steps to its next sample; without a hub, a
+        budget that never runs out (the log alone brings the next call).
+        """
         if len(self._log) >= CHUNK_RECORDS:
             self.flush()
         if self._hub is not None:
-            self._hub.step(scheduler)
+            return self._hub.step(scheduler, steps)
+        return NO_STEP_DUE
 
-    def finalize(self, proc_cycles):
+    def finalize(self, proc_cycles, steps=0):
         self.flush()
         self.proc_cycles = list(proc_cycles)
         if self._hub is not None:
-            self._hub.finalize(proc_cycles)
+            self._hub.finalize(proc_cycles, steps)
 
     # -- the log ---------------------------------------------------------------
 
@@ -309,7 +345,8 @@ class EventTracer(Tracer):
         """Fold every record from now on into ``hub`` (one hub per log).
 
         The hub also gets this tracer's ``step`` and ``finalize`` calls,
-        which drive its pressure sampler and close its run.
+        which count the run's steps, drive its pressure sampler and close
+        its run.
         """
         if self._hub is not None and self._hub is not hub:
             raise ValueError("this tracer already feeds a metrics hub")

@@ -39,19 +39,24 @@ class PressureSample:
 
 
 def sample_machine(machine) -> List[PressureSample]:
-    """Read every processor's sensors (observational only)."""
+    """Read every processor's sensors (observational only).
+
+    The worse of the Rsig and Wsig readings counts.  An empty register
+    reads 0.0 fill and a 0.0 false-positive estimate (every bank is
+    empty), so only a non-empty one is read.
+    """
     samples = []
     for proc in machine.processors:
-        fills = [proc.rsig.occupancy(), proc.wsig.occupancy()]
-        fps = [
-            proc.rsig.false_positive_estimate(),
-            proc.wsig.false_positive_estimate(),
-        ]
+        fill = fp = 0.0
+        for sig in (proc.rsig, proc.wsig):
+            if sig.word:
+                fill = max(fill, sig.occupancy())
+                fp = max(fp, sig.false_positive_estimate())
         samples.append(
             PressureSample(
                 proc=proc.proc_id,
-                sig_fill=max(fills),
-                sig_fp=max(fps),
+                sig_fill=fill,
+                sig_fp=fp,
                 ot_occupancy=proc.ot.count if proc.ot.active else 0,
                 ot_failed_walks=proc.ot.failed_walks,
             )

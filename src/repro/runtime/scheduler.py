@@ -17,9 +17,12 @@ tell the heap nothing: the lazy re-keying covers it.
 :meth:`Scheduler.run` is the one step loop.  Each iteration lets the
 per-step observers see the previous step, picks a processor (refreshing
 the heap's top in place), resumes that processor's thread and executes
-the op it yields.  The loop binds the machine, its hooks and its op
-methods to locals once per run, and serves every kind of run: plain,
-chaos-armed, pinned, quantum-sliced, observed and directed.
+the op it yields.  The tracer is the exception: it is called only on the
+steps it asks for (a metrics hub's pressure samples) and once its log
+holds a chunk (see :mod:`repro.obs.tracer`).  The loop binds the
+machine, its hooks and its op methods to locals once per run, and
+serves every kind of run: plain, chaos-armed, pinned, quantum-sliced,
+observed and directed.
 
 With more threads than processors (or an explicit quantum) the
 scheduler context-switches: the OS path spills the running
@@ -50,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.machine import FlexTMMachine
 from repro.errors import InvariantViolation, SchedulerError, TransactionAborted
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import CHUNK_RECORDS, NULL_TRACER
 from repro.runtime.api import TMBackend
 from repro.runtime.txthread import TxThread
 
@@ -224,6 +227,12 @@ class Scheduler:
             and invariants is None
             and tracer is NULL_TRACER
         )
+        # The tracer's log, and its cadence: the step due its next call
+        # (1 for the run's first) and the step of its last call.  It is
+        # called early once the log holds a chunk.
+        log = tracer._log
+        due = 1
+        told = 0
         steps = 0
         # A step has run that the observers have not seen yet.
         unseen = False
@@ -234,8 +243,9 @@ class Scheduler:
                     watchdog.observe(self)
                 if resilience is not None:
                     resilience.on_step(self)
-                if tracer.enabled:
-                    tracer.step(self)
+                if tracer.enabled and (steps >= due or len(log) >= CHUNK_RECORDS):
+                    due = steps + tracer.step(self, steps - told)
+                    told = steps
                 if invariants is not None and steps % invariants.check_interval == 0:
                     invariants.check_machine(machine)
             # ---- pick: the director's choice, else the heap's top
@@ -335,7 +345,7 @@ class Scheduler:
                 heapreplace(heap, (now, proc))
         if invariants is not None:
             invariants.check_machine(machine)
-        return self._result(cycle_limit)
+        return self._result(cycle_limit, steps - told)
 
     def next_processor(self, cycle_limit: int) -> Optional[int]:
         """Least-advanced running processor (lowest id on ties), or None
@@ -580,7 +590,7 @@ class Scheduler:
 
     # ----------------------------------------------------------------- result
 
-    def _result(self, cycle_limit: int) -> RunResult:
+    def _result(self, cycle_limit: int, untold_steps: int) -> RunResult:
         threads = [slot.thread for slot in self.slots]
         commits = sum(thread.commits for thread in threads)
         aborts = sum(thread.aborts for thread in threads)
@@ -607,7 +617,9 @@ class Scheduler:
                 escalations.update(hook())
         tracer = self.machine.tracer
         if tracer.enabled:
-            tracer.finalize([proc.clock.now for proc in self.machine.processors])
+            tracer.finalize(
+                [proc.clock.now for proc in self.machine.processors], untold_steps
+            )
         return RunResult(
             cycles=elapsed,
             commits=commits,

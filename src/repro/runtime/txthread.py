@@ -84,8 +84,17 @@ class TxThread:
     def _run_transaction(self, ctx: TxContext, body: Callable) -> Iterator[Tuple]:
         aborts_in_a_row = 0
         incarnation = 0
-        resilience = self._resilience()
+        machine = getattr(self.backend, "machine", None)
         while True:
+            # The observers, read once per attempt.  Without a machine
+            # there are none, so no cycle stamp is taken.
+            if machine is None:
+                tracer, probes, resilience, processors = NULL_TRACER, None, None, ()
+            else:
+                tracer = machine.tracer
+                probes = machine.probes
+                resilience = machine.resilience
+                processors = machine.processors
             if resilience is not None:
                 # Degradation-ladder admission: spins while another
                 # thread runs irrevocably; acquires the token when this
@@ -98,27 +107,24 @@ class TxThread:
                     # Fresh attempt: clear stale wound attribution.
                     self.descriptor.wounded_by = -1
                     self.descriptor.wound_kind = ""
-                tracer = self._tracer()
                 if tracer.enabled:
                     tracer.tx_begin(
-                        self.processor, self.thread_id, self._now(),
+                        self.processor, self.thread_id, self._now(processors),
                         self.backend.name, incarnation,
                     )
-                probes = self._probes()
                 if probes is not None:
                     probes.on_begin(self.thread_id)
                 if resilience is not None:
-                    resilience.on_attempt(self, self._now())
+                    resilience.on_attempt(self, self._now(processors))
                 yield from self.backend.begin(self)
                 yield from body(ctx)
                 yield from self.backend.commit(self)
                 self.in_transaction = False
                 self.commits += 1
                 if resilience is not None:
-                    resilience.on_commit(self, self._now())
+                    resilience.on_commit(self, self._now(processors))
                 if tracer.enabled:
-                    tracer.tx_commit(self.processor, self.thread_id, self._now())
-                probes = self._probes()
+                    tracer.tx_commit(self.processor, self.thread_id, self._now(processors))
                 if probes is not None:
                     probes.on_commit(self.thread_id)
                 return
@@ -136,17 +142,15 @@ class TxThread:
                 key = conflict or "unattributed"
                 self.abort_kinds[key] = self.abort_kinds.get(key, 0) + 1
                 if resilience is not None:
-                    resilience.on_abort(self, self._now())
+                    resilience.on_abort(self, self._now(processors))
                 yield from self.backend.on_abort(self)
-                tracer = self._tracer()
                 if tracer.enabled:
                     tracer.tx_abort(
-                        self.processor, self.thread_id, self._now(),
+                        self.processor, self.thread_id, self._now(processors),
                         cause=str(abort) or "aborted",
                         by=by,
                         conflict=conflict,
                     )
-                probes = self._probes()
                 if probes is not None:
                     probes.on_abort(self.thread_id)
                 if self.abort_work is not None:
@@ -158,26 +162,13 @@ class TxThread:
                 if backoff:
                     yield ("work", backoff)
                     if tracer.enabled and self.processor is not None:
-                        tracer.stall(self.processor, self._now(), backoff)
+                        tracer.stall(self.processor, self._now(processors), backoff)
 
-    def _tracer(self):
-        machine = getattr(self.backend, "machine", None)
-        return machine.tracer if machine is not None else NULL_TRACER
-
-    def _resilience(self):
-        machine = getattr(self.backend, "machine", None)
-        return machine.resilience if machine is not None else None
-
-    def _probes(self):
-        machine = getattr(self.backend, "machine", None)
-        return machine.probes if machine is not None else None
-
-    def _now(self) -> int:
+    def _now(self, processors) -> int:
         """The owning processor's current cycle (0 when descheduled)."""
-        machine = getattr(self.backend, "machine", None)
-        if machine is None or self.processor is None:
+        if self.processor is None:
             return 0
-        return machine.processors[self.processor].clock.now
+        return processors[self.processor].clock._now
 
     def _retry_backoff(self, aborts_in_a_row: int) -> int:
         backoff_fn = getattr(self.backend, "retry_backoff", None)

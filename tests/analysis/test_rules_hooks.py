@@ -179,6 +179,60 @@ class TestTracerEmitGuard:
         )
         assert report.findings == []
 
+    def test_unguarded_step_in_the_loop_flags(self, tmp_path):
+        # The scheduler's cadence test alone does not license the call.
+        report = analyze_snippet(
+            tmp_path,
+            "repro/runtime/bad.py",
+            """
+            class Scheduler:
+                def run(self, tracer, log):
+                    due, told, steps = 1, 0, 0
+                    while True:
+                        steps += 1
+                        if steps >= due or len(log) >= CHUNK_RECORDS:
+                            due = steps + tracer.step(self, steps - told)
+                            told = steps
+            """,
+            ["SIM-H102"],
+        )
+        assert rule_ids(report) == ["SIM-H102"]
+
+    def test_enabled_in_an_or_does_not_guard_the_step(self, tmp_path):
+        report = analyze_snippet(
+            tmp_path,
+            "repro/runtime/bad.py",
+            """
+            class Scheduler:
+                def run(self, tracer, log):
+                    due, told, steps = 1, 0, 0
+                    while True:
+                        steps += 1
+                        if tracer.enabled or steps >= due:
+                            due = steps + tracer.step(self, steps - told)
+            """,
+            ["SIM-H102"],
+        )
+        assert rule_ids(report) == ["SIM-H102"]
+
+    def test_enabled_and_cadence_guard_is_recognized(self, tmp_path):
+        report = analyze_snippet(
+            tmp_path,
+            "repro/runtime/ok.py",
+            """
+            class Scheduler:
+                def run(self, tracer, log):
+                    due, told, steps = 1, 0, 0
+                    while True:
+                        steps += 1
+                        if tracer.enabled and (steps >= due or len(log) >= CHUNK_RECORDS):
+                            due = steps + tracer.step(self, steps - told)
+                            told = steps
+            """,
+            ["SIM-H102"],
+        )
+        assert report.findings == []
+
     def test_wrong_alias_guard_still_flags(self, tmp_path):
         # Guarding other.enabled must not license self.tracer emits.
         report = analyze_snippet(

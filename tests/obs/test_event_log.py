@@ -6,9 +6,12 @@ and only then do the tracer's ``sample_memory``/``trace_coherence``/
 
 * the hub's aggregates do not depend on what the tracer beside it keeps;
 * folding does not change what the trace keeps;
-* a metrics-only run holds at most one chunk of unfolded records.
+* a metrics-only run holds at most one chunk of unfolded records;
+* the scheduler calls the observers only on the steps where a sample
+  or a flush is due.
 """
 
+import collections
 import dataclasses
 
 import pytest
@@ -24,7 +27,7 @@ from repro.obs.events import (
 )
 from repro.obs.export import to_jsonl
 from repro.obs.metrics import MetricsHub
-from repro.obs.tracer import CHUNK_RECORDS, EventTracer, TraceEvent
+from repro.obs.tracer import CHUNK_RECORDS, EventTracer, TraceEvent, Tracer
 from repro.params import small_test_params
 from repro.resilience import DegradeSpec
 
@@ -95,11 +98,12 @@ def test_metrics_only_run_holds_at_most_one_chunk(monkeypatch):
     step = EventTracer.step
     held = []
 
-    def observed_step(self, scheduler):
+    def observed_step(self, scheduler, steps):
         held.append(len(self._log))
-        step(self, scheduler)
+        budget = step(self, scheduler, steps)
         assert len(self._log) < CHUNK_RECORDS
         assert not self._kept  # the private log keeps nothing
+        return budget
 
     monkeypatch.setattr(EventTracer, "step", observed_step)
     hub = MetricsHub()
@@ -108,6 +112,51 @@ def test_metrics_only_run_holds_at_most_one_chunk(monkeypatch):
     # The run logged several chunks, each folded at a step boundary.
     assert sum(count >= CHUNK_RECORDS for count in held) >= 2
     assert max(held) < 2 * CHUNK_RECORDS
+
+
+class _StepCounter(Tracer):
+    """An enabled tracer that asks for a call after every step."""
+
+    enabled = True
+
+    def __init__(self):
+        self.steps = 0
+
+    def step(self, scheduler, steps):
+        assert steps == 1
+        self.steps += steps
+        return 1
+
+
+def test_observers_are_called_on_sample_and_flush_steps_only(monkeypatch):
+    counter = _StepCounter()
+    _run("flextm-eager", tracer=counter, cycle_limit=4 * CYCLES)
+    calls = collections.Counter()
+    flushes = []
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            calls[name] += 1
+            if name == "EventTracer.step":
+                flushes.append(len(self._log) >= CHUNK_RECORDS)
+            return method(self, *args)
+        return wrapper
+
+    for cls, name in ((EventTracer, "step"), (MetricsHub, "step"), (MetricsHub, "sample")):
+        monkeypatch.setattr(cls, name, counted(f"{cls.__name__}.{name}", getattr(cls, name)))
+    hub = MetricsHub()
+    _run("flextm-eager", tracer=EventTracer(), metrics=hub, cycle_limit=4 * CYCLES)
+    samples = hub.samples_taken
+    assert samples == counter.steps // hub.sample_interval > 0
+    assert calls["MetricsHub.sample"] == samples
+    # The step count reaches the hub in full (the last steps through
+    # ``finalize``), so a second run would sample on the same steps.
+    assert hub._steps == counter.steps
+    # One observer call per sample or flush, plus the first step's.
+    assert calls["MetricsHub.step"] == calls["EventTracer.step"]
+    assert sum(flushes) >= 2
+    assert calls["EventTracer.step"] <= samples + sum(flushes) + 1
+    assert calls["EventTracer.step"] < counter.steps // 100
 
 
 def test_records_have_the_trace_event_fields():

@@ -139,6 +139,10 @@ class L1Controller:
         self._silent_evictions: Optional[Counter] = None
         self._remote_flushes: Optional[Counter] = None
         self._clean_hits = shared_clean_hits(params.l1_hit_cycles)
+        #: The TLoad and TStore rows, read by the machine's fused hit in
+        #: ``FlexTMMachine.tload``/``tstore``.
+        self._tload_hits = self._clean_hits[AccessKind.TLOAD]
+        self._tstore_hits = self._clean_hits[AccessKind.TSTORE]
 
     # ------------------------------------------------------------------ local
 
@@ -150,11 +154,15 @@ class L1Controller:
         Everything else takes :meth:`_dispatch` or :meth:`_miss`.  The
         array is probed here rather than through ``CacheArray.lookup``,
         with the same LRU tick on a hit.
+
+        ``FlexTMMachine.tload``/``tstore`` answer their clean hits on an
+        L1 without chaos themselves, from the same rows and with the
+        same counter, tick and state change; they call this for
+        everything else.
         """
         counter = self._access_counters.get(kind)
         if counter is None:
-            counter = self.stats.counter(f"l1.access.{kind.value}")
-            self._access_counters[kind] = counter
+            counter = self._bind_access_counter(kind)
         counter.value += 1
         self._eviction_cycles = 0
         if self.chaos is not None and self.chaos.enabled and self.chaos.l1_pressure():
@@ -184,6 +192,11 @@ class L1Controller:
         hit.cycles += self._eviction_cycles
         self._eviction_cycles = 0
         return hit
+
+    def _bind_access_counter(self, kind: AccessKind) -> Counter:
+        """Create and bind the ``l1.access.<kind>`` counter (first use)."""
+        counter = self._access_counters[kind] = self.stats.counter(f"l1.access.{kind.value}")
+        return counter
 
     def _dispatch(self, kind: AccessKind, line: CacheLine) -> AccessResult:
         """An access to a present line, as ``LOCAL_DISPATCH`` directs."""

@@ -44,6 +44,10 @@ _STORE = AccessKind.STORE
 _TLOAD = AccessKind.TLOAD
 _TSTORE = AccessKind.TSTORE
 
+#: Builds a result with no ``__init__`` frame; the op's success returns
+#: then store all five slots.
+_new_result = object.__new__
+
 #: The summary handler's findings: a suspended transaction and its answer.
 SummaryConflicts = Sequence[Tuple[TransactionDescriptor, ResponseKind]]
 
@@ -74,8 +78,15 @@ def _as_responses(suspended: SummaryConflicts) -> List[Tuple[int, ResponseKind]]
 class MemoryOpResult:
     """Value + cycle cost + conflict report for one machine operation.
 
-    ``conflicts`` is a sequence of (responder, ResponseKind) pairs: the
-    immutable ``()`` when there were none.
+    ``conflicts`` is a sequence of (responder, ResponseKind) pairs.  An
+    empty one comes in two forms: the immutable ``()`` of a clean hit, a
+    plain load or a NACK, and the empty list that a miss carries from
+    the directory (``DirectoryOutcome.conflicts``) or that the L1's full
+    dispatch returns.  Test it for truth, not against ``()``.
+
+    The success returns of ``tload``, ``tstore`` and ``load`` build their
+    result with ``object.__new__`` and five slot stores rather than
+    through ``__init__``, which costs a Python frame per op.
     """
 
     __slots__ = ("value", "cycles", "conflicts", "nacked", "success")
@@ -362,7 +373,13 @@ class FlexTMMachine:
             self._take_summary_conflicts()  # plain reads don't act on them
         if result.nacked:
             return MemoryOpResult(cycles=result.cycles, nacked=True)
-        return MemoryOpResult(self._words.get(address, 0), result.cycles)
+        out = _new_result(MemoryOpResult)
+        out.value = self._words.get(address, 0)
+        out.cycles = result.cycles
+        out.conflicts = ()
+        out.nacked = False
+        out.success = False
+        return out
 
     def store(self, proc_id: int, address: int, value: int) -> MemoryOpResult:
         """Non-transactional store; aborts conflicting transactions.
@@ -407,6 +424,13 @@ class FlexTMMachine:
 
         The OT is asked only when it holds lines: ``ot_refill`` finds
         nothing in an empty table, so the skip changes no cycle.
+
+        On an L1 without chaos, a clean hit is answered here rather than
+        in ``L1Controller.access``: the line's state is looked up in the
+        L1's ``CLEAN_HITS`` TLoad row, and the hit bumps the same
+        ``l1.access.TLoad`` counter, ticks the LRU state, makes the
+        cell's state change and takes the cell's shared result, as
+        ``access`` does.  Everything else goes through ``access``.
         """
         proc = self.processors[proc_id]
         if proc.current is None:
@@ -415,7 +439,20 @@ class FlexTMMachine:
             raise ValueError("addresses are non-negative")
         line = address >> self._line_shift
         refill_cycles = proc.ot_refill(line) if proc.ot.count else 0
-        result = proc.l1.access(_TLOAD, line)
+        l1 = proc.l1
+        cached = None if l1.chaos is not None else l1._sets[line & l1._set_mask].get(line)
+        result = None if cached is None else l1._tload_hits.get(cached._state)
+        if result is None:
+            result = l1.access(_TLOAD, line)
+        else:
+            counter = l1._access_counters.get(_TLOAD)
+            if counter is None:
+                counter = l1._bind_access_counter(_TLOAD)
+            counter.value += 1
+            array = l1.array
+            array._use_tick = cached.last_use = array._use_tick + 1
+            if cached._state is not result.state:
+                cached.state = result.state
         conflicts = result.conflicts
         if self._pending_summary_conflicts:
             conflicts = [*conflicts, *_as_responses(self._take_summary_conflicts())]
@@ -433,11 +470,21 @@ class FlexTMMachine:
             if conflicts:
                 self._trace_conflicts(proc_id, now, _TLOAD, line, conflicts)
         overlay = proc.overlay
-        value = overlay[address] if address in overlay else self._words.get(address, 0)
-        return MemoryOpResult(value, result.cycles + refill_cycles, conflicts)
+        out = _new_result(MemoryOpResult)
+        out.value = overlay[address] if address in overlay else self._words.get(address, 0)
+        out.cycles = result.cycles + refill_cycles
+        out.conflicts = conflicts
+        out.nacked = False
+        out.success = False
+        return out
 
     def tstore(self, proc_id: int, address: int, value: int) -> MemoryOpResult:
-        """Transactional store: buffers the value (PDI), updates Wsig."""
+        """Transactional store: buffers the value (PDI), updates Wsig.
+
+        A clean hit is answered here from the L1's ``CLEAN_HITS`` TStore
+        row, as in :meth:`tload`.  The TStore-on-M flush is not a clean
+        hit and goes through ``L1Controller.access``.
+        """
         proc = self.processors[proc_id]
         if proc.current is None:
             raise ProtocolError("TStore outside a transaction")
@@ -445,7 +492,20 @@ class FlexTMMachine:
             raise ValueError("addresses are non-negative")
         line = address >> self._line_shift
         refill_cycles = proc.ot_refill(line) if proc.ot.count else 0
-        result = proc.l1.access(_TSTORE, line)
+        l1 = proc.l1
+        cached = None if l1.chaos is not None else l1._sets[line & l1._set_mask].get(line)
+        result = None if cached is None else l1._tstore_hits.get(cached._state)
+        if result is None:
+            result = l1.access(_TSTORE, line)
+        else:
+            counter = l1._access_counters.get(_TSTORE)
+            if counter is None:
+                counter = l1._bind_access_counter(_TSTORE)
+            counter.value += 1
+            array = l1.array
+            array._use_tick = cached.last_use = array._use_tick + 1
+            if cached._state is not result.state:
+                cached.state = result.state
         conflicts = result.conflicts
         if self._pending_summary_conflicts:
             conflicts = [*conflicts, *_as_responses(self._take_summary_conflicts())]
@@ -463,7 +523,13 @@ class FlexTMMachine:
             self.tracer.tx_access(proc_id, proc.current.thread_id, now, "write", address)
             if conflicts:
                 self._trace_conflicts(proc_id, now, _TSTORE, line, conflicts)
-        return MemoryOpResult(value, result.cycles + refill_cycles, conflicts)
+        out = _new_result(MemoryOpResult)
+        out.value = value
+        out.cycles = result.cycles + refill_cycles
+        out.conflicts = conflicts
+        out.nacked = False
+        out.success = False
+        return out
 
     def cas(self, proc_id: int, address: int, expected: int, new: int) -> MemoryOpResult:
         """Non-transactional compare-and-swap (abort/arbitration tool)."""

@@ -4,7 +4,9 @@ A :class:`TxThread` owns one stream of work items produced by a
 workload.  Each *transactional* item is a generator function taking a
 :class:`~repro.runtime.api.TxContext`; the thread wraps it in
 begin/commit and retries on :class:`~repro.errors.TransactionAborted`
-(delivered by the scheduler's AOU poll or raised by the backend).
+(delivered by the scheduler's AOU poll or raised by the backend).  The
+retry loop lives in :meth:`TxThread.run` itself, the one generator the
+scheduler resumes.
 *Non-transactional* items run bare — they are how compute-bound
 background work (the Prime workload of Figure 5e/f) and CGL critical
 sections express themselves.
@@ -72,97 +74,103 @@ class TxThread:
         self.saved_ctx = None
 
     def run(self) -> Iterator[Tuple]:
-        """Master generator: the scheduler drives this one op at a time."""
+        """Master generator: the scheduler drives this one op at a time.
+
+        A transactional item runs in the retry loop below: begin, body
+        and commit until an attempt commits; after each abort, the
+        backend's cleanup, the hooks, ``abort_work``, ``yield_on_abort``
+        and the backoff, then the next attempt.  The loop is inline
+        rather than a generator of its own, so a step resumes no
+        generator between the thread and the body.
+        """
         ctx = TxContext(self.backend, self)
+        machine = getattr(self.backend, "machine", None)
         for item in self._items:
+            body = item.body
             if not item.transactional:
-                yield from item.body(ctx)
+                yield from body(ctx)
                 self.nontx_items += 1
                 continue
-            yield from self._run_transaction(ctx, item.body)
-
-    def _run_transaction(self, ctx: TxContext, body: Callable) -> Iterator[Tuple]:
-        aborts_in_a_row = 0
-        incarnation = 0
-        machine = getattr(self.backend, "machine", None)
-        while True:
-            # The observers, read once per attempt.  Without a machine
-            # there are none, so no cycle stamp is taken.
-            if machine is None:
-                tracer, probes, resilience, processors = NULL_TRACER, None, None, ()
-            else:
-                tracer = machine.tracer
-                probes = machine.probes
-                resilience = machine.resilience
-                processors = machine.processors
-            if resilience is not None:
-                # Degradation-ladder admission: spins while another
-                # thread runs irrevocably; acquires the token when this
-                # thread's own rung demands serial mode.
-                yield from resilience.admission(self)
-            try:
-                self.in_transaction = True
-                incarnation += 1
-                if self.descriptor is not None:
-                    # Fresh attempt: clear stale wound attribution.
-                    self.descriptor.wounded_by = -1
-                    self.descriptor.wound_kind = ""
-                if tracer.enabled:
-                    tracer.tx_begin(
-                        self.processor, self.thread_id, self._now(processors),
-                        self.backend.name, incarnation,
-                    )
-                if probes is not None:
-                    probes.on_begin(self.thread_id)
+            aborts_in_a_row = 0
+            incarnation = 0
+            while True:
+                # The observers, read once per attempt.  Without a machine
+                # there are none, so no cycle stamp is taken.
+                if machine is None:
+                    tracer, probes, resilience, processors = NULL_TRACER, None, None, ()
+                else:
+                    tracer = machine.tracer
+                    probes = machine.probes
+                    resilience = machine.resilience
+                    processors = machine.processors
                 if resilience is not None:
-                    resilience.on_attempt(self, self._now(processors))
-                yield from self.backend.begin(self)
-                yield from body(ctx)
-                yield from self.backend.commit(self)
-                self.in_transaction = False
-                self.commits += 1
-                if resilience is not None:
-                    resilience.on_commit(self, self._now(processors))
-                if tracer.enabled:
-                    tracer.tx_commit(self.processor, self.thread_id, self._now(processors))
-                if probes is not None:
-                    probes.on_commit(self.thread_id)
-                return
-            except TransactionAborted as abort:
-                self.in_transaction = False
-                self.aborts += 1
-                aborts_in_a_row += 1
-                conflict = getattr(abort, "conflict", "")
-                by = getattr(abort, "by", -1)
-                if self.descriptor is not None:
-                    if not conflict:
-                        conflict = getattr(self.descriptor, "wound_kind", "")
-                    if by < 0:
-                        by = getattr(self.descriptor, "wounded_by", -1)
-                key = conflict or "unattributed"
-                self.abort_kinds[key] = self.abort_kinds.get(key, 0) + 1
-                if resilience is not None:
-                    resilience.on_abort(self, self._now(processors))
-                yield from self.backend.on_abort(self)
-                if tracer.enabled:
-                    tracer.tx_abort(
-                        self.processor, self.thread_id, self._now(processors),
-                        cause=str(abort) or "aborted",
-                        by=by,
-                        conflict=conflict,
-                    )
-                if probes is not None:
-                    probes.on_abort(self.thread_id)
-                if self.abort_work is not None:
-                    yield from self.abort_work(ctx)
-                    self.nontx_items += 1
-                if self.yield_on_abort:
-                    yield ("yield_cpu",)
-                backoff = self._retry_backoff(aborts_in_a_row)
-                if backoff:
-                    yield ("work", backoff)
-                    if tracer.enabled and self.processor is not None:
-                        tracer.stall(self.processor, self._now(processors), backoff)
+                    # Degradation-ladder admission: spins while another
+                    # thread runs irrevocably; acquires the token when this
+                    # thread's own rung demands serial mode.
+                    yield from resilience.admission(self)
+                try:
+                    self.in_transaction = True
+                    incarnation += 1
+                    if self.descriptor is not None:
+                        # Fresh attempt: clear stale wound attribution.
+                        self.descriptor.wounded_by = -1
+                        self.descriptor.wound_kind = ""
+                    if tracer.enabled:
+                        tracer.tx_begin(
+                            self.processor, self.thread_id, self._now(processors),
+                            self.backend.name, incarnation,
+                        )
+                    if probes is not None:
+                        probes.on_begin(self.thread_id)
+                    if resilience is not None:
+                        resilience.on_attempt(self, self._now(processors))
+                    yield from self.backend.begin(self)
+                    yield from body(ctx)
+                    yield from self.backend.commit(self)
+                    self.in_transaction = False
+                    self.commits += 1
+                    if resilience is not None:
+                        resilience.on_commit(self, self._now(processors))
+                    if tracer.enabled:
+                        tracer.tx_commit(self.processor, self.thread_id, self._now(processors))
+                    if probes is not None:
+                        probes.on_commit(self.thread_id)
+                    break
+                except TransactionAborted as abort:
+                    self.in_transaction = False
+                    self.aborts += 1
+                    aborts_in_a_row += 1
+                    conflict = getattr(abort, "conflict", "")
+                    by = getattr(abort, "by", -1)
+                    if self.descriptor is not None:
+                        if not conflict:
+                            conflict = getattr(self.descriptor, "wound_kind", "")
+                        if by < 0:
+                            by = getattr(self.descriptor, "wounded_by", -1)
+                    key = conflict or "unattributed"
+                    self.abort_kinds[key] = self.abort_kinds.get(key, 0) + 1
+                    if resilience is not None:
+                        resilience.on_abort(self, self._now(processors))
+                    yield from self.backend.on_abort(self)
+                    if tracer.enabled:
+                        tracer.tx_abort(
+                            self.processor, self.thread_id, self._now(processors),
+                            cause=str(abort) or "aborted",
+                            by=by,
+                            conflict=conflict,
+                        )
+                    if probes is not None:
+                        probes.on_abort(self.thread_id)
+                    if self.abort_work is not None:
+                        yield from self.abort_work(ctx)
+                        self.nontx_items += 1
+                    if self.yield_on_abort:
+                        yield ("yield_cpu",)
+                    backoff = self._retry_backoff(aborts_in_a_row)
+                    if backoff:
+                        yield ("work", backoff)
+                        if tracer.enabled and self.processor is not None:
+                            tracer.stall(self.processor, self._now(processors), backoff)
 
     def _now(self, processors) -> int:
         """The owning processor's current cycle (0 when descheduled)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.machine import FlexTMMachine
+from repro.core.machine import WORD_BYTES, FlexTMMachine
 from repro.runtime.txthread import WorkItem
 from repro.workloads.base import Workload, word_address
 
@@ -34,6 +34,15 @@ RIGHT = 3
 PARENT = 4
 COLOR = 5  # 0 = black, 1 = red
 DEAD = 6  # tombstone flag
+
+# The same fields' byte offsets from a node's address.
+KEY_AT = KEY * WORD_BYTES
+VALUE_AT = VALUE * WORD_BYTES
+LEFT_AT = LEFT * WORD_BYTES
+RIGHT_AT = RIGHT * WORD_BYTES
+PARENT_AT = PARENT * WORD_BYTES
+COLOR_AT = COLOR * WORD_BYTES
+DEAD_AT = DEAD * WORD_BYTES
 
 BLACK = 0
 RED = 1
@@ -89,124 +98,132 @@ class RedBlackTree:
         return self.machine.allocate(NODE_BYTES, line_aligned=True)
 
     # -- transactional operations -------------------------------------------------
+    #
+    # These add the fields' byte offsets to a node's address and bind
+    # ``ctx.read``/``ctx.write`` once: no ``word_address`` call per access.
 
     def lookup(self, ctx, key: int):
-        node = yield from ctx.read(self.root_address)
+        read = ctx.read
+        node = yield from read(self.root_address)
         while node != NIL:
-            node_key = yield from ctx.read(word_address(node, KEY))
+            node_key = yield from read(node + KEY_AT)
             if key == node_key:
-                dead = yield from ctx.read(word_address(node, DEAD))
+                dead = yield from read(node + DEAD_AT)
                 if dead:
                     return None
-                value = yield from ctx.read(word_address(node, VALUE))
+                value = yield from read(node + VALUE_AT)
                 return value
-            node = yield from ctx.read(word_address(node, LEFT if key < node_key else RIGHT))
+            node = yield from read(node + (LEFT_AT if key < node_key else RIGHT_AT))
         return None
 
     def insert(self, ctx, key: int, value: int):
+        read, write = ctx.read, ctx.write
         parent = NIL
-        node = yield from ctx.read(self.root_address)
+        node = yield from read(self.root_address)
         while node != NIL:
-            node_key = yield from ctx.read(word_address(node, KEY))
+            node_key = yield from read(node + KEY_AT)
             if key == node_key:
-                dead = yield from ctx.read(word_address(node, DEAD))
+                dead = yield from read(node + DEAD_AT)
                 if dead:
                     # Revive the tombstoned key in place.
-                    yield from ctx.write(word_address(node, VALUE), value)
-                    yield from ctx.write(word_address(node, DEAD), 0)
+                    yield from write(node + VALUE_AT, value)
+                    yield from write(node + DEAD_AT, 0)
                     return True
                 return False  # present already: read-only no-op
             parent = node
-            node = yield from ctx.read(word_address(node, LEFT if key < node_key else RIGHT))
+            node = yield from read(node + (LEFT_AT if key < node_key else RIGHT_AT))
         fresh = self._alloc_node()
-        yield from ctx.write(word_address(fresh, KEY), key)
-        yield from ctx.write(word_address(fresh, VALUE), value)
-        yield from ctx.write(word_address(fresh, COLOR), RED)
-        yield from ctx.write(word_address(fresh, PARENT), parent)
+        yield from write(fresh + KEY_AT, key)
+        yield from write(fresh + VALUE_AT, value)
+        yield from write(fresh + COLOR_AT, RED)
+        yield from write(fresh + PARENT_AT, parent)
         if parent == NIL:
-            yield from ctx.write(self.root_address, fresh)
+            yield from write(self.root_address, fresh)
         else:
-            parent_key = yield from ctx.read(word_address(parent, KEY))
-            yield from ctx.write(word_address(parent, LEFT if key < parent_key else RIGHT), fresh)
+            parent_key = yield from read(parent + KEY_AT)
+            yield from write(parent + (LEFT_AT if key < parent_key else RIGHT_AT), fresh)
         yield from self._insert_fixup(ctx, fresh)
         return True
 
     def delete(self, ctx, key: int):
         """Tombstone delete (see module docstring)."""
-        node = yield from ctx.read(self.root_address)
+        read = ctx.read
+        node = yield from read(self.root_address)
         while node != NIL:
-            node_key = yield from ctx.read(word_address(node, KEY))
+            node_key = yield from read(node + KEY_AT)
             if key == node_key:
-                dead = yield from ctx.read(word_address(node, DEAD))
+                dead = yield from read(node + DEAD_AT)
                 if dead:
                     return False
-                yield from ctx.write(word_address(node, DEAD), 1)
+                yield from ctx.write(node + DEAD_AT, 1)
                 return True
-            node = yield from ctx.read(word_address(node, LEFT if key < node_key else RIGHT))
+            node = yield from read(node + (LEFT_AT if key < node_key else RIGHT_AT))
         return False
 
     # -- red-black fixup machinery ---------------------------------------------
 
     def _insert_fixup(self, ctx, node: int):
         """Bottom-up recoloring/rotation after insert (CLRS)."""
+        read, write = ctx.read, ctx.write
         while True:
-            parent = yield from ctx.read(word_address(node, PARENT))
+            parent = yield from read(node + PARENT_AT)
             if parent == NIL:
                 break
-            parent_color = yield from ctx.read(word_address(parent, COLOR))
+            parent_color = yield from read(parent + COLOR_AT)
             if parent_color == BLACK:
                 break
-            grandparent = yield from ctx.read(word_address(parent, PARENT))
+            grandparent = yield from read(parent + PARENT_AT)
             if grandparent == NIL:
                 break
-            grandparent_left = yield from ctx.read(word_address(grandparent, LEFT))
+            grandparent_left = yield from read(grandparent + LEFT_AT)
             parent_is_left = parent == grandparent_left
-            uncle_field = RIGHT if parent_is_left else LEFT
-            uncle = yield from ctx.read(word_address(grandparent, uncle_field))
+            uncle_field = RIGHT_AT if parent_is_left else LEFT_AT
+            uncle = yield from read(grandparent + uncle_field)
             uncle_color = BLACK
             if uncle != NIL:
-                uncle_color = yield from ctx.read(word_address(uncle, COLOR))
+                uncle_color = yield from read(uncle + COLOR_AT)
             if uncle != NIL and uncle_color == RED:
-                yield from ctx.write(word_address(parent, COLOR), BLACK)
-                yield from ctx.write(word_address(uncle, COLOR), BLACK)
-                yield from ctx.write(word_address(grandparent, COLOR), RED)
+                yield from write(parent + COLOR_AT, BLACK)
+                yield from write(uncle + COLOR_AT, BLACK)
+                yield from write(grandparent + COLOR_AT, RED)
                 node = grandparent
                 continue
-            inner_field = RIGHT if parent_is_left else LEFT
-            inner_child = yield from ctx.read(word_address(parent, inner_field))
+            inner_field = RIGHT_AT if parent_is_left else LEFT_AT
+            inner_child = yield from read(parent + inner_field)
             if node == inner_child:
                 yield from self._rotate(ctx, parent, left=parent_is_left)
                 node, parent = parent, node
-            yield from ctx.write(word_address(parent, COLOR), BLACK)
-            yield from ctx.write(word_address(grandparent, COLOR), RED)
+            yield from write(parent + COLOR_AT, BLACK)
+            yield from write(grandparent + COLOR_AT, RED)
             yield from self._rotate(ctx, grandparent, left=not parent_is_left)
             break
-        root = yield from ctx.read(self.root_address)
+        root = yield from read(self.root_address)
         if root != NIL:
-            root_color = yield from ctx.read(word_address(root, COLOR))
+            root_color = yield from read(root + COLOR_AT)
             if root_color != BLACK:
-                yield from ctx.write(word_address(root, COLOR), BLACK)
+                yield from write(root + COLOR_AT, BLACK)
 
     def _rotate(self, ctx, pivot: int, left: bool):
         """Left or right rotation around ``pivot``."""
-        up_field, down_field = (RIGHT, LEFT) if left else (LEFT, RIGHT)
-        riser = yield from ctx.read(word_address(pivot, up_field))
+        read, write = ctx.read, ctx.write
+        up_field, down_field = (RIGHT_AT, LEFT_AT) if left else (LEFT_AT, RIGHT_AT)
+        riser = yield from read(pivot + up_field)
         if riser == NIL:
             return
-        transfer = yield from ctx.read(word_address(riser, down_field))
-        yield from ctx.write(word_address(pivot, up_field), transfer)
+        transfer = yield from read(riser + down_field)
+        yield from write(pivot + up_field, transfer)
         if transfer != NIL:
-            yield from ctx.write(word_address(transfer, PARENT), pivot)
-        pivot_parent = yield from ctx.read(word_address(pivot, PARENT))
-        yield from ctx.write(word_address(riser, PARENT), pivot_parent)
+            yield from write(transfer + PARENT_AT, pivot)
+        pivot_parent = yield from read(pivot + PARENT_AT)
+        yield from write(riser + PARENT_AT, pivot_parent)
         if pivot_parent == NIL:
-            yield from ctx.write(self.root_address, riser)
+            yield from write(self.root_address, riser)
         else:
-            parent_left = yield from ctx.read(word_address(pivot_parent, LEFT))
-            field = LEFT if parent_left == pivot else RIGHT
-            yield from ctx.write(word_address(pivot_parent, field), riser)
-        yield from ctx.write(word_address(riser, down_field), pivot)
-        yield from ctx.write(word_address(pivot, PARENT), riser)
+            parent_left = yield from read(pivot_parent + LEFT_AT)
+            field = LEFT_AT if parent_left == pivot else RIGHT_AT
+            yield from write(pivot_parent + field, riser)
+        yield from write(riser + down_field, pivot)
+        yield from write(pivot + PARENT_AT, riser)
 
 
 class RBTreeWorkload(Workload):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.coherence.states import LineState
-from repro.core.machine import FlexTMMachine
+from repro.core.machine import FlexTMMachine, MemoryOpResult
 from repro.core.tsw import TxStatus
 from repro.errors import ProtocolError
 from repro.params import small_test_params
@@ -123,3 +123,27 @@ def test_distinct_allocations_do_not_overlap(m):
     a = m.allocate(100)
     b = m.allocate(100)
     assert b >= a + 100
+
+
+def test_frameless_results_match_init_built_ones(m):
+    """``tload``/``tstore``/``load`` build their success results without
+    ``__init__``: every slot is set, and the repr is an ``__init__``-built
+    result's with the same fields."""
+    address = m.allocate_words(1)
+    m.store(0, address, 5)
+    begin_hardware_transaction(m, 1)
+    results = [
+        m.load(0, address),  # a hit
+        m.load(2, m.allocate_words(1, line_aligned=True)),  # a miss
+        m.tload(1, address),  # a miss with a conflict-free directory answer
+        m.tload(1, address),  # the machine's clean hit
+        m.tstore(1, address, 9),  # an upgrade through the directory
+        m.tstore(1, address, 10),  # the machine's clean hit
+    ]
+    for result in results:
+        assert type(result) is MemoryOpResult
+        fields = {name: getattr(result, name) for name in MemoryOpResult.__slots__}
+        assert repr(result) == repr(MemoryOpResult(**fields))
+        assert fields["nacked"] is False and fields["success"] is False
+    assert [result.value for result in results] == [5, 0, 5, 5, 9, 10]
+    assert results[3].conflicts == () and results[5].conflicts == ()

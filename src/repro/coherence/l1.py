@@ -56,6 +56,9 @@ _M = LineState.M
 _TMI = LineState.TMI
 _E = LineState.E
 
+#: Builds an ``AccessResult`` with no ``__init__`` frame (the miss path).
+_new_access = object.__new__
+
 #: l1_hit_cycles -> access -> state -> the shared result.
 _SHARED_CLEAN_HITS: Dict[int, Dict[AccessKind, Dict[LineState, AccessResult]]] = {}
 
@@ -151,9 +154,10 @@ class L1Controller:
 
         A clean hit (a ``CLEAN_HITS`` cell, with no eviction cycles
         accrued by this access) returns a shared, read-only result.
-        Everything else takes :meth:`_dispatch` or :meth:`_miss`.  The
-        array is probed here rather than through ``CacheArray.lookup``,
-        with the same LRU tick on a hit.
+        Everything else takes :meth:`_dispatch`, or on a miss bumps
+        ``l1.misses`` and takes :meth:`_request`.  The array is probed
+        here rather than through ``CacheArray.lookup``, with the same
+        LRU tick on a hit.
 
         ``FlexTMMachine.tload``/``tstore`` answer their clean hits on an
         L1 without chaos themselves, from the same rows and with the
@@ -188,7 +192,11 @@ class L1Controller:
                 hit = self._dispatch(kind, line)
                 hit.cycles += 1  # victim-buffer lookup penalty
             else:
-                hit = self._miss(kind, line_address)
+                counter = self._misses
+                if counter is None:
+                    counter = self._misses = self.stats.counter("l1.misses")
+                counter.value += 1
+                hit = self._request(kind, MISS_REQUESTS[kind], line_address)
         hit.cycles += self._eviction_cycles
         self._eviction_cycles = 0
         return hit
@@ -224,43 +232,40 @@ class L1Controller:
                 line.state = next_state  # the silent E -> M upgrade
         return AccessResult(cycles=cycles, state=next_state, hit=True)
 
-    def _miss(self, kind: AccessKind, line_address: int) -> AccessResult:
-        counter = self._misses
-        if counter is None:
-            counter = self._misses = self.stats.counter("l1.misses")
-        counter.value += 1
-        return self._request(kind, MISS_REQUESTS[kind], line_address)
-
     def _request(self, kind: AccessKind, request: RequestType, line_address: int) -> AccessResult:
+        """A miss or an upgrade: ask the directory, install what it grants.
+
+        The result is built without an ``__init__`` frame; every
+        ``AccessResult`` field is stored.
+        """
         outcome = self.directory.request(self.proc_id, request, line_address)
-        result = AccessResult(
-            cycles=outcome.cycles + self.params.l1_hit_cycles,
-            conflicts=outcome.conflicts,
-            state=outcome.grant,
-        )
+        result = _new_access(AccessResult)
+        result.cycles = outcome.cycles + self.params.l1_hit_cycles
+        result.conflicts = outcome.conflicts
+        result.state = grant = outcome.grant
+        result.hit = False
+        result.threatened_uncached = False
         if outcome.nacked:
             result.nacked = True
             return result
-        installed = GRANT_INSTALL.get((kind, outcome.grant), outcome.grant)
+        result.nacked = False
+        installed = GRANT_INSTALL.get((kind, grant), grant)
+        existing = self._sets[line_address & self._set_mask].get(line_address)
+        if existing is not None and existing._state is _I:
+            existing = None
         if installed is _I:
             # Strong isolation: a plain Load that was threatened reads
             # the committed value but leaves the line uncached so that
             # it serializes before the writing transaction.
-            existing = self.array.peek(line_address)
-            if existing is not None and not existing.state.is_transactional:
+            if existing is not None and not existing._state.is_transactional:
                 self._drop_line(existing)
             result.threatened_uncached = True
             result.state = installed
+        elif existing is not None:
+            existing.state = installed
         else:
-            self._install_or_update(line_address, installed)
+            self.install(line_address, installed)
         return result
-
-    def _install_or_update(self, line_address: int, state: LineState) -> None:
-        existing = self.array.peek(line_address)
-        if existing is not None:
-            existing.state = state
-            return
-        self.install(line_address, state)
 
     def install(self, line_address: int, state: LineState) -> CacheLine:
         """Place a line, evicting the LRU line of its set if it is full."""

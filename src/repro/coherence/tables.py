@@ -111,12 +111,32 @@ CST_LABELS: Dict[str, str] = {"r_w": "R-W", "w_r": "W-R", "w_w": "W-W"}
 #: pruned it) and the responses the forwards gathered.
 GrantCondition = Callable[..., bool]
 
+_THREATENED = ResponseKind.THREATENED
+
+
+def _threatened(entry, responses) -> bool:
+    """Some forwarded holder answered Threatened."""
+    for _, kind in responses:
+        if kind is _THREATENED:
+            return True
+    return False
+
+
+def _no_holders(entry, responses) -> bool:
+    """No processor is listed as a sharer or an owner."""
+    return not (entry.sharers or entry.owners)
+
+
+def otherwise(entry, responses) -> bool:
+    """The unconditional rule.  The directory tests for it by identity
+    and grants without calling it."""
+    return True
+
+
 _GRANT_CONDITIONS: Dict[str, GrantCondition] = {
-    "threatened": lambda entry, responses: any(
-        kind is ResponseKind.THREATENED for _, kind in responses
-    ),
-    "no_holders": lambda entry, responses: entry.empty,
-    "otherwise": lambda entry, responses: True,
+    "threatened": _threatened,
+    "no_holders": _no_holders,
+    "otherwise": otherwise,
 }
 
 

@@ -43,6 +43,8 @@ _LOAD = AccessKind.LOAD
 _STORE = AccessKind.STORE
 _TLOAD = AccessKind.TLOAD
 _TSTORE = AccessKind.TSTORE
+_ACTIVE = TxStatus.ACTIVE
+_COMMITTED = TxStatus.COMMITTED
 
 #: Builds a result with no ``__init__`` frame; the op's success returns
 #: then store all five slots.
@@ -84,9 +86,10 @@ class MemoryOpResult:
     the directory (``DirectoryOutcome.conflicts``) or that the L1's full
     dispatch returns.  Test it for truth, not against ``()``.
 
-    The success returns of ``tload``, ``tstore`` and ``load`` build their
-    result with ``object.__new__`` and five slot stores rather than
-    through ``__init__``, which costs a Python frame per op.
+    The success returns of ``tload``, ``tstore``, ``load`` and ``aload``,
+    and every ``cas_commit`` result, are built with ``object.__new__``
+    and five slot stores rather than through ``__init__``, which costs
+    a Python frame per op.
     """
 
     __slots__ = ("value", "cycles", "conflicts", "nacked", "success")
@@ -139,7 +142,10 @@ class FlexTMMachine:
         self.directory.l1s = [proc.l1 for proc in self.processors]
         self.directory.nack_check = self._nack_check
         self.directory.sticky_check = self.summary.sticky_sharer
-        self.directory.summary_conflict_check = self._summary_conflict_check
+        # The directory asks the summary handler only while a suspended
+        # transaction is folded into the summaries (an empty summary
+        # answers no conflict and costs no cycle).
+        self.summary.on_change = self._update_summary_hook
         self.directory.clocks = [proc.clock for proc in self.processors]
         #: Processors whose OT is committed, in id order: the only ones
         #: whose copy-back can NACK a request.
@@ -254,6 +260,12 @@ class FlexTMMachine:
     def _update_copying_back(self) -> None:
         self._copying_back = tuple(proc for proc in self.processors if proc.ot.committed)
 
+    def _update_summary_hook(self) -> None:
+        """Attach the summary handler exactly while a thread is suspended."""
+        self.directory.summary_conflict_check = (
+            None if self.summary.is_empty else self._summary_conflict_check
+        )
+
     def _nack_check(self, line_address: int, requestor: int) -> bool:
         """NACK a request that hits a committed OT mid-copy-back (§4.1).
 
@@ -279,7 +291,8 @@ class FlexTMMachine:
         saved signatures hit says whether it conflicts, and the
         :data:`RESPONDER_CST` cell names the saved CST that records the
         requestor.  The summary union is asked the same way first, and
-        traps only on a conflict.
+        traps only on a conflict.  The directory calls this only while
+        the summary is non-empty (see :meth:`_update_summary_hook`).
         """
         summary = self.summary
         if summary.is_empty or _conflict_category(
@@ -583,24 +596,31 @@ class FlexTMMachine:
         descriptor = proc.current
         if descriptor is None:
             raise ProtocolError("CAS-Commit with no running transaction")
-        line = self.amap.line_of(descriptor.tsw_address)
-        access = proc.l1.access(_STORE, line)
-        out = MemoryOpResult(cycles=access.cycles)
-        old = self.memory.read(descriptor.tsw_address)
+        tsw = descriptor.tsw_address
+        access = proc.l1.access(_STORE, tsw >> self._line_shift)
+        words = self._words
+        old = words.get(tsw, 0)
+        out = _new_result(MemoryOpResult)
         out.value = old
-        if old != TxStatus.ACTIVE:
+        out.cycles = access.cycles
+        out.conflicts = ()
+        out.nacked = False
+        out.success = False
+        if old != _ACTIVE:
             proc.flash_abort()
             self.stats.counter("commit.cas_lost_race").increment()
             return out
-        if proc.csts.must_abort_mask != 0:
+        csts = proc.csts
+        if csts.w_r._bits | csts.w_w._bits:
             self.stats.counter("commit.cas_cst_fail").increment()
             return out
         if self.invariants is not None:
-            self.invariants.on_tsw_write(descriptor.tsw_address, old, int(TxStatus.COMMITTED))
-        self.memory.write(descriptor.tsw_address, TxStatus.COMMITTED)
+            self.invariants.on_tsw_write(tsw, old, int(_COMMITTED))
+        words[tsw] = _COMMITTED
         # Flash commit: speculative values become globally visible in
-        # the same atomic step the TSW changes.
-        self.memory.bulk_write(proc.overlay.items())
+        # the same atomic step the TSW changes (``MainMemory.bulk_write``
+        # of the overlay, in its order).
+        words.update(proc.overlay)
         if self.probes is not None:
             self.probes.on_commit_flash(proc.overlay)
         proc.flash_commit(proc.clock.now + out.cycles)
@@ -610,12 +630,20 @@ class FlexTMMachine:
     def aload(self, proc_id: int, address: int) -> MemoryOpResult:
         """ALoad: read a line and mark it for alert-on-update."""
         proc = self.processors[proc_id]
-        line = self.amap.line_of(address)
+        if address < 0:
+            raise ValueError("addresses are non-negative")
+        line = address >> self._line_shift
         result = proc.l1.aload(line)
         if self._pending_summary_conflicts:
             self._take_summary_conflicts()
         proc.alerts.mark(line)
-        return MemoryOpResult(value=self.memory.read(address), cycles=result.cycles)
+        out = _new_result(MemoryOpResult)
+        out.value = self._words.get(address, 0)
+        out.cycles = result.cycles
+        out.conflicts = ()
+        out.nacked = False
+        out.success = False
+        return out
 
     # ----------------------------------------------------------- abort routing
 

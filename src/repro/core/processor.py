@@ -215,20 +215,39 @@ class FlexTMProcessor:
                 self._record_conflict(cst, responder)
 
     # -- transaction lifecycle -------------------------------------------------
+    #
+    # The boundaries test the OT's ``table`` slot (what ``ot.active``
+    # reads) and zero the registers through :meth:`_clear_registers`.
+
+    def _clear_registers(self) -> None:
+        """Flash-zero Rsig, Wsig and the three CSTs.
+
+        Stores what ``Signature.clear`` and ``CstRegister.clear`` store,
+        in one frame.  The signatures are read at call time:
+        :meth:`restore_transactional_state` installs new ones.
+        """
+        rsig = self.rsig
+        rsig.word = 0
+        rsig._foreign = False
+        wsig = self.wsig
+        wsig.word = 0
+        wsig._foreign = False
+        csts = self.csts
+        csts.r_w._bits = 0
+        csts.w_r._bits = 0
+        csts.w_w._bits = 0
 
     def begin_transaction(self, descriptor: TransactionDescriptor) -> None:
         """Install a descriptor; hardware registers start clean."""
         self.current = descriptor
         self.overlay = {}
-        self.rsig.clear()
-        self.wsig.clear()
-        self.csts.clear()
+        self._clear_registers()
         self.conflict_partners = set()
         if self.resilience is not None:
             # Signatures are provably clean here — the only legal point
             # to rotate the hash family (see DegradeSpec.sig_sustain).
             self.resilience.maybe_rotate(self)
-        if self.ot.active:
+        if self.ot.table is not None:
             self.ot.release()
 
     def flash_commit(self, now: int) -> int:
@@ -245,20 +264,16 @@ class FlexTMProcessor:
             self.tracer.overflow(
                 self.proc_id, self.clock.now, "copyback", dur=copyback_done - now
             )
-        self.rsig.clear()
-        self.wsig.clear()
-        self.csts.clear()
+        self._clear_registers()
         self.overlay = {}
         return copyback_done
 
     def flash_abort(self) -> None:
         """Abort: discard TMI/TI lines, clear registers, return the OT."""
         self.l1.flash_abort()
-        self.rsig.clear()
-        self.wsig.clear()
-        self.csts.clear()
+        self._clear_registers()
         self.overlay = {}
-        if self.ot.active:
+        if self.ot.table is not None:
             self.ot.release()
             self.stats.counter("ot.abort_releases").increment()
 
@@ -277,7 +292,7 @@ class FlexTMProcessor:
         """
         saved = SavedHardwareState(
             overlay=dict(self.overlay),
-            ot_registers=self.ot.save() if self.ot.active else None,
+            ot_registers=self.ot.save() if self.ot.table is not None else None,
             rsig=self.rsig.copy(),
             wsig=self.wsig.copy(),
             csts=self.csts.save(),
@@ -287,11 +302,9 @@ class FlexTMProcessor:
         # clear the registers so the next thread starts clean.  The
         # speculative values live on in ``saved``.
         self.l1.flash_abort()
-        self.rsig.clear()
-        self.wsig.clear()
-        self.csts.clear()
+        self._clear_registers()
         self.overlay = {}
-        if self.ot.active:
+        if self.ot.table is not None:
             self.ot.release()
         self.current = None
         return saved

@@ -29,17 +29,6 @@ ADDRESS_BITS = 40
 INDEX_CACHE_ENTRIES = 1 << 16
 
 
-def _parity(value: int) -> int:
-    """Parity (XOR reduction) of an integer's bits."""
-    value ^= value >> 32
-    value ^= value >> 16
-    value ^= value >> 8
-    value ^= value >> 4
-    value ^= value >> 2
-    value ^= value >> 1
-    return value & 1
-
-
 class BitSelectHash:
     """Hash that extracts ``index_bits`` address bits starting at ``shift``."""
 
@@ -60,7 +49,8 @@ class H3Hash:
     """One member of the H3 universal hash family.
 
     ``masks[i]`` selects the input bits XORed together to produce output
-    bit ``i``.
+    bit ``i``: the parity of ``address & masks[i]``, read off its
+    popcount (``int.bit_count`` runs in C).
     """
 
     def __init__(self, masks: Sequence[int]):
@@ -72,7 +62,7 @@ class H3Hash:
     def __call__(self, address: int) -> int:
         result = 0
         for bit, mask in enumerate(self._masks):
-            if _parity(address & mask):
+            if (address & mask).bit_count() & 1:
                 result |= 1 << bit
         return result
 

@@ -18,7 +18,7 @@ guaranteed to miss.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.signatures.bloom import Signature
 
@@ -36,6 +36,10 @@ class SummarySignatures:
         # The OS recomputes summaries from scratch on reschedule, so we
         # keep the contributing per-thread signatures keyed by thread id.
         self._contributions: Dict[int, tuple] = {}
+        #: Called after every :meth:`install` and :meth:`remove` (the
+        #: machine attaches the directory's summary hook only while a
+        #: thread is suspended).
+        self.on_change: Optional[Callable[[], None]] = None
 
     # -- OS-side maintenance ---------------------------------------------------
 
@@ -45,6 +49,8 @@ class SummarySignatures:
             raise ValueError(f"processor {last_processor} out of range")
         self._contributions[thread_id] = (rsig.copy(), wsig.copy(), last_processor)
         self._rebuild()
+        if self.on_change is not None:
+            self.on_change()
 
     def remove(self, thread_id: int) -> None:
         """Drop a thread's contribution (it was rescheduled or finished).
@@ -54,6 +60,8 @@ class SummarySignatures:
         """
         self._contributions.pop(thread_id, None)
         self._rebuild()
+        if self.on_change is not None:
+            self.on_change()
 
     def _rebuild(self) -> None:
         self.read_summary = Signature(self._bits, self._hashes)

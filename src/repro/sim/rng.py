@@ -21,6 +21,9 @@ class DeterministicRng:
     def __init__(self, seed: int = 0):
         self._seed = seed
         self._random = random.Random(seed)
+        #: ``Random._randbelow`` bound once: :meth:`randint` draws
+        #: through it as ``Random.randint`` does, in one frame.
+        self._randbelow = self._random._randbelow
 
     @property
     def seed(self) -> int:
@@ -36,8 +39,15 @@ class DeterministicRng:
         return DeterministicRng(hash((self._seed, stream)) & 0x7FFF_FFFF_FFFF_FFFF)
 
     def randint(self, low: int, high: int) -> int:
-        """Uniform integer in ``[low, high]`` inclusive."""
-        return self._random.randint(low, high)
+        """Uniform integer in ``[low, high]`` inclusive.
+
+        The same stream as ``random.Random(seed).randint``: that method
+        returns ``low + _randbelow(high - low + 1)`` for integer bounds.
+        """
+        if high < low:
+            # _randbelow(0) never returns.
+            raise ValueError(f"empty range for randint({low}, {high})")
+        return low + self._randbelow(high - low + 1)
 
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""

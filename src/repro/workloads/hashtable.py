@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.core.machine import WORD_BYTES
 from repro.runtime.txthread import WorkItem
 from repro.workloads.base import Workload, word_address
 
@@ -22,6 +23,11 @@ NODE_VALUE = 1
 NODE_NEXT = 2
 NODE_WORDS = 3
 
+# The same fields' byte offsets from a node's address.
+KEY_AT = NODE_KEY * WORD_BYTES
+VALUE_AT = NODE_VALUE * WORD_BYTES
+NEXT_AT = NODE_NEXT * WORD_BYTES
+
 
 class HashTableWorkload(Workload):
     """Chained hash table over simulated memory."""
@@ -30,7 +36,7 @@ class HashTableWorkload(Workload):
 
     def _setup(self) -> None:
         # One bucket head per cache line (a padded, scalable layout).
-        line = self.machine.params.line_bytes
+        line = self._line_bytes = self.machine.params.line_bytes
         self.bucket_base = self.machine.allocate(NUM_BUCKETS * line, line_aligned=True)
         # Warm up: insert half the key range untimed.
         for key in range(0, KEY_RANGE, 2):
@@ -42,53 +48,59 @@ class HashTableWorkload(Workload):
             self._poke(head, node)
 
     def _bucket_address(self, key: int) -> int:
-        return self.bucket_base + (key % NUM_BUCKETS) * self.machine.params.line_bytes
+        return self.bucket_base + (key % NUM_BUCKETS) * self._line_bytes
 
     # ------------------------------------------------------------ transactions
+    #
+    # These add the fields' byte offsets to a node's address and bind
+    # ``ctx.read``/``ctx.write`` once: no ``word_address`` call per access.
 
     def lookup(self, ctx, key: int):
+        read = ctx.read
         head = self._bucket_address(key)
-        node = yield from ctx.read(head)
+        node = yield from read(head)
         while node:
-            node_key = yield from ctx.read(word_address(node, NODE_KEY))
+            node_key = yield from read(node + KEY_AT)
             if node_key == key:
-                value = yield from ctx.read(word_address(node, NODE_VALUE))
+                value = yield from read(node + VALUE_AT)
                 return value
-            node = yield from ctx.read(word_address(node, NODE_NEXT))
+            node = yield from read(node + NEXT_AT)
         return None
 
     def insert(self, ctx, key: int, value: int):
+        read, write = ctx.read, ctx.write
         head = self._bucket_address(key)
-        node = yield from ctx.read(head)
+        node = yield from read(head)
         while node:
-            node_key = yield from ctx.read(word_address(node, NODE_KEY))
+            node_key = yield from read(node + KEY_AT)
             if node_key == key:
-                yield from ctx.write(word_address(node, NODE_VALUE), value)
+                yield from write(node + VALUE_AT, value)
                 return False
-            node = yield from ctx.read(word_address(node, NODE_NEXT))
+            node = yield from read(node + NEXT_AT)
         fresh = self._alloc_record(NODE_WORDS)
-        old_head = yield from ctx.read(head)
-        yield from ctx.write(word_address(fresh, NODE_KEY), key)
-        yield from ctx.write(word_address(fresh, NODE_VALUE), value)
-        yield from ctx.write(word_address(fresh, NODE_NEXT), old_head)
-        yield from ctx.write(head, fresh)
+        old_head = yield from read(head)
+        yield from write(fresh + KEY_AT, key)
+        yield from write(fresh + VALUE_AT, value)
+        yield from write(fresh + NEXT_AT, old_head)
+        yield from write(head, fresh)
         return True
 
     def delete(self, ctx, key: int):
+        read, write = ctx.read, ctx.write
         head = self._bucket_address(key)
         previous = 0
-        node = yield from ctx.read(head)
+        node = yield from read(head)
         while node:
-            node_key = yield from ctx.read(word_address(node, NODE_KEY))
+            node_key = yield from read(node + KEY_AT)
             if node_key == key:
-                successor = yield from ctx.read(word_address(node, NODE_NEXT))
+                successor = yield from read(node + NEXT_AT)
                 if previous:
-                    yield from ctx.write(word_address(previous, NODE_NEXT), successor)
+                    yield from write(previous + NEXT_AT, successor)
                 else:
-                    yield from ctx.write(head, successor)
+                    yield from write(head, successor)
                 return True
             previous = node
-            node = yield from ctx.read(word_address(node, NODE_NEXT))
+            node = yield from read(node + NEXT_AT)
         return False
 
     # ----------------------------------------------------------------- stream

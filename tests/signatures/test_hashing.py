@@ -44,6 +44,39 @@ def test_h3_rejects_empty_masks():
         H3Hash([])
 
 
+def _xor_fold_parity(value: int) -> int:
+    """Parity by XOR-folding a 64-bit value down to one bit."""
+    value ^= value >> 32
+    value ^= value >> 16
+    value ^= value >> 8
+    value ^= value >> 4
+    value ^= value >> 2
+    value ^= value >> 1
+    return value & 1
+
+
+def _h3_reference(masks, address: int) -> int:
+    result = 0
+    for bit, mask in enumerate(masks):
+        result |= _xor_fold_parity(address & mask) << bit
+    return result
+
+
+def test_h3_matches_the_xor_fold_reference():
+    """Each output bit is the XOR-fold parity of ``address & mask``, over
+    random addresses and masks, the full 40-bit masks included."""
+    rng = DeterministicRng(11)
+    full = (1 << ADDRESS_BITS) - 1
+    mask_sets = [[full] * 9, [full, 1, 1 << (ADDRESS_BITS - 1), full ^ 1]]
+    mask_sets += [[rng.randint(1, full) for _ in range(9)] for _ in range(20)]
+    addresses = [0, 1, full, full ^ 1, 1 << (ADDRESS_BITS - 1)]
+    addresses += [rng.randint(0, full) for _ in range(400)]
+    for masks in mask_sets:
+        hash_fn = H3Hash(masks)
+        for address in addresses:
+            assert hash_fn(address) == _h3_reference(masks, address)
+
+
 def test_h3_xor_linearity():
     """H3 is linear over GF(2): h(a ^ b) == h(a) ^ h(b)."""
     rng = DeterministicRng(2)

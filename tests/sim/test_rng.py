@@ -71,3 +71,30 @@ def test_geometric_rejects_bad_p():
         rng.geometric(0.0)
     with pytest.raises(ValueError):
         rng.geometric(1.5)
+
+
+def test_randint_stream_equals_random_randint():
+    """``randint`` draws exactly what ``random.Random(seed).randint`` does,
+    over many seeds and ranges, width 1 and negative bounds included."""
+    import random
+
+    ranges = [(0, 0), (5, 5), (-3, -3), (0, 1), (1, 2), (0, 2), (1, 16), (-7, 7),
+              (0, 255), (100, 500), (0, (1 << 20)), (1, (1 << 40) - 1), (0, 10 ** 30)]
+    for seed in range(64):
+        ours = DeterministicRng(seed)
+        reference = random.Random(seed)
+        for _ in range(4):
+            for low, high in ranges:
+                assert ours.randint(low, high) == reference.randint(low, high)
+        # The streams stay in step for the other helpers too.
+        assert ours.random() == reference.random()
+
+
+def test_randint_rejects_an_empty_range():
+    rng = DeterministicRng(3)
+    with pytest.raises(ValueError):
+        rng.randint(1, 0)
+    with pytest.raises(ValueError):
+        rng.randint(10, -10)
+    # A rejected draw consumes nothing.
+    assert rng.randint(0, 1000) == DeterministicRng(3).randint(0, 1000)

@@ -85,7 +85,12 @@ class Signature:
         return value
 
     def clear(self) -> None:
-        """``clear Sig`` — flash-zero the register."""
+        """``clear Sig`` — flash-zero the register.
+
+        ``FlexTMProcessor._clear_registers`` stores the same fields
+        without calling this method; a field reset here must be reset
+        there too.
+        """
         self.word = 0
         self._foreign = False
 

@@ -53,6 +53,8 @@ from repro.verify.history import (
     RecordingBackend,
     SerializabilityViolation,
     check_serializable,
+    replays_serially,
+    seed_cells,
 )
 
 DEFAULT_CYCLE_LIMIT = 10_000_000
@@ -112,23 +114,19 @@ def run_schedule_cell(
     """
     from repro.harness.runner import SYSTEMS
     from repro.obs.metrics import MetricsHub
-    from repro.obs.tracer import tee
 
     if spec is None:
         spec = SCHEDULES[schedule]
     mixed = cell_seed(seed, backend_name, schedule)
     machine = FlexTMMachine(small_test_params(max(spec.threads, 2)))
     hub = MetricsHub()
-    machine.set_tracer(tee(hub))
-    machine.set_invariants(InvariantChecker(strict=strict))
     probe = OpacityProbe()
-    machine.set_probes(probe)
+    machine.attach(
+        metrics=hub, invariants=InvariantChecker(strict=strict), probes=probe
+    )
     backend = RecordingBackend(SYSTEMS[backend_name](machine, ConflictMode.EAGER))
-    line = machine.params.line_bytes
-    cells = [machine.allocate(line, line_aligned=True) for _ in range(spec.cells)]
+    cells = seed_cells(machine, backend.recorder, spec.cells)
     for index, cell in enumerate(cells):
-        machine.memory.write(cell, index)
-        backend.recorder.note_initial(cell, index)
         probe.track(cell, index)
     # Unique write values, offset per cell so reads-from attribution is
     # exact and distinct across the matrix.
@@ -190,14 +188,12 @@ def run_schedule_cell(
         out.verdict = VIOLATES
         out.detail = "opacity: " + probe.violations[0].detail
         return out
-    if not spec.plain_ops:
-        replay = dict(backend.recorder.initial_values)
-        for txn in witness:
-            replay.update(txn.writes)
-        if any(machine.memory.read(cell) != replay[cell] for cell in cells):
-            out.verdict = VIOLATES
-            out.detail = "final memory diverges from serial witness replay"
-            return out
+    if not spec.plain_ops and not replays_serially(
+        machine.memory, backend.recorder, witness, cells
+    ):
+        out.verdict = VIOLATES
+        out.detail = "final memory diverges from serial witness replay"
+        return out
     if out.aborts > 0:
         if spec.forbid_aborts:
             out.verdict = VIOLATES

@@ -114,7 +114,7 @@ class ChaosEngine:
 
     enabled = True
 
-    def __init__(self, spec: ChaosSpec, stats=None):
+    def __init__(self, spec: ChaosSpec):
         self.spec = spec
         root = DeterministicRng(spec.seed)
         self._rng: Dict[str, DeterministicRng] = {
@@ -124,8 +124,9 @@ class ChaosEngine:
         self.injected: collections.Counter = collections.Counter()
         #: Ordered injection record for bit-identical replay comparison.
         self.log: List[Tuple[str, str, int]] = []
-        #: Optional StatsRegistry mirror (installed by set_chaos).
-        self.stats = stats
+        #: StatsRegistry mirror (the machine's, installed by
+        #: FlexTMMachine.attach; None for an engine driven alone).
+        self.stats = None
 
     def _roll(self, site: str, prob: float) -> bool:
         """One Bernoulli draw; zero probability consumes no stream state."""

@@ -251,7 +251,7 @@ class InvariantChecker:
                 )
 
     def _check_irrevocable_mutex(self, machine) -> None:
-        resilience = getattr(machine, "resilience", None)
+        resilience = machine.resilience
         if resilience is None:
             return
         holders = resilience.token_holders()
@@ -287,7 +287,7 @@ class InvariantChecker:
         fallback — the torn-write-back hazard the hybrid design exists
         to prevent.
         """
-        fallback = getattr(machine, "htm_fallback", None)
+        fallback = machine.htm_fallback
         if fallback is None:
             return
         holders = fallback.token_holders()

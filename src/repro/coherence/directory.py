@@ -158,12 +158,12 @@ class Directory:
         # Cores-Summary stickiness: a descheduled transaction's
         # processor stays listed (installed by the virtualization layer).
         self.sticky_check: Optional[Callable] = None
-        # Observability hook (installed by FlexTMMachine.set_tracer).
+        # Observability hook (installed by FlexTMMachine.attach).
         self.tracer = NULL_TRACER
         # Each processor's clock, for event stamps (installed by
         # FlexTMMachine at construction).
         self.clocks: Sequence["CycleClock"] = ()
-        # Fault injection (installed by FlexTMMachine.set_chaos).
+        # Fault injection (installed by FlexTMMachine.attach).
         self.chaos = None
 
     def peek_entry(self, line_address: int) -> Optional[DirectoryEntry]:

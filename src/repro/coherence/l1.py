@@ -117,9 +117,9 @@ class L1Controller:
         self.directory = directory
         self.hooks = hooks or NullL1Hooks()
         self.stats = stats or StatsRegistry()
-        #: Observability hook (replaced by FlexTMMachine.set_tracer).
+        #: Observability hook (installed by FlexTMMachine.attach).
         self.tracer = NULL_TRACER
-        #: Fault injection (installed by FlexTMMachine.set_chaos).
+        #: Fault injection (installed by FlexTMMachine.attach).
         self.chaos = None
         self.array = CacheArray(params.l1.num_sets, params.l1.associativity)
         #: The array's sets and set-index mask, read by the hit path.

@@ -39,7 +39,7 @@ class AlertUnit:
         self.alerts_raised = 0
         self.alerts_delivered = 0
         self.alerts_lost = 0
-        #: Fault injection (installed by FlexTMMachine.set_chaos).
+        #: Fault injection (installed by FlexTMMachine.attach).
         self.chaos = None
 
     # -- configuration ---------------------------------------------------------

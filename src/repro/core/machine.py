@@ -24,7 +24,7 @@ from repro.core.tsw import TxStatus, decode_status
 from repro.errors import ProtocolError
 from repro.memory.address import AddressMap
 from repro.memory.main_memory import MainMemory
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer, tee
 from repro.params import DEFAULT_PARAMS, SystemParams
 from repro.signatures.bloom import Signature
 from repro.signatures.summary import SummarySignatures
@@ -157,18 +157,19 @@ class FlexTMMachine:
         #: thread id -> suspended descriptor (summary-handler registry).
         self._suspended: Dict[int, TransactionDescriptor] = {}
         self._pending_summary_conflicts: List[Tuple[TransactionDescriptor, ResponseKind]] = []
-        #: Fault injection / invariant checking (opt-in, tracer-style).
+        #: Fault injection / invariant checking (opt-in, see :meth:`attach`).
         self.chaos = None
         self.invariants = None
-        #: Adaptive-degradation controller (opt-in, tracer-style).
+        #: Adaptive-degradation controller (opt-in, see :meth:`attach`).
         self.resilience = None
-        #: Best-effort-HTM fallback policy (opt-in; installed by the
-        #: htmbe backend so the invariant checker can see the fallback
-        #: lock and serial mode through the machine alone).
+        #: Best-effort-HTM fallback policy: a behavioural hook that the
+        #: htmbe backend assigns so the invariant checker can see the
+        #: fallback lock and serial mode through the machine alone.
+        #: :meth:`attach` never touches it.
         self.htm_fallback = None
-        #: Opacity/zombie probe layer (opt-in, tracer-style; None = no
-        #: probes).  Purely observational: armed runs are bit-identical
-        #: to unarmed runs.
+        #: Opacity/zombie probe layer (opt-in, see :meth:`attach`).
+        #: Purely observational: armed runs are bit-identical to
+        #: unarmed runs.
         self.probes = None
         #: TSW address -> (wounder proc, conflict kind), staged by the
         #: runtime just before an abort CAS so the hardware-level TSW
@@ -180,80 +181,44 @@ class FlexTMMachine:
 
     # --------------------------------------------------------------- plumbing
 
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Install (or remove, with None) an observability tracer.
+    def attach(
+        self,
+        *,
+        tracer: Optional[Tracer] = None,
+        metrics=None,
+        chaos=None,
+        invariants=None,
+        resilience=None,
+        probes=None,
+    ) -> None:
+        """Arm exactly the given opt-in layers and turn every other one off.
 
-        The machine's one observational setter: a metrics hub installs
-        here too, as the tracer :func:`~repro.obs.tracer.tee` attaches
-        it to.  The tracer is fanned out to every layer that emits
-        events: the processors (AOU, overflow controller), their L1s
-        (evictions) and the directory (coherence messages).  Tracing is
-        observational only — it never changes a simulated cycle.
+        ``tracer`` and the ``metrics`` hub are installed as the one
+        tracer :func:`~repro.obs.tracer.tee` builds.  The tracer, the
+        fault-injection engine and the degradation controller are copied
+        into every layer that keeps its own: each processor, its L1,
+        alert unit and overflow controller, and the directory.  The
+        engine mirrors its injections into :attr:`stats`; the controller
+        and the probes learn the machine.  Arm probes before a run
+        starts: :meth:`TxContext.read <repro.runtime.api.TxContext.read>`
+        decides per access whether to wrap the backend's generator.
+        The behavioural :attr:`htm_fallback` hook is never touched.
         """
-        # Explicit None test: an EventTracer with no events yet is falsy
-        # (it defines __len__), and must still install.
-        tracer = NULL_TRACER if tracer is None else tracer
-        self.tracer = tracer
-        for proc in self.processors:
-            proc.tracer = tracer
-            proc.l1.tracer = tracer
-        self.directory.tracer = tracer
-
-    def set_chaos(self, chaos) -> None:
-        """Install (or remove, with None) a fault-injection engine.
-
-        Fanned out exactly like the tracer: the directory, every
-        processor, its L1, alert unit, and overflow controller each hold
-        the same engine, so all fault sites draw from one set of seeded
-        streams.
-        """
+        self.tracer = tracer = tee(tracer, metrics)
         self.chaos = chaos
-        if chaos is not None and getattr(chaos, "stats", None) is None:
-            chaos.stats = self.stats
-        for proc in self.processors:
-            proc.chaos = chaos
-            proc.l1.chaos = chaos
-            proc.alerts.chaos = chaos
-            proc.ot.chaos = chaos
-        self.directory.chaos = chaos
-
-    def set_invariants(self, checker) -> None:
-        """Install (or remove, with None) a runtime invariant checker."""
-        self.invariants = checker
-
-    def set_resilience(self, controller) -> None:
-        """Install (or remove, with None) a degradation controller.
-
-        Fanned out tracer-style: the processors need it for signature
-        quiescing and hash-family rotation at transaction begin.
-        """
-        self.resilience = controller
-        for proc in self.processors:
-            proc.resilience = controller
-        if controller is not None:
-            controller.attach(self)
-
-    def set_htm_fallback(self, policy) -> None:
-        """Install (or remove, with None) a best-effort-HTM fallback policy.
-
-        Registered by :class:`repro.stm.htmbe.HtmBestEffortRuntime` at
-        construction so the ``htm-sw-mutex`` invariant (no HTM commit
-        while the fallback lock is held) is checkable from the machine.
-        """
-        self.htm_fallback = policy
-
-    def set_probes(self, probes) -> None:
-        """Install (or remove, with None) an opacity/zombie probe layer.
-
-        Probes observe committed memory mutations (at the exact
-        instruction that makes them globally visible) and transactional
-        reads; they never touch simulated state, so an armed run is
-        bit-identical to an unarmed one — the same contract as the
-        tracer and metrics hub.  Install them before a run starts:
-        :meth:`TxContext.read <repro.runtime.api.TxContext.read>` decides
-        per access whether to wrap the backend's generator.
-        """
+        self.invariants = invariants
+        self.resilience = resilience
         self.probes = probes
+        for proc in self.processors:
+            proc.tracer = proc.l1.tracer = tracer
+            proc.chaos = proc.l1.chaos = proc.alerts.chaos = proc.ot.chaos = chaos
+            proc.resilience = resilience
+        self.directory.tracer = tracer
+        self.directory.chaos = chaos
+        if chaos is not None:
+            chaos.stats = self.stats
+        if resilience is not None:
+            resilience.attach(self)
         if probes is not None:
             probes.attach(self)
 

@@ -131,7 +131,7 @@ class OverflowController:
         #: before this time.
         self.copyback_until = 0
         self.mapped = True  # False when the OS swapped the OT out
-        #: Fault injection (installed by FlexTMMachine.set_chaos).
+        #: Fault injection (installed by FlexTMMachine.attach).
         self.chaos = None
         self.failed_walks = 0
 

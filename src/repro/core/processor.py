@@ -61,11 +61,11 @@ class FlexTMProcessor:
         self.proc_id = proc_id
         self.params = params
         self.stats = stats or StatsRegistry()
-        #: Observability hook (replaced by FlexTMMachine.set_tracer).
+        #: Observability hook (installed by FlexTMMachine.attach).
         self.tracer = NULL_TRACER
-        #: Fault injection (installed by FlexTMMachine.set_chaos).
+        #: Fault injection (installed by FlexTMMachine.attach).
         self.chaos = None
-        #: Degradation controller (installed by set_resilience).
+        #: Degradation controller (installed by FlexTMMachine.attach).
         self.resilience = None
         self.clock = CycleClock()
         self.rsig = Signature(params.signature_bits, params.signature_hashes)

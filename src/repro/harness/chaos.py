@@ -80,6 +80,8 @@ from repro.verify.history import (
     RecordingBackend,
     SerializabilityViolation,
     check_serializable,
+    replays_serially,
+    seed_cells,
 )
 
 #: Classifications that fail the harness (exit status 1).
@@ -191,26 +193,20 @@ def run_cell(
     """
     from repro.harness.runner import SYSTEMS
     from repro.obs.metrics import MetricsHub
-    from repro.obs.tracer import tee
 
     machine = FlexTMMachine(small_test_params(threads))
     hub = MetricsHub()
-    machine.set_tracer(tee(hub))
-    engine = None
-    if spec is not None:
-        engine = ChaosEngine(spec, stats=machine.stats)
-        machine.set_chaos(engine)
-        machine.set_invariants(InvariantChecker())
-    if controller is not None:
-        machine.set_resilience(controller)
+    engine = None if spec is None else ChaosEngine(spec)
+    machine.attach(
+        metrics=hub,
+        chaos=engine,
+        invariants=None if spec is None else InvariantChecker(),
+        resilience=controller,
+    )
     backend = RecordingBackend(SYSTEMS[backend_name](machine, mode))
     if controller is not None:
         controller.bind_manager(getattr(backend.inner, "manager", None))
-    line = machine.params.line_bytes
-    cells = [machine.allocate(line, line_aligned=True) for _ in range(NUM_CELLS)]
-    for index, cell in enumerate(cells):
-        machine.memory.write(cell, index)
-        backend.recorder.note_initial(cell, index)
+    cells = seed_cells(machine, backend.recorder, NUM_CELLS)
     unique = itertools.count(1000)
     tx_threads = [
         TxThread(i, backend, _bodies(cells, DeterministicRng(seed * 7919 + i), txns, unique))
@@ -286,11 +282,8 @@ def run_cell(
         out["error_kind"] = "repro"
         return out
     if out["commits"] == threads * txns:
-        replay = dict(backend.recorder.initial_values)
-        for txn in witness:
-            replay.update(txn.writes)
-        out["memory_ok"] = all(
-            machine.memory.read(cell) == replay[cell] for cell in cells
+        out["memory_ok"] = replays_serially(
+            machine.memory, backend.recorder, witness, cells
         )
     return out
 

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 from repro.chaos import ChaosEngine, ChaosSpec, InvariantChecker, LivelockWatchdog, WatchdogSpec
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine
-from repro.obs.tracer import Tracer, tee
+from repro.obs.tracer import Tracer
 from repro.params import DEFAULT_PARAMS, SystemParams
 from repro.resilience import DegradeSpec, ResilienceController
 from repro.runtime.flextm import FlexTMRuntime
@@ -126,15 +126,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         raise KeyError(f"unknown system {config.system!r}; have {sorted(SYSTEMS)}")
     params = config.params or DEFAULT_PARAMS
     machine = FlexTMMachine(params, tmi_to_victim=config.tmi_to_victim)
-    machine.set_tracer(tee(config.tracer, config.metrics))
-    if config.chaos is not None:
-        machine.set_chaos(ChaosEngine(config.chaos, stats=machine.stats))
-    if config.invariants:
-        machine.set_invariants(InvariantChecker())
-    controller = None
-    if config.degrade is not None:
-        controller = ResilienceController(config.degrade)
-        machine.set_resilience(controller)
+    controller = None if config.degrade is None else ResilienceController(config.degrade)
+    machine.attach(
+        tracer=config.tracer,
+        metrics=config.metrics,
+        chaos=None if config.chaos is None else ChaosEngine(config.chaos),
+        invariants=InvariantChecker() if config.invariants else None,
+        resilience=controller,
+    )
     backend = SYSTEMS[config.system](machine, config.mode)
     if controller is not None:
         controller.bind_manager(getattr(backend, "manager", None))

@@ -258,7 +258,7 @@ class MetricsHub:
 
     A fold over an :class:`~repro.obs.tracer.EventTracer`'s event log:
     armed via ``ExperimentConfig(metrics=MetricsHub())`` or
-    ``FlexTMMachine.set_tracer(tee(hub))``, :func:`~repro.obs.tracer.tee`
+    ``FlexTMMachine.attach(metrics=hub)``, :func:`~repro.obs.tracer.tee`
     attaches it to the tracer armed beside it (or to a private log when
     armed alone), and the log hands it every record, in emission order,
     before the tracer's settings thin what the trace keeps.  Its

@@ -121,7 +121,7 @@ def family_seed(generation: int) -> int:
 class ResilienceController:
     """Closes the detect->react loop over one machine.
 
-    Install with :meth:`FlexTMMachine.set_resilience`; every hook is a
+    Arm with ``FlexTMMachine.attach(resilience=...)``; every hook is a
     no-op path when no controller is installed.  The controller draws
     **no** random numbers — all decisions are functions of observed
     state — so armed runs are deterministic and golden-table testable.

@@ -106,7 +106,7 @@ class HtmBestEffortRuntime(TMBackend):
         self.write_capacity = machine.params.htm_write_lines
         self.policy = FallbackPolicy(spec)
         self.policy.bind_runtime(self)
-        machine.set_htm_fallback(self.policy)
+        machine.htm_fallback = self.policy
         self._offset_bits = machine.params.offset_bits
         #: thread id -> in-flight attempt.
         self._active: Dict[int, HtmThreadState] = {}

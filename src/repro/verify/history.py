@@ -144,6 +144,31 @@ class RecordingBackend(TMBackend):
         return {} if hook is None else hook()
 
 
+def seed_cells(machine, recorder: HistoryRecorder, count: int) -> List[int]:
+    """Allocate ``count`` line-aligned cells, cell ``i`` holding ``i``.
+
+    Each initial value is noted on ``recorder``, so the checker can
+    tell a read of it from a read out of thin air.
+    """
+    line = machine.params.line_bytes
+    cells = [machine.allocate(line, line_aligned=True) for _ in range(count)]
+    for index, cell in enumerate(cells):
+        machine.memory.write(cell, index)
+        recorder.note_initial(cell, index)
+    return cells
+
+
+def replays_serially(
+    memory, recorder: HistoryRecorder, witness: List[CommittedTransaction], cells
+) -> bool:
+    """True when every cell of ``memory`` holds what a serial replay of
+    ``witness`` over the recorded initial values leaves there."""
+    replay = dict(recorder.initial_values)
+    for txn in witness:
+        replay.update(txn.writes)
+    return all(memory.read(cell) == replay[cell] for cell in cells)
+
+
 def check_serializable(recorder: HistoryRecorder) -> List[CommittedTransaction]:
     """Verify the recorded history; returns a witness serial order.
 

@@ -114,7 +114,7 @@ def _bare_run(backend_name, armed):
     machine = FlexTMMachine(small_test_params(max(spec.threads, 2)))
     if armed:
         probe = OpacityProbe()
-        machine.set_probes(probe)
+        machine.attach(probes=probe)
     line = machine.params.line_bytes
     cells = [machine.allocate(line, line_aligned=True) for _ in range(spec.cells)]
     for index, cell in enumerate(cells):
@@ -148,7 +148,7 @@ def test_probe_armed_run_is_bit_identical_to_unarmed(backend):
 
 def _scheduler(strict):
     machine = FlexTMMachine(small_test_params(2))
-    machine.set_invariants(InvariantChecker(strict=strict))
+    machine.attach(invariants=InvariantChecker(strict=strict))
     backend = SYSTEMS["FlexTM"](machine, ConflictMode.EAGER)
     return Scheduler(machine, [TxThread(0, backend, [])])
 

@@ -22,7 +22,7 @@ def test_fresh_machine_passes_sweep(machine):
 
 def test_sweep_passes_after_plain_traffic(machine):
     checker = InvariantChecker()
-    machine.set_invariants(checker)
+    machine.attach(invariants=checker)
     base = machine.allocate_words(32, line_aligned=True)
     for proc in range(4):
         machine.store(proc, base + 8 * proc, proc)

@@ -44,10 +44,11 @@ def _oversubscribed_run(chaos, degrade=None):
     makes exact-attribution assertions meaningful.
     """
     machine = FlexTMMachine(small_test_params(4))
-    machine.set_chaos(ChaosEngine(chaos, stats=machine.stats))
-    machine.set_invariants(InvariantChecker())
-    if degrade is not None:
-        machine.set_resilience(ResilienceController(degrade))
+    machine.attach(
+        chaos=ChaosEngine(chaos),
+        invariants=InvariantChecker(),
+        resilience=None if degrade is None else ResilienceController(degrade),
+    )
     backend = FlexTMRuntime(machine, mode=ConflictMode.EAGER)
     if degrade is not None:
         machine.resilience.bind_manager(backend.manager)
@@ -102,8 +103,7 @@ def test_preemption_storm_with_ladder_armed_still_attributes_exactly():
 @pytest.fixture
 def m():
     machine = FlexTMMachine(small_test_params(4))
-    machine.set_chaos(ChaosEngine(FORCED_EVICTION, stats=machine.stats))
-    machine.set_invariants(InvariantChecker())
+    machine.attach(chaos=ChaosEngine(FORCED_EVICTION), invariants=InvariantChecker())
     return machine
 
 

@@ -208,7 +208,7 @@ def test_hit_after_a_chaos_tmi_spill_pays_the_spill():
 
     # Every access now evicts one other line: the TMI one, the only
     # candidate, spills to the overflow table before the lookup.
-    machine.set_chaos(ChaosEngine(ChaosSpec(seed=1, l1_evict=1.0)))
+    machine.attach(chaos=ChaosEngine(ChaosSpec(seed=1, l1_evict=1.0)))
     result = machine.tload(0, target)
     spill = OT_SPILL_CYCLES + OT_ALLOCATE_TRAP_CYCLES
     assert result.cycles == machine.params.l1_hit_cycles + spill
@@ -288,7 +288,7 @@ def test_a_chaos_armed_hit_rolls_l1_pressure_before_the_probe(monkeypatch):
     line = machine.amap.line_of(address)
     l1 = machine.processors[0].l1
     cached = l1.array.peek(line)
-    machine.set_chaos(ChaosEngine(ChaosSpec(seed=1, l1_evict=0.5)))
+    machine.attach(chaos=ChaosEngine(ChaosSpec(seed=1, l1_evict=0.5)))
     seen = []
     roll = ChaosEngine.l1_pressure
 

@@ -167,7 +167,7 @@ def test_a_state_outside_the_row_takes_one_access_call(access_calls):
 def test_a_chaos_armed_l1_takes_one_access_call_per_hit(access_calls):
     machine = _machine()
     address = _put_in_state(machine, LineState.TMI)
-    machine.set_chaos(ChaosEngine(ChaosSpec(seed=1)))
+    machine.attach(chaos=ChaosEngine(ChaosSpec(seed=1)))
     del access_calls[:]
     assert machine.tload(0, address).cycles == machine.params.l1_hit_cycles
     assert machine.tstore(0, address, 3).cycles == machine.params.l1_hit_cycles
@@ -185,7 +185,7 @@ def test_a_chaos_armed_tload_rolls_l1_pressure_before_the_probe(monkeypatch):
     line = machine.amap.line_of(address)
     l1 = machine.processors[0].l1
     cached = l1.array.peek(line)
-    machine.set_chaos(ChaosEngine(ChaosSpec(seed=1, l1_evict=0.5)))
+    machine.attach(chaos=ChaosEngine(ChaosSpec(seed=1, l1_evict=0.5)))
     seen = []
     roll = ChaosEngine.l1_pressure
 

@@ -241,7 +241,7 @@ def _hot_lines(tmi_to_victim, chaos=None):
     TMI side buffer or from the overflow table."""
     machine = FlexTMMachine(small_test_params(4), tmi_to_victim=tmi_to_victim)
     if chaos is not None:
-        machine.set_chaos(ChaosEngine(chaos, stats=machine.stats))
+        machine.attach(chaos=ChaosEngine(chaos))
     runtime = FlexTMRuntime(machine, mode=ConflictMode.LAZY)
     line = machine.params.line_bytes
     hot = [machine.allocate(line, line_aligned=True) for _ in range(2)]

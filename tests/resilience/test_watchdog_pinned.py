@@ -79,7 +79,7 @@ def test_watchdog_skips_the_irrevocability_holder():
     # the watchdog's victim policy would otherwise select.
     holder = _active_descriptor(machine, thread_id=0, wounds=9)
     bystander = _active_descriptor(machine, thread_id=1, wounds=2)
-    machine.set_resilience(_PinnedResilience(holder.tsw_address))
+    machine.attach(resilience=_PinnedResilience(holder.tsw_address))
     watchdog = _watchdog(machine)
     _escalate_to_forced_abort(machine, watchdog)
     assert machine.read_status(holder) is TxStatus.ACTIVE
@@ -94,7 +94,7 @@ def test_watchdog_skips_the_irrevocability_holder():
 def test_watchdog_holds_fire_when_only_the_holder_is_active():
     machine = FlexTMMachine(small_test_params(4))
     holder = _active_descriptor(machine, thread_id=0, wounds=5)
-    machine.set_resilience(_PinnedResilience(holder.tsw_address))
+    machine.attach(resilience=_PinnedResilience(holder.tsw_address))
     watchdog = _watchdog(machine)
     _escalate_to_forced_abort(machine, watchdog)
     # No killable candidate: the escalation is a no-op, not a wound on

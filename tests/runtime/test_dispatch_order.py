@@ -104,7 +104,7 @@ def _run(num_processors, counts, chaos=None, director=None, **scheduler_kwargs):
     with tapped() as recorder:
         machine = FlexTMMachine(small_test_params(num_processors))
         if chaos is not None:
-            machine.set_chaos(ChaosEngine(chaos, stats=machine.stats))
+            machine.attach(chaos=ChaosEngine(chaos))
         runtime = FlexTMRuntime(machine, mode=ConflictMode.EAGER)
         line = machine.params.line_bytes
         shared = [machine.allocate(line, line_aligned=True) for _ in range(6)]

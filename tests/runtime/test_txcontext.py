@@ -73,7 +73,7 @@ def test_unprobed_accesses_are_the_backends_own_generators(name):
 def test_armed_probe_sees_every_value_in_order(name):
     machine, backend, thread, ctx = _context(name)
     probe = RecordingProbe()
-    machine.set_probes(probe)
+    machine.attach(probes=probe)
     a, b = machine.allocate_words(1, line_aligned=True), machine.allocate_words(1, line_aligned=True)
     machine.store(1, b, 4)
 

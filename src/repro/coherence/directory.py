@@ -143,12 +143,15 @@ class Directory:
         self._l2_tags = CacheArray(params.l2.num_sets, params.l2.associativity)
         #: processor id -> its L1 controller (installed by the machine).
         self.l1s: List["L1Controller"] = []
-        #: request type -> its ``dir.requests.*`` counter, bound on first
-        #: use: a counter created early would add a zero to the stats.
-        self._request_counters: Dict[RequestType, Counter] = {}
-        #: The ``l2.*`` counters, bound on first use the same way.
-        self._l2_hits: Optional[Counter] = None
-        self._l2_misses: Optional[Counter] = None
+        #: request type -> its ``dir.requests.*`` counter.  The hot
+        #: counters are bound here, once; one that never counts is not
+        #: reported.
+        self._request_counters: Dict[RequestType, Counter] = {
+            req_type: self.stats.counter(f"dir.requests.{req_type.value}")
+            for req_type in RequestType
+        }
+        self._l2_hits = self.stats.counter("l2.hits")
+        self._l2_misses = self.stats.counter("l2.misses")
         # Context-switch hook: (requestor, line, RequestType) ->
         # summary-handler cycles.  The machine attaches it only while a
         # suspended transaction is folded into the summary signatures.
@@ -186,14 +189,9 @@ class Directory:
             if victim is not None:
                 self._l2_tags.remove(victim.line_address)
             self._l2_tags.install(line_address, _E)
-            counter = self._l2_misses
-            if counter is None:
-                counter = self._l2_misses = self.stats.counter("l2.misses")
+            self._l2_misses.value += 1
         else:
-            counter = self._l2_hits
-            if counter is None:
-                counter = self._l2_hits = self.stats.counter("l2.hits")
-        counter.value += 1
+            self._l2_hits.value += 1
         return cycles
 
     def request(self, requestor: int, req_type: RequestType, line_address: int) -> DirectoryOutcome:
@@ -206,11 +204,7 @@ class Directory:
         l1s = self.l1s
         if not l1s:
             raise ProtocolError("directory has no L1 controllers installed")
-        counter = self._request_counters.get(req_type)
-        if counter is None:
-            counter = self.stats.counter(f"dir.requests.{req_type.value}")
-            self._request_counters[req_type] = counter
-        counter.value += 1
+        self._request_counters[req_type].value += 1
         cycles = self._l2_latency(line_address)
         if self.chaos is not None and self.chaos.enabled:
             # Dropped/delayed request messages: the requestor retries
@@ -219,99 +213,91 @@ class Directory:
             # inspect ``nacked``).
             cycles += self.chaos.coherence_extra_cycles(line_address)
 
-        if self.nack_check is not None and self.nack_check(line_address, requestor):
+        nacked = self.nack_check is not None and self.nack_check(line_address, requestor)
+        if nacked:
+            # A NACK grants nothing and forwards to no one.
             self.stats.counter("dir.nacks").increment()
-            if self.tracer.enabled:
-                self._trace_request(
-                    requestor, line_address, _REQUEST_DETAILS[req_type, "NACK"], []
-                )
-            outcome = _new_outcome(DirectoryOutcome)
-            outcome.cycles = cycles
-            outcome.responses = []
-            outcome.grant = _I
-            outcome.nacked = True
-            outcome.conflicts = []
-            return outcome
-
-        entry = self._entries.get(line_address)
-        if entry is None:
-            entry = self._entries[line_address] = DirectoryEntry()
-        if self.summary_conflict_check is not None:
-            # Summary signatures are consulted on every L1 miss; the
-            # callee traps to the software handler when they hit.
-            cycles += self.summary_conflict_check(requestor, line_address, req_type)
-
-        responses: List[Tuple[int, ResponseKind]] = []
-        # The holders other than the requestor, walked by lowest set bit
-        # (what ``set_bits`` lists), each forward seeing the entry as the
-        # earlier ones left it.
-        targets = (entry.sharers | entry.owners) & ~(1 << requestor)
-        if targets:
-            cycles += self.params.remote_l1_cycles
-        is_gets = req_type is _GETS
-        sticky = self.sticky_check
-        pending = targets
-        while pending:
-            bit = pending & -pending
-            pending ^= bit
-            responder = bit.bit_length() - 1
-            kind, retained = l1s[responder].handle_forwarded(requestor, req_type, line_address)
-            if kind is not None:
-                responses.append((responder, kind))
-            if not retained and not (sticky is not None and sticky(line_address, responder)):
-                entry.drop(responder)
-            elif kind is not None and not retained:
-                # Dropped but sticky: stays listed so future requests
-                # keep reaching this processor's signatures.
-                self.stats.counter("dir.sticky_retained").increment()
-            elif is_gets and retained and entry.owners & bit:
-                if kind is not _THREATENED:
-                    # M/E owner flushed and dropped to S; TMI owners
-                    # (threatened) keep ownership.
-                    entry.demote_owner_to_sharer(responder)
-
-        if (
-            targets
-            and self.chaos is not None
-            and self.chaos.enabled
-            and self.chaos.duplicate_response(line_address)
-        ):
-            # Duplicated forwarded message: the first listed responder
-            # snoops the same request twice.  The protocol must treat
-            # repeated forwards idempotently; the duplicate response is
-            # appended so CST updates see it again too.
-            responder = (targets & -targets).bit_length() - 1
-            kind, _ = l1s[responder].handle_forwarded(requestor, req_type, line_address)
-            if kind is not None:
-                responses.append((responder, kind))
-
-        # The first ``GRANT_RULES`` grant whose condition holds, read
-        # live (a patched table is obeyed); the unconditional rule is
-        # recognised by identity and not called.  A GETS that was
-        # threatened grants TI (the L1 decides: TLoads install it, plain
-        # Loads stay uncached).  Either way the requestor is recorded as
-        # a sharer so future TMI commits can invalidate its copy.
-        # E/M/TMI grants make it an owner, plural for TMI; remote copies
-        # were already invalidated by the forward loop, and holders that
-        # answered with a signature response, hold TMI, or are sticky
-        # stay listed so they keep receiving coherence requests.
-        for condition, grant in GRANT_RULES[req_type]:
-            if condition is _otherwise or condition(entry, responses):
-                break
-        if grant in _OWNER_GRANTS:
-            entry.owners |= 1 << requestor
-            entry.sharers &= ~(1 << requestor)
+            responses: List[Tuple[int, ResponseKind]] = []
+            grant = _I
         else:
-            entry.sharers |= 1 << requestor
+            entry = self._entries.get(line_address)
+            if entry is None:
+                entry = self._entries[line_address] = DirectoryEntry()
+            if self.summary_conflict_check is not None:
+                # Summary signatures are consulted on every L1 miss; the
+                # callee traps to the software handler when they hit.
+                cycles += self.summary_conflict_check(requestor, line_address, req_type)
+
+            responses = []
+            # The holders other than the requestor, walked by lowest set bit
+            # (what ``set_bits`` lists), each forward seeing the entry as the
+            # earlier ones left it.
+            targets = (entry.sharers | entry.owners) & ~(1 << requestor)
+            if targets:
+                cycles += self.params.remote_l1_cycles
+            is_gets = req_type is _GETS
+            sticky = self.sticky_check
+            pending = targets
+            while pending:
+                bit = pending & -pending
+                pending ^= bit
+                responder = bit.bit_length() - 1
+                kind, retained = l1s[responder].handle_forwarded(requestor, req_type, line_address)
+                if kind is not None:
+                    responses.append((responder, kind))
+                if not retained and not (sticky is not None and sticky(line_address, responder)):
+                    entry.drop(responder)
+                elif kind is not None and not retained:
+                    # Dropped but sticky: stays listed so future requests
+                    # keep reaching this processor's signatures.
+                    self.stats.counter("dir.sticky_retained").increment()
+                elif is_gets and retained and entry.owners & bit:
+                    if kind is not _THREATENED:
+                        # M/E owner flushed and dropped to S; TMI owners
+                        # (threatened) keep ownership.
+                        entry.demote_owner_to_sharer(responder)
+
+            if (
+                targets
+                and self.chaos is not None
+                and self.chaos.enabled
+                and self.chaos.duplicate_response(line_address)
+            ):
+                # Duplicated forwarded message: the first listed responder
+                # snoops the same request twice.  The protocol must treat
+                # repeated forwards idempotently; the duplicate response is
+                # appended so CST updates see it again too.
+                responder = (targets & -targets).bit_length() - 1
+                kind, _ = l1s[responder].handle_forwarded(requestor, req_type, line_address)
+                if kind is not None:
+                    responses.append((responder, kind))
+
+            # The first ``GRANT_RULES`` grant whose condition holds, read
+            # live (a patched table is obeyed); the unconditional rule is
+            # recognised by identity and not called.  A GETS that was
+            # threatened grants TI (the L1 decides: TLoads install it, plain
+            # Loads stay uncached).  Either way the requestor is recorded as
+            # a sharer so future TMI commits can invalidate its copy.
+            # E/M/TMI grants make it an owner, plural for TMI; remote copies
+            # were already invalidated by the forward loop, and holders that
+            # answered with a signature response, hold TMI, or are sticky
+            # stay listed so they keep receiving coherence requests.
+            for condition, grant in GRANT_RULES[req_type]:
+                if condition is _otherwise or condition(entry, responses):
+                    break
+            if grant in _OWNER_GRANTS:
+                entry.owners |= 1 << requestor
+                entry.sharers &= ~(1 << requestor)
+            else:
+                entry.sharers |= 1 << requestor
         if self.tracer.enabled:
-            self._trace_request(
-                requestor, line_address, _REQUEST_DETAILS[req_type, grant], responses
-            )
+            detail = _REQUEST_DETAILS[req_type, "NACK" if nacked else grant]
+            self._trace_request(requestor, line_address, detail, responses)
         outcome = _new_outcome(DirectoryOutcome)
         outcome.cycles = cycles
         outcome.responses = responses
         outcome.grant = grant
-        outcome.nacked = False
+        outcome.nacked = nacked
         outcome.conflicts = (
             [response for response in responses if response[1].signals_conflict]
             if responses

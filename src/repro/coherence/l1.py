@@ -56,9 +56,6 @@ _M = LineState.M
 _TMI = LineState.TMI
 _E = LineState.E
 
-#: Builds an ``AccessResult`` with no ``__init__`` frame (the miss path).
-_new_access = object.__new__
-
 #: l1_hit_cycles -> access -> state -> the shared result.
 _SHARED_CLEAN_HITS: Dict[int, Dict[AccessKind, Dict[LineState, AccessResult]]] = {}
 
@@ -134,13 +131,14 @@ class L1Controller:
         self.tmi_victims = VictimBuffer(None) if tmi_to_victim else None
         #: Cycles accumulated by evictions performed inside an access.
         self._eviction_cycles = 0
-        #: access -> its ``l1.access.*`` counter, bound on first use: a
-        #: counter created early would add a zero to the stats.
-        self._access_counters: Dict[AccessKind, Counter] = {}
-        #: Single counters, bound on first use the same way.
-        self._misses: Optional[Counter] = None
-        self._silent_evictions: Optional[Counter] = None
-        self._remote_flushes: Optional[Counter] = None
+        #: access -> its ``l1.access.*`` counter.  The hot counters are
+        #: bound here, once; one that never counts is not reported.
+        self._access_counters: Dict[AccessKind, Counter] = {
+            kind: self.stats.counter(f"l1.access.{kind.value}") for kind in AccessKind
+        }
+        self._misses = self.stats.counter("l1.misses")
+        self._silent_evictions = self.stats.counter("l1.silent_evictions")
+        self._remote_flushes = self.stats.counter("l1.remote_flushes")
         self._clean_hits = shared_clean_hits(params.l1_hit_cycles)
         #: The TLoad and TStore rows, read by the machine's fused hit in
         #: ``FlexTMMachine.tload``/``tstore``.
@@ -155,19 +153,15 @@ class L1Controller:
         A clean hit (a ``CLEAN_HITS`` cell, with no eviction cycles
         accrued by this access) returns a shared, read-only result.
         Everything else takes :meth:`_dispatch`, or on a miss bumps
-        ``l1.misses`` and takes :meth:`_request`.  The array is probed
-        here rather than through ``CacheArray.lookup``, with the same
-        LRU tick on a hit.
+        ``l1.misses`` and takes :meth:`_request`.
 
-        ``FlexTMMachine.tload``/``tstore`` answer their clean hits on an
-        L1 without chaos themselves, from the same rows and with the
-        same counter, tick and state change; they call this for
-        everything else.
+        Two kept copies (docs/PROTOCOL.md §7) touch this method: the
+        array is probed inline, as ``CacheArray.lookup`` probes it and
+        with its LRU tick on a hit, and ``FlexTMMachine.tload``/``tstore``
+        answer their own clean hits on an L1 without chaos, as this
+        method would, calling it for everything else.
         """
-        counter = self._access_counters.get(kind)
-        if counter is None:
-            counter = self._bind_access_counter(kind)
-        counter.value += 1
+        self._access_counters[kind].value += 1
         self._eviction_cycles = 0
         if self.chaos is not None and self.chaos.enabled and self.chaos.l1_pressure():
             self._chaos_evict(line_address)
@@ -192,19 +186,11 @@ class L1Controller:
                 hit = self._dispatch(kind, line)
                 hit.cycles += 1  # victim-buffer lookup penalty
             else:
-                counter = self._misses
-                if counter is None:
-                    counter = self._misses = self.stats.counter("l1.misses")
-                counter.value += 1
+                self._misses.value += 1
                 hit = self._request(kind, MISS_REQUESTS[kind], line_address)
         hit.cycles += self._eviction_cycles
         self._eviction_cycles = 0
         return hit
-
-    def _bind_access_counter(self, kind: AccessKind) -> Counter:
-        """Create and bind the ``l1.access.<kind>`` counter (first use)."""
-        counter = self._access_counters[kind] = self.stats.counter(f"l1.access.{kind.value}")
-        return counter
 
     def _dispatch(self, kind: AccessKind, line: CacheLine) -> AccessResult:
         """An access to a present line, as ``LOCAL_DISPATCH`` directs."""
@@ -233,26 +219,17 @@ class L1Controller:
         return AccessResult(cycles=cycles, state=next_state, hit=True)
 
     def _request(self, kind: AccessKind, request: RequestType, line_address: int) -> AccessResult:
-        """A miss or an upgrade: ask the directory, install what it grants.
-
-        The result is built without an ``__init__`` frame; every
-        ``AccessResult`` field is stored.
-        """
+        """A miss or an upgrade: ask the directory, install what it grants."""
         outcome = self.directory.request(self.proc_id, request, line_address)
-        result = _new_access(AccessResult)
-        result.cycles = outcome.cycles + self.params.l1_hit_cycles
-        result.conflicts = outcome.conflicts
-        result.state = grant = outcome.grant
-        result.hit = False
-        result.threatened_uncached = False
+        grant = outcome.grant
+        result = AccessResult(
+            outcome.cycles + self.params.l1_hit_cycles, outcome.conflicts, grant,
+            nacked=outcome.nacked,
+        )
         if outcome.nacked:
-            result.nacked = True
             return result
-        result.nacked = False
         installed = GRANT_INSTALL.get((kind, grant), grant)
-        existing = self._sets[line_address & self._set_mask].get(line_address)
-        if existing is not None and existing._state is _I:
-            existing = None
+        existing = self.array.peek(line_address)
         if installed is _I:
             # Strong isolation: a plain Load that was threatened reads
             # the committed value but leaves the line uncached so that
@@ -304,10 +281,7 @@ class L1Controller:
             # Silent eviction of E/S/TI: the directory keeps us listed,
             # so conflict-detecting forwards continue to arrive.
             self.victims.insert(line.line_address, state)
-            counter = self._silent_evictions
-            if counter is None:
-                counter = self._silent_evictions = self.stats.counter("l1.silent_evictions")
-            counter.value += 1
+            self._silent_evictions.value += 1
         self.array.remove(line.line_address)
 
     def _chaos_evict(self, line_address: int) -> None:
@@ -346,16 +320,14 @@ class L1Controller:
         # state, GETS demotes M/E to S.  One snoop: a line is in the
         # array or in the victim buffer, never both, and ``next_state``
         # is what the transition left behind (I when neither held it).
-        # The array is probed as ``CacheArray.peek`` does, LRU untouched.
+        # The array is probed as ``CacheArray.peek`` does, LRU untouched
+        # (a kept copy: docs/PROTOCOL.md §7).
         line = self._sets[line_address & self._set_mask].get(line_address)
         if line is not None and line._state is not _I:
             state = line._state
             next_state = REMOTE_NEXT_STATE[req_type, state]
             if state is _M:
-                counter = self._remote_flushes
-                if counter is None:
-                    counter = self._remote_flushes = self.stats.counter("l1.remote_flushes")
-                counter.value += 1
+                self._remote_flushes.value += 1
             if next_state is _I:
                 self._drop_line(line)
             elif next_state is not state:

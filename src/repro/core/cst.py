@@ -43,17 +43,13 @@ class CstRegister:
         return bool((self._bits >> processor) & 1)
 
     def copy_and_clear(self) -> int:
-        """Atomically read the register and zero it (``clruw`` analogue).
-
-        ``FlexTMRuntime.commit`` does the same swap on ``_bits`` in place;
-        a change here must be made there too.
-        """
+        """Atomically read the register and zero it (``clruw`` analogue)."""
         value, self._bits = self._bits, 0
         return value
 
     def clear(self) -> None:
         """Zero the register.  ``FlexTMProcessor._clear_registers`` stores
-        the same field without calling this method; keep the two alike."""
+        ``_bits`` inline; docs/PROTOCOL.md §7 lists the copy."""
         self._bits = 0
 
     @property

@@ -86,10 +86,10 @@ class MemoryOpResult:
     the directory (``DirectoryOutcome.conflicts``) or that the L1's full
     dispatch returns.  Test it for truth, not against ``()``.
 
-    The success returns of ``tload``, ``tstore``, ``load`` and ``aload``,
-    and every ``cas_commit`` result, are built with ``object.__new__``
-    and five slot stores rather than through ``__init__``, which costs
-    a Python frame per op.
+    The success returns of ``tload``, ``tstore`` and ``load``, once per
+    access, are built with ``object.__new__`` and five slot stores
+    rather than through ``__init__``, which costs a Python frame per
+    op: kept copies of ``__init__``, listed in docs/PROTOCOL.md §7.
     """
 
     __slots__ = ("value", "cycles", "conflicts", "nacked", "success")
@@ -408,7 +408,9 @@ class FlexTMMachine:
         L1's ``CLEAN_HITS`` TLoad row, and the hit bumps the same
         ``l1.access.TLoad`` counter, ticks the LRU state, makes the
         cell's state change and takes the cell's shared result, as
-        ``access`` does.  Everything else goes through ``access``.
+        ``access`` does.  Everything else goes through ``access``.  This
+        fused hit is a kept copy of ``access``'s; docs/PROTOCOL.md §7
+        lists it with the test that binds the two.
         """
         proc = self.processors[proc_id]
         if proc.current is None:
@@ -423,10 +425,7 @@ class FlexTMMachine:
         if result is None:
             result = l1.access(_TLOAD, line)
         else:
-            counter = l1._access_counters.get(_TLOAD)
-            if counter is None:
-                counter = l1._bind_access_counter(_TLOAD)
-            counter.value += 1
+            l1._access_counters[_TLOAD].value += 1
             array = l1.array
             array._use_tick = cached.last_use = array._use_tick + 1
             if cached._state is not result.state:
@@ -476,10 +475,7 @@ class FlexTMMachine:
         if result is None:
             result = l1.access(_TSTORE, line)
         else:
-            counter = l1._access_counters.get(_TSTORE)
-            if counter is None:
-                counter = l1._bind_access_counter(_TSTORE)
-            counter.value += 1
+            l1._access_counters[_TSTORE].value += 1
             array = l1.array
             array._use_tick = cached.last_use = array._use_tick + 1
             if cached._state is not result.state:
@@ -565,12 +561,7 @@ class FlexTMMachine:
         access = proc.l1.access(_STORE, tsw >> self._line_shift)
         words = self._words
         old = words.get(tsw, 0)
-        out = _new_result(MemoryOpResult)
-        out.value = old
-        out.cycles = access.cycles
-        out.conflicts = ()
-        out.nacked = False
-        out.success = False
+        out = MemoryOpResult(old, access.cycles)
         if old != _ACTIVE:
             proc.flash_abort()
             self.stats.counter("commit.cas_lost_race").increment()
@@ -583,8 +574,7 @@ class FlexTMMachine:
             self.invariants.on_tsw_write(tsw, old, int(_COMMITTED))
         words[tsw] = _COMMITTED
         # Flash commit: speculative values become globally visible in
-        # the same atomic step the TSW changes (``MainMemory.bulk_write``
-        # of the overlay, in its order).
+        # the same atomic step the TSW changes, written in overlay order.
         words.update(proc.overlay)
         if self.probes is not None:
             self.probes.on_commit_flash(proc.overlay)
@@ -602,13 +592,7 @@ class FlexTMMachine:
         if self._pending_summary_conflicts:
             self._take_summary_conflicts()
         proc.alerts.mark(line)
-        out = _new_result(MemoryOpResult)
-        out.value = self._words.get(address, 0)
-        out.cycles = result.cycles
-        out.conflicts = ()
-        out.nacked = False
-        out.success = False
-        return out
+        return MemoryOpResult(self._words.get(address, 0), result.cycles)
 
     # ----------------------------------------------------------- abort routing
 

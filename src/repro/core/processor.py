@@ -223,8 +223,9 @@ class FlexTMProcessor:
         """Flash-zero Rsig, Wsig and the three CSTs.
 
         Stores what ``Signature.clear`` and ``CstRegister.clear`` store,
-        in one frame.  The signatures are read at call time:
-        :meth:`restore_transactional_state` installs new ones.
+        in one frame (a kept copy: docs/PROTOCOL.md §7).  The signatures
+        are read at call time: :meth:`restore_transactional_state`
+        installs new ones.
         """
         rsig = self.rsig
         rsig.word = 0

@@ -110,7 +110,26 @@ differently.  See docs/RESILIENCE.md.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
+
+
+#: Subcommands with their own grammar, dispatched before the artifact
+#: parser sees the arguments: name -> (module, function).  ``trace`` and
+#: ``metrics`` take positionals (workload + system; ``metrics`` also has
+#: a ``compare`` sub-mode), the rest options only.  A module is imported
+#: only when its subcommand runs.
+_SUBCOMMANDS = {
+    "trace": ("repro.harness.trace", "run_trace_command"),
+    "metrics": ("repro.harness.metrics", "run_metrics_command"),
+    "sweep": ("repro.harness.sweep", "run_sweep_command"),
+    "chaos": ("repro.harness.chaos", "run_chaos_command"),
+    "adversary": ("repro.harness.adversary", "run_adversary_command"),
+    "degrade": ("repro.harness.degrade", "run_degrade_command"),
+    "analyze": ("repro.harness.analyze", "run_analyze_command"),
+    "modelcheck": ("repro.harness.modelcheck", "run_modelcheck_command"),
+    "capacity": ("repro.harness.capacity", "run_capacity_command"),
+}
 
 
 def _thread_list(text: str):
@@ -119,49 +138,9 @@ def _thread_list(text: str):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "trace":
-        # The trace subcommand has its own positional grammar
-        # (workload + system), so it dispatches before the artifact
-        # parser sees the arguments.
-        from repro.harness.trace import run_trace_command
-
-        return run_trace_command(argv[1:])
-    if argv and argv[0] == "metrics":
-        # Same positional grammar as trace (workload + system), plus a
-        # ``compare`` sub-mode for diffing two artifacts.
-        from repro.harness.metrics import run_metrics_command
-
-        return run_metrics_command(argv[1:])
-    if argv and argv[0] == "sweep":
-        # Likewise option-only grammar, dispatched before the artifact
-        # parser.
-        from repro.harness.sweep import run_sweep_command
-
-        return run_sweep_command(argv[1:])
-    if argv and argv[0] == "chaos":
-        from repro.harness.chaos import run_chaos_command
-
-        return run_chaos_command(argv[1:])
-    if argv and argv[0] == "adversary":
-        from repro.harness.adversary import run_adversary_command
-
-        return run_adversary_command(argv[1:])
-    if argv and argv[0] == "degrade":
-        from repro.harness.degrade import run_degrade_command
-
-        return run_degrade_command(argv[1:])
-    if argv and argv[0] == "analyze":
-        from repro.harness.analyze import run_analyze_command
-
-        return run_analyze_command(argv[1:])
-    if argv and argv[0] == "modelcheck":
-        from repro.harness.modelcheck import run_modelcheck_command
-
-        return run_modelcheck_command(argv[1:])
-    if argv and argv[0] == "capacity":
-        from repro.harness.capacity import run_capacity_command
-
-        return run_capacity_command(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        module, function = _SUBCOMMANDS[argv[0]]
+        return getattr(importlib.import_module(module), function)(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Regenerate FlexTM paper tables and figures.",

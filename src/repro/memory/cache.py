@@ -30,10 +30,8 @@ class CacheLine:
     """One L1 line: tag + coherence and FlexTM state bits.
 
     Assigning ``state`` keeps the owning array's T-state index current,
-    so every state change, protocol or test, goes through the setter.
-    The one exception is construction: ``__init__`` stores the first
-    state and updates the index itself, as the setter would, without
-    the setter's frame.
+    so every state change, construction included, goes through the
+    setter.
     """
 
     __slots__ = ("line_address", "_state", "a_bit", "last_use", "_t_index")
@@ -52,11 +50,7 @@ class CacheLine:
         self.last_use = last_use
         #: The owning array's T-state index, kept current by ``state``.
         self._t_index = t_index
-        self._state = state
-        if state is _TMI or state is _TI:
-            t_index[line_address] = self
-        else:
-            t_index.pop(line_address, None)
+        self.state = state
 
     @property
     def state(self) -> LineState:
@@ -64,7 +58,6 @@ class CacheLine:
 
     @state.setter
     def state(self, state: LineState) -> None:
-        # ``__init__`` repeats this index rule; keep the two alike.
         self._state = state
         if state is _TMI or state is _TI:
             self._t_index[self.line_address] = self

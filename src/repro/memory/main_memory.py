@@ -11,7 +11,7 @@ a speculative overlay maintained by the versioning layer.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 
 class MainMemory:
@@ -28,11 +28,6 @@ class MainMemory:
 
     def write(self, address: int, value: int) -> None:
         self.words[address] = value
-
-    def bulk_write(self, updates: Iterable[tuple]) -> None:
-        """Apply (address, value) pairs — commit-time redo-log drain."""
-        for address, value in updates:
-            self.write(address, value)
 
     def snapshot(self) -> Dict[int, int]:
         """Copy of all non-default words (test/debug aid)."""

@@ -63,9 +63,8 @@ class FlexTMRuntime(TMBackend):
         # Bound once for the per-step abort poll.
         self._processors = machine.processors
         self._words = machine.memory.words
-        #: The ``cst.conflict_degree`` histogram, bound at the first
-        #: commit: one created early would add an empty entry to the stats.
-        self._conflict_degrees = None
+        #: The ``cst.conflict_degree`` histogram, recorded at each commit.
+        self._conflict_degrees = machine.stats.histogram("cst.conflict_degree")
 
     # ----------------------------------------------------------------- begin
 
@@ -205,10 +204,7 @@ class FlexTMRuntime(TMBackend):
         proc_id = thread.processor
         proc = self.machine.processors[proc_id]
         descriptor = thread.descriptor
-        degrees = self._conflict_degrees
-        if degrees is None:
-            degrees = self._conflict_degrees = self.machine.stats.histogram("cst.conflict_degree")
-        degrees.record(len(proc.conflict_partners))
+        self._conflict_degrees.record(len(proc.conflict_partners))
         # NOTE: Figure 3's optional hygiene — "T may clean itself out of
         # X's W-R, where X is in T's R-W" — must wait until T's own
         # CAS-Commit has succeeded.  Cleaning *before* committing races
@@ -222,10 +218,9 @@ class FlexTMRuntime(TMBackend):
         cleaning_targets = set_bits(readers) if readers and self.clean_r_w else ()
         w_r, w_w = csts.w_r, csts.w_w
         while True:
-            # Figure 3, line 1: copy-and-clear W-R and W-W (what
-            # ``CstRegister.copy_and_clear`` does, without its frames).
-            w_r_mask, w_r._bits = w_r._bits, 0
-            w_w_mask, w_w._bits = w_w._bits, 0
+            # Figure 3, line 1: copy-and-clear W-R and W-W.
+            w_r_mask = w_r.copy_and_clear()
+            w_w_mask = w_w.copy_and_clear()
             mask = w_r_mask | w_w_mask
             yield ("work", 2)
             # Lines 2-3: abort every conflicting transaction.  A CST bit

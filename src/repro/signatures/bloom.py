@@ -87,9 +87,8 @@ class Signature:
     def clear(self) -> None:
         """``clear Sig`` — flash-zero the register.
 
-        ``FlexTMProcessor._clear_registers`` stores the same fields
-        without calling this method; a field reset here must be reset
-        there too.
+        ``FlexTMProcessor._clear_registers`` stores these fields inline;
+        docs/PROTOCOL.md §7 lists the copy and the test that binds it.
         """
         self.word = 0
         self._foreign = False

@@ -89,7 +89,13 @@ class Histogram:
 
 
 class StatsRegistry:
-    """Namespace of counters and histograms for one simulated machine."""
+    """Namespace of counters and histograms for one simulated machine.
+
+    A counter whose value is 0 is not reported: :meth:`counters` and
+    :meth:`snapshot` skip it.  Components can therefore bind every
+    counter they may bump once, at construction, and a counter that
+    never counted adds nothing to the stats.
+    """
 
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
@@ -108,22 +114,25 @@ class StatsRegistry:
         return self._histograms[name]
 
     def counters(self) -> Iterator[Tuple[str, int]]:
+        """``(name, value)`` of every non-zero counter, sorted by name."""
         for name in sorted(self._counters):
-            yield name, self._counters[name].value
+            value = self._counters[name].value
+            if value:
+                yield name, value
 
     def histograms(self) -> Iterator[Tuple[str, Histogram]]:
         for name in sorted(self._histograms):
             yield name, self._histograms[name]
 
     def snapshot(self) -> Dict[str, float]:
-        """Copy of all counter values plus histogram summaries.
+        """Copy of the non-zero counter values plus histogram summaries.
 
         Each histogram contributes ``.count``, ``.mean``, ``.max`` and
         ``.p95`` entries so snapshots capture distribution shape, not
         just sample volume.
         """
         data: Dict[str, float] = {
-            name: counter.value for name, counter in self._counters.items()
+            name: counter.value for name, counter in self._counters.items() if counter.value
         }
         for name, histogram in self._histograms.items():
             data[f"{name}.count"] = histogram.count

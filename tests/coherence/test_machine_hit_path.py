@@ -5,8 +5,8 @@ chaos themselves, from the L1's ``CLEAN_HITS`` rows: they bump the same
 ``l1.access.*`` counter, tick the LRU state and make the cell's state
 change.  These tests check every such cell against ``access`` on a twin
 machine, that only the clean hit skips ``access``, that a chaos-armed L1
-still rolls ``l1_pressure`` before the probe, and that the access
-counters stay lazily created.
+still rolls ``l1_pressure`` before the probe, and that both paths bump
+one bound ``l1.access.*`` counter.
 """
 
 import pytest
@@ -21,7 +21,6 @@ from repro.params import small_test_params
 from repro.runtime.flextm import FlexTMRuntime
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.txthread import TxThread, WorkItem
-from repro.sim.stats import StatsRegistry
 from tests.coherence.test_figure1_conformance import _ensure_txn, _machine, _put_in_state
 from tests.coherence.test_l1_hit_path import _bare_transaction
 
@@ -107,7 +106,7 @@ def test_clean_tload_and_tstore_hits_make_no_access_call(access_calls):
     _ensure_txn(machine, 0)
     written = machine.allocate_words(1, line_aligned=True)
     machine.tstore(0, written, 1)  # a miss: installs TMI
-    machine.tload(0, loaded)  # binds the TLoad counter
+    machine.tload(0, loaded)
     del access_calls[:]
     for value in range(2, 5):
         assert machine.tload(0, loaded).cycles == machine.params.l1_hit_cycles
@@ -203,32 +202,25 @@ def test_a_chaos_armed_tload_rolls_l1_pressure_before_the_probe(monkeypatch):
     assert machine.stats.counter("chaos.l1.evict").value > 0
 
 
-# ---------------------------------------------------------- (d) lazy counters
+# ------------------------------------------------- (d) one bound counter
 
 
-def test_a_first_ever_hit_creates_the_tload_counter_once(monkeypatch):
+def test_the_fused_hit_and_access_bump_one_bound_tload_counter(access_calls):
     machine = _machine()
     address = _put_in_state(machine, LineState.E)
     _bare_transaction(machine, 0)
-    assert "l1.access.TLoad" not in machine.stats.snapshot()
-    created = []
-    counter = StatsRegistry.counter
-
-    def counting(self, name):
-        created.append(name)
-        return counter(self, name)
-
-    monkeypatch.setattr(StatsRegistry, "counter", counting)
-    for _ in range(3):
-        assert machine.tload(0, address).cycles == machine.params.l1_hit_cycles
-    assert created == ["l1.access.TLoad"]
     l1 = machine.processors[0].l1
     bound = l1._access_counters[AccessKind.TLOAD]
-    assert bound.value == 3
-    # A miss through ``access`` bumps the same object.
+    assert bound is machine.stats.counter("l1.access.TLoad")
+    before = bound.value
+    del access_calls[:]
+    for _ in range(3):
+        assert machine.tload(0, address).cycles == machine.params.l1_hit_cycles
+    assert access_calls == [] and bound.value == before + 3
+    # A miss goes through ``access`` and bumps the same object.
     machine.tload(0, machine.allocate_words(1, line_aligned=True))
-    assert l1._access_counters[AccessKind.TLOAD] is bound and bound.value == 4
-    monkeypatch.undo()
+    assert len(access_calls) == 1 and bound.value == before + 4
+    assert l1._access_counters[AccessKind.TLOAD] is bound
     assert machine.stats.counter("l1.access.TLoad") is bound
 
 

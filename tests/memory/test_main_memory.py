@@ -14,12 +14,6 @@ def test_write_then_read():
     assert memory.read(8) == 42
 
 
-def test_bulk_write():
-    memory = MainMemory()
-    memory.bulk_write([(0, 1), (8, 2), (16, 3)])
-    assert [memory.read(a) for a in (0, 8, 16)] == [1, 2, 3]
-
-
 def test_counters_track_traffic():
     """Traffic shows in the stored words; the image keeps no access counts."""
     memory = MainMemory()

@@ -102,3 +102,24 @@ def test_registry_histograms_iterator_sorted():
     assert names == ["alpha", "zeta"]
     pairs = dict(registry.histograms())
     assert pairs["alpha"].total == 2
+
+
+def test_a_counter_that_never_counted_is_not_reported():
+    registry = StatsRegistry()
+    bound = registry.counter("bound")
+    registry.counter("zero").increment(0)
+    registry.counter("counted").increment(2)
+    assert registry.snapshot() == {"counted": 2}
+    assert list(registry.counters()) == [("counted", 2)]
+    bound.value += 1
+    registry.counter("zero").increment()
+    assert registry.snapshot() == {"bound": 1, "counted": 2, "zero": 1}
+    assert list(registry.counters()) == [("bound", 1), ("counted", 2), ("zero", 1)]
+
+
+def test_a_reset_counter_leaves_the_report():
+    registry = StatsRegistry()
+    registry.counter("events").increment(3)
+    registry.reset()
+    assert "events" not in registry.snapshot()
+    assert list(registry.counters()) == []

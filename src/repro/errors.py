@@ -55,11 +55,12 @@ class TransactionAborted(TransactionError):
         self,
         reason: str = "aborted",
         *,
-        by: int | None = None,
+        by: int = -1,
         conflict: str = "",
     ):
         super().__init__(reason)
         self.reason = reason
+        #: Processor that wounded the transaction, -1 when unattributed.
         self.by = by
         #: Conflict type that caused the wound ("R-W" / "W-R" / "W-W" /
         #: "SI" / "migration" / "watchdog"), "" when unattributed.

@@ -140,8 +140,8 @@ class TxThread:
                     self.in_transaction = False
                     self.aborts += 1
                     aborts_in_a_row += 1
-                    conflict = getattr(abort, "conflict", "")
-                    by = getattr(abort, "by", -1)
+                    conflict = abort.conflict
+                    by = abort.by
                     if self.descriptor is not None:
                         if not conflict:
                             conflict = getattr(self.descriptor, "wound_kind", "")

@@ -243,6 +243,22 @@ def test_artifact_is_deterministic_and_valid():
     assert validate_metrics_artifact(documents[0]) is None
 
 
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_contended_artifact_builds_with_int_wounders(system):
+    """An STM validation abort names no wounder: it must read as -1
+    ("unattributed"), so the wounded-by chains still build."""
+    hub = MetricsHub()
+    result = run_experiment(_config(
+        system, workload="RBTree", threads=8, seed=7,
+        params=small_test_params(8), metrics=hub))
+    document = build_artifact(hub, result, run_info={"label": system})
+    assert validate_metrics_artifact(document) is None
+    assert all(
+        isinstance(record.by, int) and record.by >= -1
+        for record in hub.abort_records
+    )
+
+
 def test_hub_bounds_abort_records():
     hub = MetricsHub(max_abort_records=2)
     log = tee(hub)

@@ -38,7 +38,8 @@ def test_transaction_aborted_carries_context():
 
 def test_transaction_aborted_defaults():
     error = TransactionAborted()
-    assert error.by is None
+    assert error.by == -1
+    assert error.conflict == ""
     assert error.reason == "aborted"
 
 

@@ -50,9 +50,9 @@ PINS = {
         "metrics": "887415be154b078fa0018a5912c911ec6bd4a219e40764deed6c5b46b231d055",
     },
     "tl2-rbtree": {
-        "jsonl": "dbcbeec974684b9ffa8dc33661d105d9db0c4843223cc9f8b9a54e0179934a99",
-        "chrome": "f208686a9be23d1574bbf58bc36f0974f5d14c80f128b9615744ece4dc6f48c0",
-        "metrics": "40376ccb3479dec1dae97ca806f0ade9f377b6db38e745251a1bc5c7a9b45024",
+        "jsonl": "3b14420bf1e60ebeac88051741dd0452c7f1cce9f26bef36598e8a95e0dc4dd2",
+        "chrome": "d164d94c0c99dcb20e5cf9a3865aea0af696ead347942b5efcde91f3a66b4cfd",
+        "metrics": "e892ede0a4433e2c0fce391d070a5730e593086740c7ecd024ee868a9725af1c",
     },
     "flextm-chaos": {
         "jsonl": "10923921db1ce04a5ba0ba54a929b4f63caafd1bda47984939839484c2226075",

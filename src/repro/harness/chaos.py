@@ -118,8 +118,9 @@ def profile_spec(profile: str, seed: int, backend: str) -> ChaosSpec:
 
 
 @dataclasses.dataclass
-class CellResult:
-    """One (backend, profile) cell of the fault matrix."""
+class FaultCell:
+    """One (backend, profile) cell of a fault matrix: the fields the
+    chaos and degrade reports share."""
 
     backend: str
     profile: str
@@ -128,16 +129,30 @@ class CellResult:
     commits: int = 0
     aborts: int = 0
     cycles: int = 0
+    #: Abort counts keyed by conflict kind (cause fidelity).
     aborts_by_kind: Dict[str, int] = dataclasses.field(default_factory=dict)
-    watchdog: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Per-rung escalation counters from the run's RunResult (watchdog
     #: ladder always; degradation ladder when a controller was armed).
     escalations: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Windowed commit/abort series from the metrics hub, keyed by
     #: series name (see repro.obs.metrics.TimeSeries.to_dict).
     series: Dict[str, object] = dataclasses.field(default_factory=dict)
-    invariant_checks: int = 0
     detail: str = ""
+
+    @classmethod
+    def from_run(cls, run: Dict[str, object], backend: str, profile: str,
+                 classification: str, detail: str) -> "FaultCell":
+        """A row holding every field of :func:`run_cell`'s observations
+        that this row type has (dicts copied)."""
+        names = {field.name for field in dataclasses.fields(cls)}
+        return cls(
+            backend=backend, profile=profile,
+            classification=classification, detail=detail,
+            **{
+                key: dict(value) if isinstance(value, dict) else value
+                for key, value in run.items() if key in names
+            },
+        )
 
     @property
     def ok(self) -> bool:
@@ -145,6 +160,14 @@ class CellResult:
 
     def to_json(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
+
+
+@dataclasses.dataclass
+class CellResult(FaultCell):
+    """One (backend, profile) cell of the chaos fault matrix."""
+
+    watchdog: Dict[str, int] = dataclasses.field(default_factory=dict)
+    invariant_checks: int = 0
 
 
 def _bodies(cells, rng, count, unique):
@@ -317,21 +340,7 @@ def _classify(run: Dict[str, object], baseline: Dict[str, object],
             verdict = "masked", ""
         else:
             verdict = "degraded", ""
-    classification, detail = verdict
-    return CellResult(
-        backend=backend, profile=profile,
-        classification=classification,
-        injected=dict(run["injected"]),
-        commits=int(run["commits"]),
-        aborts=int(run["aborts"]),
-        cycles=int(run["cycles"]),
-        aborts_by_kind=dict(run["aborts_by_kind"]),
-        watchdog=dict(run["watchdog"]),
-        escalations=dict(run["escalations"]),
-        series=dict(run["series"]),
-        invariant_checks=int(run["invariant_checks"]),
-        detail=detail,
-    )
+    return CellResult.from_run(run, backend, profile, *verdict)
 
 
 #: How the chaos and degrade ladders label a cell the executor lost.

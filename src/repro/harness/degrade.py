@@ -49,8 +49,8 @@ from repro.harness.chaos import (
     DEFAULT_CYCLE_LIMIT,
     DEFAULT_THREADS,
     DEFAULT_TXNS,
-    FAILING,
     LOST_CLASSIFICATION,
+    FaultCell,
     fault_matrix_parser,
     profile_spec,
     resolve_profiles,
@@ -78,36 +78,13 @@ LADDER_KEYS = ("boosts", "policy_flips", "sig_rotations", "irrevocable_grants")
 
 
 @dataclasses.dataclass
-class DegradeCell:
+class DegradeCell(FaultCell):
     """One (backend, profile) cell of the ladder-armed fault matrix."""
 
-    backend: str
-    profile: str
-    classification: str
-    injected: Dict[str, int]
-    commits: int = 0
-    aborts: int = 0
-    cycles: int = 0
-    #: Abort counts keyed by conflict kind (cause fidelity; mirrors the
-    #: chaos report so every harness schema carries the same keys).
-    aborts_by_kind: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Commits grouped by the committing thread's ladder rung.
     commits_by_rung: Dict[str, int] = dataclasses.field(default_factory=dict)
-    #: Escalation counters from RunResult (ladder + watchdog).
-    escalations: Dict[str, int] = dataclasses.field(default_factory=dict)
-    #: Windowed commit/abort series from the metrics hub, keyed by
-    #: series name (see repro.obs.metrics.TimeSeries.to_dict).
-    series: Dict[str, object] = dataclasses.field(default_factory=dict)
     #: Cycles from first escalation to the recovering commit.
     recovery: Dict[str, int] = dataclasses.field(default_factory=dict)
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.classification not in FAILING
-
-    def to_json(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
 
 
 def _degrade_row(
@@ -127,21 +104,7 @@ def _degrade_row(
     if verdict is None:
         fired = any(run["escalations"].get(key) for key in LADDER_KEYS)
         verdict = ("recovered" if fired else "clean"), ""
-    classification, detail = verdict
-    return DegradeCell(
-        backend=backend, profile=profile,
-        classification=classification,
-        injected=dict(run["injected"]),
-        commits=int(run["commits"]),
-        aborts=int(run["aborts"]),
-        cycles=int(run["cycles"]),
-        aborts_by_kind=dict(run["aborts_by_kind"]),
-        commits_by_rung=dict(run["commits_by_rung"]),
-        escalations=dict(run["escalations"]),
-        series=dict(run["series"]),
-        recovery=dict(run["recovery"]),
-        detail=detail,
-    )
+    return DegradeCell.from_run(run, backend, profile, *verdict)
 
 
 def run_degrade_matrix(

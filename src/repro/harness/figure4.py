@@ -16,12 +16,13 @@ maximum at 8 and 16 threads).
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.descriptor import ConflictMode
 from repro.harness.parallel import PointSpec, run_points, unwrap
 from repro.harness.report import format_series, format_table
-from repro.harness.runner import ExperimentConfig
+from repro.harness.runner import ExperimentConfig, run_experiment, run_point
 from repro.sim.stats import Histogram
 
 WS1 = ["HashTable", "RBTree", "LFUCache", "RandomGraph", "Delaunay"]
@@ -67,37 +68,32 @@ def run_figure4(
     point.  ``jobs > 1`` fans the points (baselines included) out
     across processes — output is bit-identical to the serial run.
     """
-    specs: List[PointSpec] = []
-    for workload in workloads:
-        specs.append(
-            PointSpec(
-                config=ExperimentConfig(
-                    workload=workload, system="CGL", threads=1,
-                    cycle_limit=cycle_limit, seed=seed,
-                ),
-                label=f"figure4:{workload}:baseline",
-            )
+    specs = [
+        PointSpec(
+            f"figure4:{workload}:baseline",
+            partial(run_experiment, ExperimentConfig(
+                workload=workload, system="CGL", threads=1,
+                cycle_limit=cycle_limit, seed=seed,
+            )),
         )
+        for workload in workloads
+    ]
     for workload in workloads:
         for system in systems_for(workload):
             for threads in thread_points:
-                specs.append(
-                    PointSpec(
-                        config=ExperimentConfig(
-                            workload=workload,
-                            system=system,
-                            threads=threads,
-                            mode=ConflictMode.EAGER,
-                            cycle_limit=cycle_limit,
-                            seed=seed,
-                        ),
-                        label=f"figure4:{workload}:{system}:{threads}t",
-                        trace_dir=trace_out,
-                        trace_name=f"figure4_{workload}_{system}_{threads}t",
-                        metrics_dir=metrics_out,
-                        metrics_name=f"figure4_{workload}_{system}_{threads}t",
-                    )
+                config = ExperimentConfig(
+                    workload=workload,
+                    system=system,
+                    threads=threads,
+                    mode=ConflictMode.EAGER,
+                    cycle_limit=cycle_limit,
+                    seed=seed,
                 )
+                specs.append(PointSpec(
+                    f"figure4:{workload}:{system}:{threads}t",
+                    partial(run_point, config, trace_out, metrics_out,
+                            f"figure4_{workload}_{system}_{threads}t"),
+                ))
     outcomes = iter(run_points(specs, jobs=jobs))
     baselines = {
         workload: unwrap(next(outcomes)).throughput or 1.0
@@ -135,15 +131,15 @@ def run_conflict_table(
     """The 'Conflicting Transactions' table accompanying Figure 4."""
     specs = [
         PointSpec(
-            config=ExperimentConfig(
+            f"conflicts:{workload}:{threads}t",
+            partial(run_experiment, ExperimentConfig(
                 workload=workload,
                 system="FlexTM",
                 threads=threads,
                 mode=ConflictMode.EAGER,
                 cycle_limit=cycle_limit,
                 seed=seed,
-            ),
-            label=f"conflicts:{workload}:{threads}t",
+            )),
         )
         for workload in workloads
         for threads in thread_points

@@ -18,12 +18,13 @@ hurting the (concurrency-free) transactional workload.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.descriptor import ConflictMode
 from repro.harness.parallel import PointSpec, run_points, unwrap
 from repro.harness.report import format_series
-from repro.harness.runner import ExperimentConfig
+from repro.harness.runner import ExperimentConfig, run_experiment, run_point
 
 POLICY_WORKLOADS = ["RBTree", "Vacation-High", "LFUCache", "RandomGraph"]
 MIX_WORKLOADS = ["RandomGraph", "LFUCache"]
@@ -57,41 +58,36 @@ def run_policy_comparison(
     receives one windowed-metrics JSON artifact per point; ``jobs > 1``
     fans the points out across processes with bit-identical output.
     """
-    specs: List[PointSpec] = []
-    for workload in workloads:
-        specs.append(
-            PointSpec(
-                config=ExperimentConfig(
-                    workload=workload,
-                    system="FlexTM",
-                    threads=1,
-                    mode=ConflictMode.EAGER,
-                    cycle_limit=cycle_limit,
-                    seed=seed,
-                ),
-                label=f"figure5:{workload}:baseline",
-            )
+    specs = [
+        PointSpec(
+            f"figure5:{workload}:baseline",
+            partial(run_experiment, ExperimentConfig(
+                workload=workload,
+                system="FlexTM",
+                threads=1,
+                mode=ConflictMode.EAGER,
+                cycle_limit=cycle_limit,
+                seed=seed,
+            )),
         )
+        for workload in workloads
+    ]
     for workload in workloads:
         for mode in (ConflictMode.EAGER, ConflictMode.LAZY):
             for threads in thread_points:
-                specs.append(
-                    PointSpec(
-                        config=ExperimentConfig(
-                            workload=workload,
-                            system="FlexTM",
-                            threads=threads,
-                            mode=mode,
-                            cycle_limit=cycle_limit,
-                            seed=seed,
-                        ),
-                        label=f"figure5:{workload}:{mode.value}:{threads}t",
-                        trace_dir=trace_out,
-                        trace_name=f"figure5_{workload}_{mode.value}_{threads}t",
-                        metrics_dir=metrics_out,
-                        metrics_name=f"figure5_{workload}_{mode.value}_{threads}t",
-                    )
+                config = ExperimentConfig(
+                    workload=workload,
+                    system="FlexTM",
+                    threads=threads,
+                    mode=mode,
+                    cycle_limit=cycle_limit,
+                    seed=seed,
                 )
+                specs.append(PointSpec(
+                    f"figure5:{workload}:{mode.value}:{threads}t",
+                    partial(run_point, config, trace_out, metrics_out,
+                            f"figure5_{workload}_{mode.value}_{threads}t"),
+                ))
     outcomes = iter(run_points(specs, jobs=jobs))
     baselines = {
         workload: unwrap(next(outcomes)).throughput or 1.0
@@ -147,7 +143,8 @@ def run_multiprogramming(
     """
     specs = [
         PointSpec(
-            config=ExperimentConfig(
+            f"figure5mix:{workload}:{mode.value}:{threads}t",
+            partial(run_experiment, ExperimentConfig(
                 workload=workload,
                 system="FlexTM",
                 threads=threads,
@@ -155,8 +152,7 @@ def run_multiprogramming(
                 cycle_limit=cycle_limit,
                 seed=seed,
                 yield_on_abort=True,
-            ),
-            label=f"figure5mix:{workload}:{mode.value}:{threads}t",
+            )),
         )
         for workload in workloads
         for mode in (ConflictMode.EAGER, ConflictMode.LAZY)

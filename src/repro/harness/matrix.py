@@ -11,7 +11,8 @@ structured row instead of a dead or hung matrix; see
 :func:`lost_cell`.
 
 The module also holds the shared CLI surface: the argument block, the
-backend resolver and listing, and the summary/report/FAIL epilogue.
+backend resolver and listing, and the summary/report/FAIL epilogue;
+and the single-run block the ``trace`` and ``metrics`` inspectors share.
 """
 
 from __future__ import annotations
@@ -86,6 +87,42 @@ def resolve_names(names: Sequence[str], table: Mapping, what: str) -> List[str]:
     if not resolved:
         raise SystemExit(f"no {what}s selected; choose from {choices}")
     return resolved
+
+
+def single_run_parser(command: str, description: str) -> argparse.ArgumentParser:
+    """A parser holding the argument block of a one-run inspector:
+    ``<workload> <system>`` plus the run's threads, cycles, seed and mode."""
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro.harness {command}", description=description
+    )
+    parser.add_argument("workload", help="workload name (case-insensitive)")
+    parser.add_argument("system", help="TM system name (case-insensitive)")
+    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--cycles", type=int, default=0,
+                        help="cycle budget (0 = default / REPRO_CYCLES)")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--mode", choices=["eager", "lazy"], default="eager")
+    return parser
+
+
+def single_run_config(args: argparse.Namespace, **fields: object):
+    """The ExperimentConfig a :func:`single_run_parser` command line
+    names, with ``fields`` (observers, controllers) added."""
+    from repro.core.descriptor import ConflictMode
+    from repro.harness.runner import SYSTEMS, ExperimentConfig
+    from repro.workloads import WORKLOADS
+
+    (workload,) = resolve_names([args.workload], WORKLOADS, "workload")
+    (system,) = resolve_names([args.system], SYSTEMS, "system")
+    return ExperimentConfig(
+        workload=workload,
+        system=system,
+        threads=args.threads,
+        mode=ConflictMode(args.mode),
+        cycle_limit=args.cycles,
+        seed=args.seed,
+        **fields,
+    )
 
 
 def resolve_backends(names: Sequence[str]) -> List[str]:

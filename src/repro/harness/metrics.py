@@ -179,8 +179,9 @@ def write_point_metrics(hub: MetricsHub, result, directory: str,
                         point_name: str) -> str:
     """Write one sweep point's metrics artifact into ``directory``.
 
-    Used by the figure4/figure5/overflow/sweep harnesses when run with
-    ``--metrics-out DIR``; returns the file path written.
+    Used by :func:`repro.harness.runner.run_point` for the
+    figure4/figure5/overflow/sweep harnesses' ``--metrics-out DIR``;
+    returns the file path written.
     """
     document = build_artifact(hub, result, run_info={"label": point_name})
     path = os.path.join(directory, f"{point_name}.json")
@@ -288,24 +289,15 @@ def run_metrics_command(argv=None) -> int:
         return _run_compare(argv[1:])
     # Imported here, not at module top: repro.harness.runner builds the
     # machine layer, and keeping it lazy makes `--help` instant.
-    from repro.core.descriptor import ConflictMode
-    from repro.harness.matrix import resolve_names
-    from repro.harness.runner import SYSTEMS, ExperimentConfig, run_experiment
+    from repro.harness.matrix import single_run_config, single_run_parser
+    from repro.harness.runner import run_experiment
     from repro.resilience import DegradeSpec
-    from repro.workloads import WORKLOADS
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness metrics",
-        description="Run one metrics-armed experiment; write the "
-                    "windowed-series artifact and dashboard.",
+    parser = single_run_parser(
+        "metrics",
+        "Run one metrics-armed experiment; write the "
+        "windowed-series artifact and dashboard.",
     )
-    parser.add_argument("workload", help="workload name (case-insensitive)")
-    parser.add_argument("system", help="TM system name (case-insensitive)")
-    parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument("--cycles", type=int, default=0,
-                        help="cycle budget (0 = default / REPRO_CYCLES)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--mode", choices=["eager", "lazy"], default="eager")
     parser.add_argument("--window", type=int, default=DEFAULT_WINDOW_CYCLES,
                         help="time-series window width in cycles")
     parser.add_argument("--sample-interval", type=int,
@@ -323,24 +315,14 @@ def run_metrics_command(argv=None) -> int:
     if args.sample_interval < 1:
         parser.error("--sample-interval must be >= 1")
 
-    (workload,) = resolve_names([args.workload], WORKLOADS, "workload")
-    (system,) = resolve_names([args.system], SYSTEMS, "system")
-    mode = ConflictMode.EAGER if args.mode == "eager" else ConflictMode.LAZY
     hub = MetricsHub(
         window_cycles=args.window, sample_interval=args.sample_interval
     )
-    result = run_experiment(
-        ExperimentConfig(
-            workload=workload,
-            system=system,
-            threads=args.threads,
-            mode=mode,
-            cycle_limit=args.cycles,
-            seed=args.seed,
-            metrics=hub,
-            degrade=DegradeSpec() if args.degrade else None,
-        )
+    config = single_run_config(
+        args, metrics=hub, degrade=DegradeSpec() if args.degrade else None
     )
+    result = run_experiment(config)
+    workload, system = config.workload, config.system
     label = f"{workload}/{system}/{args.threads}t/{args.mode}/s{args.seed}"
     document = build_artifact(hub, result, run_info={
         "label": label,

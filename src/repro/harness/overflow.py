@@ -16,11 +16,12 @@ observes).
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.descriptor import ConflictMode
 from repro.harness.parallel import PointSpec, run_points, unwrap
-from repro.harness.runner import ExperimentConfig
+from repro.harness.runner import ExperimentConfig, run_experiment, run_point
 from repro.params import CacheGeometry, SystemParams
 
 
@@ -85,22 +86,16 @@ def run_overflow_study(
                 seed=seed,
                 params=params,
             )
-            specs.append(
-                PointSpec(
-                    config=base,
-                    label=f"overflow:{workload}:s{seed}:ot",
-                    trace_dir=trace_out,
-                    trace_name=f"overflow_{workload}_seed{seed}",
-                    metrics_dir=metrics_out,
-                    metrics_name=f"overflow_{workload}_seed{seed}",
-                )
-            )
-            specs.append(
-                PointSpec(
-                    config=dataclasses.replace(base, tmi_to_victim=True),
-                    label=f"overflow:{workload}:s{seed}:ideal",
-                )
-            )
+            specs.append(PointSpec(
+                f"overflow:{workload}:s{seed}:ot",
+                partial(run_point, base, trace_out, metrics_out,
+                        f"overflow_{workload}_seed{seed}"),
+            ))
+            specs.append(PointSpec(
+                f"overflow:{workload}:s{seed}:ideal",
+                partial(run_experiment,
+                        dataclasses.replace(base, tmi_to_victim=True)),
+            ))
     outcomes = iter(run_points(specs, jobs=jobs))
     results: Dict[str, OverflowPoint] = {}
     for workload in workloads:

@@ -3,8 +3,7 @@
 Every paper artifact is a cartesian sweep over independent
 ``(workload, system, threads, mode, seed)`` points, and each point is a
 sealed deterministic simulation: it builds a fresh machine, runs, and
-returns a :class:`~repro.runtime.scheduler.RunResult` that depends only
-on its :class:`~repro.harness.runner.ExperimentConfig`.  Host-level
+returns a result that depends only on its inputs.  Host-level
 parallelism is therefore free speedup with zero result drift — this
 module fans points out across CPU cores while guaranteeing:
 
@@ -23,9 +22,14 @@ module fans points out across CPU cores while guaranteeing:
 ``--jobs 1`` (the default for library callers) never forks: points run
 inline, preserving the exact serial code path.
 
-A point is either an experiment config or a matrix cell's task; the
-chaos, degrade and adversary matrices fan out one point per cell
-through :mod:`repro.harness.matrix`.
+A point is a label plus a zero-argument task whose return value is
+the point's result.  The figure, overflow and sweep harnesses build
+their tasks from :func:`~repro.harness.runner.run_experiment` or, when
+a point writes trace or metrics artifacts, from
+:func:`~repro.harness.runner.run_point`; the chaos, degrade and
+adversary matrices fan out one task per cell through
+:mod:`repro.harness.matrix`.  The executor itself knows nothing of
+experiments or observers.
 
 The engine also measures what it runs: :func:`bench_payload` renders a
 machine-readable ``BENCH_sweep.json`` document (per-point wall time,
@@ -44,10 +48,7 @@ import time
 import traceback
 from collections import deque
 from multiprocessing.connection import wait as connection_wait
-from typing import Callable, Dict, List, Optional, Sequence
-
-from repro.harness.runner import ExperimentConfig, run_experiment
-from repro.runtime.scheduler import RunResult
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 #: Schema identifier stamped into every BENCH_sweep.json document.
 BENCH_SCHEMA = "repro.bench_sweep/v1"
@@ -71,25 +72,15 @@ BENCH_POINT_KEYS = ("label", "ok", "status", "attempts", "wall_time_s")
 
 @dataclasses.dataclass
 class PointSpec:
-    """One unit of fan-out work: a config plus optional trace output.
+    """One unit of fan-out work: a zero-argument ``task`` whose return
+    value becomes the outcome's ``result``.
 
-    Traces are written *inside* the worker (the tracer never crosses
-    the process boundary), into ``trace_dir/trace_name.json``.
-
-    A matrix cell (see :mod:`repro.harness.matrix`) instead sets
-    ``task``, a zero-argument callable whose return value becomes the
-    outcome's ``result``; ``config`` and the artifact fields stay unset.
+    A task runs in whichever process runs the point, so anything it
+    writes (per-point trace or metrics files) is written there.
     """
 
-    config: Optional[ExperimentConfig] = None
-    label: str = ""
-    task: Optional[Callable[[], object]] = None
-    trace_dir: Optional[str] = None
-    trace_name: Optional[str] = None
-    #: Metrics artifacts mirror traces: armed and written in the worker,
-    #: into ``metrics_dir/metrics_name.metrics.json``.
-    metrics_dir: Optional[str] = None
-    metrics_name: Optional[str] = None
+    label: str
+    task: Callable[[], object]
 
 
 @dataclasses.dataclass
@@ -98,8 +89,8 @@ class PointOutcome:
 
     ``status`` is ``"ok"`` or one of the failure kinds:
 
-    * ``"exception"`` — the point raised inside ``run_experiment`` or
-      its task (deterministic; never retried).
+    * ``"exception"`` — the point's task raised (deterministic; never
+      retried).
     * ``"crash"`` — the worker process died without reporting
       (segfault, ``os._exit``, OOM kill).
     * ``"timeout"`` — the point exceeded the per-point budget and the
@@ -110,16 +101,14 @@ class PointOutcome:
     label: str
     ok: bool
     status: str
-    #: A RunResult for a config point; the task's return value for a cell.
+    #: The task's return value.
     result: Optional[object] = None
     error: str = ""
     attempts: int = 1
     wall_time: float = 0.0
-    trace_path: Optional[str] = None
-    metrics_path: Optional[str] = None
 
 
-def unwrap(outcome: "PointOutcome") -> RunResult:
+def unwrap(outcome: "PointOutcome") -> Any:
     """Return the outcome's result, raising loudly on a failed point.
 
     Figure/overflow harnesses use this: a missing measurement point has
@@ -142,63 +131,10 @@ def effective_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _execute_point(config: ExperimentConfig) -> RunResult:
-    """Indirection over :func:`run_experiment`.
-
-    Workers call through this module-level name so tests can substitute
-    crashing / hanging behaviour (fork-started children inherit the
-    patched module).
-    """
-    return run_experiment(config)
-
-
-def _run_one(spec: PointSpec):
-    """Execute one point (in-process).
-
-    Returns ``(result, trace_path, metrics_path)``.
-    """
-    if spec.task is not None:
-        return spec.task(), None, None
-    config = spec.config
-    tracer = None
-    if spec.trace_dir:
-        from repro.harness.trace import sweep_tracer
-
-        tracer = sweep_tracer()
-        config = dataclasses.replace(config, tracer=tracer)
-    hub = None
-    if spec.metrics_dir:
-        from repro.obs.metrics import MetricsHub
-
-        hub = MetricsHub()
-        config = dataclasses.replace(config, metrics=hub)
-    result = _execute_point(config)
-    trace_path = None
-    if tracer is not None:
-        from repro.harness.trace import write_point_trace
-
-        trace_path = write_point_trace(
-            tracer, spec.trace_dir, spec.trace_name or spec.label or "point"
-        )
-        # The tracer stays in the worker; results travel light.
-        result.trace = None
-    metrics_path = None
-    if hub is not None:
-        from repro.harness.metrics import write_point_metrics
-
-        metrics_path = write_point_metrics(
-            hub, result, spec.metrics_dir, spec.metrics_name or spec.label or "point"
-        )
-        # Like the tracer: the hub stays in the worker.
-        result.metrics = None
-    return result, trace_path, metrics_path
-
-
 def _worker(conn, spec: PointSpec) -> None:
     """Child-process entry: run one point, ship the outcome, exit."""
     try:
-        result, trace_path, metrics_path = _run_one(spec)
-        conn.send(("ok", result, trace_path, metrics_path))
+        conn.send(("ok", spec.task()))
     except BaseException as exc:  # noqa: BLE001 — everything becomes a row
         try:
             conn.send(
@@ -262,16 +198,13 @@ def _run_serial(specs, progress) -> List[PointOutcome]:
     for index, spec in enumerate(specs):
         started = time.perf_counter()
         try:
-            result, trace_path, metrics_path = _run_one(spec)
             outcome = PointOutcome(
                 index=index,
                 label=spec.label,
                 ok=True,
                 status="ok",
-                result=result,
+                result=spec.task(),
                 wall_time=time.perf_counter() - started,
-                trace_path=trace_path,
-                metrics_path=metrics_path,
             )
         except Exception as exc:
             outcome = PointOutcome(
@@ -362,7 +295,6 @@ def _run_pool(specs, jobs, timeout, retries, progress) -> List[PointOutcome]:
                     code = entry.process.exitcode
                     retire(entry, "crash", f"worker died (exit code {code})")
                 elif message[0] == "ok":
-                    _, result, trace_path, metrics_path = message
                     finalize(
                         entry,
                         PointOutcome(
@@ -370,9 +302,7 @@ def _run_pool(specs, jobs, timeout, retries, progress) -> List[PointOutcome]:
                             label=entry.spec.label,
                             ok=True,
                             status="ok",
-                            result=result,
-                            trace_path=trace_path,
-                            metrics_path=metrics_path,
+                            result=message[1],
                         ),
                     )
                 else:

@@ -87,8 +87,6 @@ class ExperimentConfig:
     cycle_limit: int = 0
     seed: int = 42
     params: Optional[SystemParams] = None
-    #: Extra compute-bound background threads (Figure 5e/f).
-    background_threads: int = 0
     #: Transactional threads yield the CPU after an abort (Fig. 5e/f).
     yield_on_abort: bool = False
     tmi_to_victim: bool = False
@@ -150,13 +148,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         )
         for thread_id in range(config.threads)
     ]
-    if config.background_threads:
-        prime = PrimeWorkload(machine, seed=config.seed + 1)
-        base = config.threads
-        threads.extend(
-            TxThread(base + offset, backend, prime.items(base + offset))
-            for offset in range(config.background_threads)
-        )
     processor_list = (
         list(range(config.processors)) if config.processors is not None else None
     )
@@ -168,6 +159,42 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     result = scheduler.run(cycle_limit=config.resolved_cycle_limit())
     result.trace = config.tracer
     result.metrics = config.metrics
+    return result
+
+
+def run_point(
+    config: ExperimentConfig,
+    trace_dir: Optional[str] = None,
+    metrics_dir: Optional[str] = None,
+    name: str = "",
+) -> RunResult:
+    """Run one figure/sweep point and write its per-point artifacts.
+
+    ``trace_dir`` arms a sparse sweep tracer and ``metrics_dir`` a
+    :class:`~repro.obs.metrics.MetricsHub`; each then receives
+    ``<dir>/<name>.json``.  The observers stay in the process that ran
+    the point: the returned result carries neither, so it travels light
+    back from a worker.
+    """
+    armed: Dict[str, object] = {}
+    if trace_dir:
+        from repro.harness.trace import sweep_tracer
+
+        armed["tracer"] = sweep_tracer()
+    if metrics_dir:
+        from repro.obs.metrics import MetricsHub
+
+        armed["metrics"] = MetricsHub()
+    result = run_experiment(dataclasses.replace(config, **armed))
+    if trace_dir:
+        from repro.harness.trace import write_point_trace
+
+        write_point_trace(result.trace, trace_dir, name)
+    if metrics_dir:
+        from repro.harness.metrics import write_point_metrics
+
+        write_point_metrics(result.metrics, result, metrics_dir, name)
+    result.trace = result.metrics = None
     return result
 
 

@@ -30,6 +30,7 @@ import io
 import itertools
 import sys
 import time
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.descriptor import ConflictMode
@@ -42,7 +43,7 @@ from repro.harness.parallel import (
     run_points,
     write_bench_json,
 )
-from repro.harness.runner import ExperimentConfig
+from repro.harness.runner import ExperimentConfig, run_point
 from repro.params import SystemParams
 
 #: Columns every sweep row carries, in order.  ``status`` is ``"ok"``
@@ -170,14 +171,12 @@ def _point_spec(config: ExperimentConfig, metrics_out: Optional[str]) -> PointSp
         f"{config.workload}/{config.system}/{config.threads}t/"
         f"{config.mode.value}/s{config.seed}"
     )
+    name = (
+        f"sweep_{config.workload}_{config.system}_{config.threads}t_"
+        f"{config.mode.value}_s{config.seed}"
+    )
     return PointSpec(
-        config=config,
-        label=label,
-        metrics_dir=metrics_out,
-        metrics_name=(
-            f"sweep_{config.workload}_{config.system}_{config.threads}t_"
-            f"{config.mode.value}_s{config.seed}"
-        ) if metrics_out else None,
+        label, partial(run_point, config, metrics_dir=metrics_out, name=name)
     )
 
 

@@ -18,10 +18,8 @@ behind the figure/overflow harnesses' ``--trace-out`` directories.
 
 from __future__ import annotations
 
-import argparse
 import os
 
-from repro.core.descriptor import ConflictMode
 from repro.obs.export import (
     to_chrome_trace,
     validate_chrome_trace,
@@ -31,7 +29,6 @@ from repro.obs.export import (
 from repro.obs.profiler import CycleProfiler
 from repro.obs.report import render_run_report
 from repro.obs.tracer import EventTracer
-from repro.workloads import WORKLOADS
 
 
 def make_tracer(args) -> EventTracer:
@@ -56,8 +53,9 @@ def write_point_trace(
 ) -> str:
     """Write one sweep point's Chrome trace into ``directory``.
 
-    Used by the figure4/figure5/overflow harnesses when run with
-    ``--trace-out DIR``; returns the file path written.
+    Used by :func:`repro.harness.runner.run_point` for the
+    figure4/figure5/overflow harnesses' ``--trace-out DIR``; returns
+    the file path written.
     """
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{point_name}.json")
@@ -68,20 +66,12 @@ def write_point_trace(
 def run_trace_command(argv=None) -> int:
     # Imported here, not at module top: repro.harness.runner builds the
     # machine layer, and keeping it lazy makes `--help` instant.
-    from repro.harness.matrix import resolve_names
-    from repro.harness.runner import SYSTEMS, ExperimentConfig, run_experiment
+    from repro.harness.matrix import single_run_config, single_run_parser
+    from repro.harness.runner import run_experiment
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness trace",
-        description="Run one traced experiment and print its cycle profile.",
+    parser = single_run_parser(
+        "trace", "Run one traced experiment and print its cycle profile."
     )
-    parser.add_argument("workload", help="workload name (case-insensitive)")
-    parser.add_argument("system", help="TM system name (case-insensitive)")
-    parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument("--cycles", type=int, default=0,
-                        help="cycle budget (0 = default / REPRO_CYCLES)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--mode", choices=["eager", "lazy"], default="eager")
     parser.add_argument("--trace-out", metavar="FILE",
                         help="write Chrome trace_event JSON here")
     parser.add_argument("--jsonl-out", metavar="FILE",
@@ -96,24 +86,12 @@ def run_trace_command(argv=None) -> int:
     if args.sample < 1:
         parser.error("--sample must be >= 1")
 
-    (workload,) = resolve_names([args.workload], WORKLOADS, "workload")
-    (system,) = resolve_names([args.system], SYSTEMS, "system")
-    mode = ConflictMode.EAGER if args.mode == "eager" else ConflictMode.LAZY
     tracer = make_tracer(args)
-    result = run_experiment(
-        ExperimentConfig(
-            workload=workload,
-            system=system,
-            threads=args.threads,
-            mode=mode,
-            cycle_limit=args.cycles,
-            seed=args.seed,
-            tracer=tracer,
-        )
-    )
+    config = single_run_config(args, tracer=tracer)
+    result = run_experiment(config)
 
     profile = CycleProfiler(tracer).profile()
-    title = f"{workload} / {system} / {args.threads} threads (seed {args.seed})"
+    title = f"{config.workload} / {config.system} / {args.threads} threads (seed {args.seed})"
     print(render_run_report(profile, result=result, title=title))
     print()
     print(f"events recorded: {len(tracer)}  dropped: {tracer.dropped}")

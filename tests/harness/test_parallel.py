@@ -5,14 +5,16 @@ fanning points out across worker processes changes *when* they run,
 never *what* they compute — ``--jobs N`` rows are bit-identical to
 ``--jobs 1`` for every TM backend.  Worker failure modes (exception,
 crash, timeout) must surface as structured outcomes, not dead sweeps.
+The executor runs plain ``(label, task)`` points, so its own tests use
+plain tasks.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
+from functools import partial
 
 import pytest
 
@@ -27,14 +29,9 @@ from repro.harness.parallel import (
     unwrap,
     validate_bench_payload,
 )
-from repro.harness.runner import SYSTEMS, ExperimentConfig
+from repro.harness.runner import SYSTEMS, ExperimentConfig, run_experiment, run_point
 from repro.harness.sweep import ROW_FIELDS, SweepSpec, run_sweep
 from repro.params import small_test_params
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fault-injection via module patching needs fork start method",
-)
 
 
 def _config(workload="HashTable", system="FlexTM", threads=2, seed=7):
@@ -71,14 +68,21 @@ def test_parallel_rows_bit_identical_to_serial(all_backend_spec):
     assert all(row["status"] == "ok" for row in serial)
 
 
+def _after(delay, value):
+    time.sleep(delay)
+    return value
+
+
 def test_outcomes_ordered_by_submission_index():
+    # The first point finishes last: completion order is not row order.
     specs = [
-        PointSpec(config=_config(threads=threads), label=f"p{threads}")
-        for threads in (4, 1, 3, 2)
+        PointSpec(f"p{number}", partial(_after, delay, number))
+        for number, delay in ((4, 0.4), (1, 0.0), (3, 0.1), (2, 0.0))
     ]
     outcomes = run_points(specs, jobs=2)
     assert [outcome.index for outcome in outcomes] == [0, 1, 2, 3]
     assert [outcome.label for outcome in outcomes] == ["p4", "p1", "p3", "p2"]
+    assert [outcome.result for outcome in outcomes] == [4, 1, 3, 2]
     assert all(outcome.ok for outcome in outcomes)
 
 
@@ -104,22 +108,14 @@ def test_exception_becomes_error_row_not_dead_sweep(jobs):
     assert set(bad) == set(ROW_FIELDS)
 
 
-@needs_fork
-def test_crashed_worker_is_isolated_and_retried(monkeypatch):
-    real = parallel._execute_point
-
-    def crashy(config):
-        if config.system == "CGL":
-            os._exit(3)
-        return real(config)
-
-    monkeypatch.setattr(parallel, "_execute_point", crashy)
+def test_crashed_worker_is_isolated_and_retried():
     specs = [
-        PointSpec(config=_config(system="FlexTM"), label="ok-point"),
-        PointSpec(config=_config(system="CGL"), label="crash-point"),
+        PointSpec("ok-point", partial(run_experiment, _config())),
+        PointSpec("crash-point", partial(os._exit, 3)),
     ]
     outcomes = run_points(specs, jobs=2, retries=1)
     assert outcomes[0].ok and outcomes[0].status == "ok"
+    assert outcomes[0].result.commits > 0
     crashed = outcomes[1]
     assert not crashed.ok
     assert crashed.status == "crash"
@@ -129,19 +125,10 @@ def test_crashed_worker_is_isolated_and_retried(monkeypatch):
         unwrap(crashed)
 
 
-@needs_fork
-def test_hung_worker_times_out_without_killing_the_sweep(monkeypatch):
-    real = parallel._execute_point
-
-    def sleepy(config):
-        if config.system == "TL2":
-            time.sleep(60)
-        return real(config)
-
-    monkeypatch.setattr(parallel, "_execute_point", sleepy)
+def test_hung_worker_times_out_without_killing_the_sweep():
     specs = [
-        PointSpec(config=_config(system="TL2"), label="hung-point"),
-        PointSpec(config=_config(system="FlexTM"), label="ok-point"),
+        PointSpec("hung-point", partial(time.sleep, 60)),
+        PointSpec("ok-point", partial(run_experiment, _config())),
     ]
     started = time.perf_counter()
     outcomes = run_points(specs, jobs=2, timeout=0.5, retries=0)
@@ -158,7 +145,7 @@ def test_serial_path_never_forks(monkeypatch):
         raise AssertionError("jobs=1 must not spawn workers")
 
     monkeypatch.setattr(parallel, "_run_pool", boom)
-    outcomes = run_points([PointSpec(config=_config())], jobs=1)
+    outcomes = run_points([PointSpec("p", partial(run_experiment, _config()))], jobs=1)
     assert outcomes[0].ok
 
 
@@ -186,10 +173,9 @@ def test_parallel_figures_match_serial():
 def test_parallel_traces_written_by_workers(tmp_path):
     specs = [
         PointSpec(
-            config=_config(threads=threads),
-            label=f"t{threads}",
-            trace_dir=str(tmp_path),
-            trace_name=f"point_{threads}t",
+            f"t{threads}",
+            partial(run_point, _config(threads=threads), trace_dir=str(tmp_path),
+                    name=f"point_{threads}t"),
         )
         for threads in (1, 2)
     ]
@@ -197,10 +183,30 @@ def test_parallel_traces_written_by_workers(tmp_path):
     for outcome, threads in zip(outcomes, (1, 2)):
         assert outcome.ok
         assert outcome.result.trace is None  # tracer stays in the worker
-        path = tmp_path / f"point_{threads}t.json"
-        assert outcome.trace_path == str(path)
-        document = json.loads(path.read_text())
+        document = json.loads((tmp_path / f"point_{threads}t.json").read_text())
         assert document["traceEvents"]
+
+
+def test_figure4_artifacts_identical_serial_and_parallel(tmp_path):
+    """The per-point files of a figure do not depend on ``jobs``; the
+    STM backends (RSTM here) abort unattributed and must write too."""
+    from repro.harness.figure4 import run_figure4
+
+    trees = {}
+    for jobs in (1, 2):
+        root = tmp_path / f"jobs{jobs}"
+        results = run_figure4(
+            workloads=["RBTree"], thread_points=(1, 2), cycle_limit=10_000,
+            trace_out=str(root / "t"), metrics_out=str(root / "m"), jobs=jobs,
+        )
+        trees[jobs] = (results, {
+            str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*.json"))
+        })
+    assert trees[1] == trees[2]
+    files = trees[1][1]
+    assert "m/figure4_RBTree_RSTM_2t.json" in files
+    assert len(files) == 2 * 4 * 2  # (trace, metrics) x backends x threads
 
 
 def test_bench_json_written_and_valid(all_backend_spec, tmp_path):

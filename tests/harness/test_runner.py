@@ -69,13 +69,12 @@ def test_runs_are_deterministic():
     assert first.aborts == second.aborts
 
 
-def test_background_threads_run_prime():
+def test_yield_on_abort_prime_work_makes_progress():
     result = run_experiment(
         ExperimentConfig(
             workload="LFUCache",
             system="FlexTM",
             threads=2,
-            background_threads=2,
             yield_on_abort=True,
             cycle_limit=60_000,
             params=small_test_params(4),

@@ -10,8 +10,8 @@ into bounded wait).
 
 import pytest
 
-from repro.harness.chaos import FAULT_PROFILES
-from repro.harness.degrade import FAILING, HARNESS_SPEC, run_degrade_matrix
+from repro.harness.chaos import FAILING, FAULT_PROFILES
+from repro.harness.degrade import HARNESS_SPEC, run_degrade_matrix
 from repro.harness.runner import SYSTEMS
 
 THREADS = 4

@@ -2,9 +2,9 @@
 
 Every named schedule from :mod:`repro.adversary.schedules` runs against
 every TM backend with the full oracle stack armed: strict invariants,
-the :class:`~repro.adversary.probes.OpacityProbe`, the recording
-serializability checker, and the metrics hub (for wasted-cycle
-accounting).  Each cell gets one of three verdicts:
+the :class:`~repro.adversary.probes.OpacityProbe` (which also records
+the history for the serializability checker), and the metrics hub (for
+wasted-cycle accounting).  Each cell gets one of three verdicts:
 
 ``conforms``
     every transaction committed, the history is serializable, every
@@ -50,7 +50,6 @@ from repro.params import small_test_params
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.txthread import TxThread
 from repro.verify.history import (
-    RecordingBackend,
     SerializabilityViolation,
     check_serializable,
     replays_serially,
@@ -124,10 +123,8 @@ def run_schedule_cell(
     machine.attach(
         metrics=hub, invariants=InvariantChecker(strict=strict), probes=probe
     )
-    backend = RecordingBackend(SYSTEMS[backend_name](machine, ConflictMode.EAGER))
-    cells = seed_cells(machine, backend.recorder, spec.cells)
-    for index, cell in enumerate(cells):
-        probe.track(cell, index)
+    backend = SYSTEMS[backend_name](machine, ConflictMode.EAGER)
+    cells = seed_cells(machine, probe, spec.cells)
     # Unique write values, offset per cell so reads-from attribution is
     # exact and distinct across the matrix.
     unique = itertools.count(1000 + (mixed % 1000) * 10_000)
@@ -177,7 +174,7 @@ def run_schedule_cell(
         return out
     if not spec.plain_ops:
         try:
-            witness = check_serializable(backend.recorder)
+            witness = check_serializable(probe)
         except SerializabilityViolation as exc:
             out.verdict, out.detail = (
                 VIOLATES,
@@ -189,7 +186,7 @@ def run_schedule_cell(
         out.detail = "opacity: " + probe.violations[0].detail
         return out
     if not spec.plain_ops and not replays_serially(
-        machine.memory, backend.recorder, witness, cells
+        machine.memory, probe, witness, cells
     ):
         out.verdict = VIOLATES
         out.detail = "final memory diverges from serial witness replay"

@@ -9,15 +9,19 @@ snapshot* and keeps executing is an opacity violation the simulator
 must never produce.
 
 The :class:`OpacityProbe` verifies this from outside the system under
-test.  It keeps a shadow version history per tracked address, appended
-at the exact committed-mutation chokepoints of the machine
-(``store``/``cas`` memory writes and the ``cas_commit`` overlay flash),
-and records the first value each transaction attempt reads per address
-through the universal read chokepoint (:meth:`TxContext.read`).  When
-an attempt ends — commit *or* abort — the probe checks snapshot
+test.  It is a :class:`~repro.verify.history.HistoryRecorder`, so one
+probe carries both oracles: the recorder's per-attempt shadow (the
+first value each attempt reads per address it has not written, taken
+at the universal read chokepoint :meth:`TxContext.read`) feeds the
+serializability checker and the snapshot check alike.  The probe adds
+a shadow version history per cell seeded through
+:meth:`~repro.verify.history.HistoryRecorder.note_initial`, appended at
+the exact committed-mutation chokepoints of the machine (``store``/
+``cas`` memory writes and the ``cas_commit`` overlay flash).  When an
+attempt ends — commit *or* abort — the probe checks snapshot
 consistency: some single version of the shadow history must explain
-every first-read.  Read-own-writes are excluded (they never touch
-committed state), and untracked addresses are ignored.
+every first-read of a seeded cell.  Read-own-writes are excluded (they
+never touch committed state), and unseeded addresses are ignored.
 
 The probe follows the None-hook convention (``machine.probes`` defaults
 to ``None``; every access site is guarded), observes only, and mutates
@@ -28,7 +32,9 @@ the tests lock across all six backends.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+from repro.verify.history import HistoryRecorder
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,27 +49,16 @@ class OpacityViolation:
     detail: str
 
 
-class _Attempt:
-    """Shadow record of one in-flight transaction attempt."""
-
-    __slots__ = ("first_reads", "writes")
-
-    def __init__(self) -> None:
-        self.first_reads: Dict[int, int] = {}
-        self.writes: set = set()
-
-
-class OpacityProbe:
+class OpacityProbe(HistoryRecorder):
     """Observes transactional reads against the committed history."""
 
     def __init__(self) -> None:
-        self.machine = None
-        #: address -> [(version, value), ...] committed history; version
-        #: numbers are global (one counter across all tracked cells).
+        super().__init__()
+        #: address -> [(version, value), ...] committed history of every
+        #: cell :meth:`note_initial` seeded; version numbers are global
+        #: (one counter across all tracked cells).
         self._history: Dict[int, List[Tuple[int, int]]] = {}
-        self._initial: Dict[int, int] = {}
         self._version = 0
-        self._attempts: Dict[int, _Attempt] = {}
         #: Telemetry.
         self.reads_checked = 0
         self.snapshots_checked = 0
@@ -71,13 +66,10 @@ class OpacityProbe:
         self.stale_reads = 0
         self.violations: List[OpacityViolation] = []
 
-    def attach(self, machine) -> None:
-        self.machine = machine
-
-    def track(self, address: int, initial: int) -> None:
-        """Register one shadow cell (pre-run, matching its seeded value)."""
-        self._history[address] = []
-        self._initial[address] = initial
+    def note_initial(self, address: int, value: int) -> None:
+        """Seed one shadow cell (pre-run, matching its memory value)."""
+        super().note_initial(address, value)
+        self._history.setdefault(address, [])
 
     # -- machine-level hooks (exact commit points) ---------------------------
 
@@ -108,45 +100,47 @@ class OpacityProbe:
 
     # -- runtime-level hooks (attempt lifecycle) -----------------------------
 
-    def on_begin(self, thread: int) -> None:
-        self._attempts[thread] = _Attempt()
-
     def on_read(self, thread: int, address: int, value) -> None:
         attempt = self._attempts.get(thread)
-        if attempt is None or address not in self._history:
-            return
-        if address in attempt.writes:
-            return  # read-own-write never observes committed state
-        if address not in attempt.first_reads:
-            attempt.first_reads[address] = value
+        if (
+            attempt is not None
+            and address in self._history
+            and address not in attempt[0]
+            and address not in attempt[1]
+        ):
             self.reads_checked += 1
-
-    def on_write(self, thread: int, address: int, value) -> None:
-        attempt = self._attempts.get(thread)
-        if attempt is None:
-            return
-        attempt.writes.add(address)
+        super().on_read(thread, address, value)
 
     def on_commit(self, thread: int) -> None:
-        self._end(thread, "commit")
+        self._check(thread, "commit")
+        super().on_commit(thread)
 
     def on_abort(self, thread: int) -> None:
-        self._end(thread, "abort")
+        self._check(thread, "abort")
+        super().on_abort(thread)
 
     # -- the oracle ----------------------------------------------------------
 
     def _value_at(self, address: int, version: int) -> int:
         """Committed value of a cell as of a global version number."""
-        value = self._initial[address]
+        value = self.initial_values[address]
         for entry_version, entry_value in self._history[address]:
             if entry_version > version:
                 break
             value = entry_value
         return value
 
-    def _end(self, thread: int, outcome: str) -> None:
-        attempt = self._attempts.pop(thread, None)
-        if attempt is None or not attempt.first_reads:
+    def _check(self, thread: int, outcome: str) -> None:
+        """Snapshot-check the ending attempt's first reads of tracked cells."""
+        attempt = self._attempts.get(thread)
+        if attempt is None:
+            return
+        first_reads = {
+            address: value
+            for address, value in attempt[0].items()
+            if address in self._history
+        }
+        if not first_reads:
             return
         self.snapshots_checked += 1
         if outcome == "abort":
@@ -155,17 +149,17 @@ class OpacityProbe:
         # version of any read cell.  The attempt is consistent iff some
         # single point explains every first-read.
         candidates = {0}
-        for address in attempt.first_reads:
+        for address in first_reads:
             for entry_version, _ in self._history[address]:
                 candidates.add(entry_version)
         for version in sorted(candidates, reverse=True):
             if all(
                 self._value_at(address, version) == value
-                for address, value in attempt.first_reads.items()
+                for address, value in first_reads.items()
             ):
                 return
         self.stale_reads += 1
-        reads = tuple(sorted(attempt.first_reads.items()))
+        reads = tuple(sorted(first_reads.items()))
         self.violations.append(
             OpacityViolation(
                 thread=thread,

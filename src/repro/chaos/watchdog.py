@@ -59,10 +59,10 @@ class LivelockWatchdog:
         self._last_commits = -1
         self._window_start = 0
 
-    def attach(self, machine, backend=None) -> None:
+    def attach(self, machine, backend) -> None:
         """Bind to a machine and (when the backend has one) its manager."""
         self.machine = machine
-        self.manager = getattr(backend, "manager", None)
+        self.manager = backend.manager
 
     # -- scheduler hook ---------------------------------------------------------
 

@@ -150,7 +150,8 @@ def main(argv=None) -> int:
         choices=["figure4", "figure5", "conflicts", "table2", "table4", "overflow", "all"],
     )
     parser.add_argument(
-        "--cycles", type=int, default=150_000, help="simulated cycles per point"
+        "--cycles", type=int, default=150_000,
+        help="simulated cycles per point (REPRO_CYCLES does not apply here)",
     )
     parser.add_argument(
         "--threads",

@@ -77,7 +77,7 @@ from repro.runtime.scheduler import Scheduler
 from repro.runtime.txthread import TxThread, WorkItem
 from repro.sim.rng import DeterministicRng
 from repro.verify.history import (
-    RecordingBackend,
+    HistoryRecorder,
     SerializabilityViolation,
     check_serializable,
     replays_serially,
@@ -220,16 +220,18 @@ def run_cell(
     machine = FlexTMMachine(small_test_params(threads))
     hub = MetricsHub()
     engine = None if spec is None else ChaosEngine(spec)
+    recorder = HistoryRecorder()
     machine.attach(
         metrics=hub,
         chaos=engine,
         invariants=None if spec is None else InvariantChecker(),
         resilience=controller,
+        probes=recorder,
     )
-    backend = RecordingBackend(SYSTEMS[backend_name](machine, mode))
+    backend = SYSTEMS[backend_name](machine, mode)
     if controller is not None:
-        controller.bind_manager(getattr(backend.inner, "manager", None))
-    cells = seed_cells(machine, backend.recorder, NUM_CELLS)
+        controller.bind_manager(backend.manager)
+    cells = seed_cells(machine, recorder, NUM_CELLS)
     unique = itertools.count(1000)
     tx_threads = [
         TxThread(i, backend, _bodies(cells, DeterministicRng(seed * 7919 + i), txns, unique))
@@ -298,7 +300,7 @@ def run_cell(
     # (when every transaction committed) the final memory must equal a
     # serial replay of the witness order.
     try:
-        witness = check_serializable(backend.recorder)
+        witness = check_serializable(recorder)
         out["serializable"] = True
     except SerializabilityViolation as error:
         out["error"] = f"SerializabilityViolation: {error}"
@@ -306,7 +308,7 @@ def run_cell(
         return out
     if out["commits"] == threads * txns:
         out["memory_ok"] = replays_serially(
-            machine.memory, backend.recorder, witness, cells
+            machine.memory, recorder, witness, cells
         )
     return out
 

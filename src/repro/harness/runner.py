@@ -134,7 +134,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     )
     backend = SYSTEMS[config.system](machine, config.mode)
     if controller is not None:
-        controller.bind_manager(getattr(backend, "manager", None))
+        controller.bind_manager(backend.manager)
     workload = WORKLOADS[config.workload](machine, seed=config.seed)
     abort_prime = None
     if config.yield_on_abort:

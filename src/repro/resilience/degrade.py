@@ -130,8 +130,7 @@ class ResilienceController:
     def __init__(self, spec: DegradeSpec = DegradeSpec()):
         self.spec = spec
         self.machine = None
-        #: The contention manager boosts apply to (bound separately —
-        #: harnesses wrap backends, so attach() cannot discover it).
+        #: The contention manager boosts apply to (see bind_manager).
         self.manager = None
         self.token = IrrevocabilityToken()
         #: True only between drain convergence and the holder's commit.

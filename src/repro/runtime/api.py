@@ -48,6 +48,10 @@ class TMBackend:
     """
 
     name = "abstract"
+    #: The simulated machine; threads find its observers through it.
+    machine = None
+    #: The contention manager the watchdog and degradation ladder boost.
+    manager = None
 
     def begin(self, thread) -> Iterator[Tuple]:
         raise NotImplementedError
@@ -81,6 +85,18 @@ class TMBackend:
     def resume(self, thread, processor: int, saved) -> None:
         return None
 
+    def retry_backoff(self, aborts_in_a_row: int) -> int:
+        """Cycles to back off before the next attempt."""
+        return min(1 << min(aborts_in_a_row, 8), 256)
+
+    def abort_attribution(self, thread):
+        """``(by, kind)`` of a descriptor-less thread's abort, or None."""
+        return None
+
+    def escalation_counters(self):
+        """Backend-intrinsic escalation counters for the run result."""
+        return {}
+
 
 class TxContext:
     """What a transaction body sees: reads, writes, and scratch compute."""
@@ -90,7 +106,7 @@ class TxContext:
         self._thread = thread
         #: The machine, for the opt-in probe layer (None when the
         #: backend is not machine-backed, e.g. bare test doubles).
-        self._machine = getattr(backend, "machine", None)
+        self._machine = backend.machine
 
     def read(self, address: int) -> Iterator[Tuple]:
         """Transactional read of one word; returns its value.

@@ -392,11 +392,8 @@ class Scheduler:
         if descriptor is None:
             # Descriptor-less backends may still carry attribution in
             # software (the htmbe backend dooms attempts with a wound
-            # kind); consult the optional hook before giving up.
-            hook = getattr(
-                getattr(thread, "backend", None), "abort_attribution", None
-            )
-            attribution = None if hook is None else hook(thread)
+            # kind).
+            attribution = thread.backend.abort_attribution(thread)
             if attribution is not None:
                 by, kind = attribution
                 return TransactionAborted(cause, by=by, conflict=kind)
@@ -612,9 +609,7 @@ class Scheduler:
             # Backend-intrinsic ladders (the htmbe fallback policy) report
             # through the same escalations surface, under fallback_* keys
             # so they never collide with the controller's counters.
-            hook = getattr(threads[0].backend, "escalation_counters", None)
-            if hook is not None:
-                escalations.update(hook())
+            escalations.update(threads[0].backend.escalation_counters())
         tracer = self.machine.tracer
         if tracer.enabled:
             tracer.finalize(

@@ -84,7 +84,7 @@ class TxThread:
         generator between the thread and the body.
         """
         ctx = TxContext(self.backend, self)
-        machine = getattr(self.backend, "machine", None)
+        machine = self.backend.machine
         for item in self._items:
             body = item.body
             if not item.transactional:
@@ -133,6 +133,8 @@ class TxThread:
                         resilience.on_commit(self, self._now(processors))
                     if tracer.enabled:
                         tracer.tx_commit(self.processor, self.thread_id, self._now(processors))
+                    # No yield since the backend's commit returned: a
+                    # recorder's tickets follow commit order.
                     if probes is not None:
                         probes.on_commit(self.thread_id)
                     break
@@ -166,7 +168,7 @@ class TxThread:
                         self.nontx_items += 1
                     if self.yield_on_abort:
                         yield ("yield_cpu",)
-                    backoff = self._retry_backoff(aborts_in_a_row)
+                    backoff = self.backend.retry_backoff(aborts_in_a_row)
                     if backoff:
                         yield ("work", backoff)
                         if tracer.enabled and self.processor is not None:
@@ -177,12 +179,6 @@ class TxThread:
         if self.processor is None:
             return 0
         return processors[self.processor].clock._now
-
-    def _retry_backoff(self, aborts_in_a_row: int) -> int:
-        backoff_fn = getattr(self.backend, "retry_backoff", None)
-        if backoff_fn is None:
-            return min(1 << min(aborts_in_a_row, 8), 256)
-        return backoff_fn(aborts_in_a_row)
 
     def __repr__(self) -> str:
         return (

@@ -1,15 +1,14 @@
 """Offline correctness verification for TM executions.
 
 :mod:`repro.verify.history` records committed transactions' read/write
-sets and checks conflict-serializability of the recorded history — the
-ground-truth oracle behind the integration tests that every TM system
-in this repository must pass.
+sets through the machine's probe hook and checks conflict-serializability
+of the recorded history — the ground-truth oracle behind the integration
+tests that every TM system in this repository must pass.
 """
 
 from repro.verify.history import (
     CommittedTransaction,
     HistoryRecorder,
-    RecordingBackend,
     SerializabilityViolation,
     check_serializable,
 )
@@ -17,7 +16,6 @@ from repro.verify.history import (
 __all__ = [
     "CommittedTransaction",
     "HistoryRecorder",
-    "RecordingBackend",
     "SerializabilityViolation",
     "check_serializable",
 ]

@@ -1,7 +1,8 @@
 """History recording and conflict-serializability checking.
 
-The :class:`RecordingBackend` wraps any TM backend and logs, for every
-*committed* transaction, the values it read and wrote (keyed by
+A :class:`HistoryRecorder` is a probe (``machine.attach(probes=...)``):
+through the runtime's attempt hooks it logs, for every *committed*
+transaction of any backend, the values it read and wrote (keyed by
 address) plus a commit ticket.  :func:`check_serializable` then builds
 the version order from the recorded writes and verifies that the
 history is view-equivalent to a serial order:
@@ -19,12 +20,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import networkx
 
 from repro.errors import ReproError
-from repro.runtime.api import TMBackend
 
 
 class SerializabilityViolation(ReproError):
@@ -46,13 +46,23 @@ class CommittedTransaction:
 
 
 class HistoryRecorder:
-    """Accumulates committed transactions in commit order."""
+    """Accumulates committed transactions in commit order.
+
+    A probe: arm it with ``machine.attach(probes=recorder)``.  Each
+    attempt keeps its first read of every address it has not yet
+    written and the last value it wrote per address; the thread calls
+    :meth:`on_commit` in the scheduler step in which the backend's
+    commit returns, so tickets follow commit order.
+    """
 
     def __init__(self):
+        self.machine = None
         self._ticket = itertools.count(1)
         self.committed: List[CommittedTransaction] = []
         #: Values present before any transaction ran (address -> value).
         self.initial_values: Dict[int, int] = {}
+        #: thread id -> (first reads, last writes) of its open attempt.
+        self._attempts: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
 
     def note_initial(self, address: int, value: int) -> None:
         self.initial_values.setdefault(address, value)
@@ -67,81 +77,39 @@ class HistoryRecorder:
             )
         )
 
+    # -- the probe surface ---------------------------------------------------
 
-class RecordingBackend(TMBackend):
-    """Decorator backend: logs committed read/write sets.
+    def attach(self, machine) -> None:
+        self.machine = machine
 
-    Wraps the inner backend's generator methods verbatim, shadowing the
-    per-attempt read/write observations and flushing them to the
-    recorder only when the inner commit returns (i.e., succeeded).
-    """
+    def on_memory_write(self, address: int, value: int) -> None:
+        """Committed state changed (only the opacity probe tracks it)."""
 
-    def __init__(self, inner: TMBackend, recorder: Optional[HistoryRecorder] = None):
-        self.inner = inner
-        self.recorder = recorder or HistoryRecorder()
-        self._attempts: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
+    def on_commit_flash(self, overlay) -> None:
+        """A write overlay flashed (only the opacity probe tracks it)."""
 
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"Recorded({self.inner.name})"
+    def on_begin(self, thread: int) -> None:
+        self._attempts[thread] = ({}, {})
 
-    @property
-    def machine(self):
-        """The inner backend's machine (threads discover the tracer,
-        chaos, and resilience layers through ``backend.machine``)."""
-        return getattr(self.inner, "machine", None)
-
-    def begin(self, thread) -> Iterator[Tuple]:
-        self._attempts[thread.thread_id] = ({}, {})
-        result = yield from self.inner.begin(thread)
-        return result
-
-    def read(self, thread, address: int) -> Iterator[Tuple]:
-        value = yield from self.inner.read(thread, address)
-        reads, writes = self._attempts[thread.thread_id]
-        # Record only the first read of each address (later reads may
-        # legitimately see the transaction's own buffered writes).
+    def on_read(self, thread: int, address: int, value) -> None:
+        attempt = self._attempts.get(thread)
+        if attempt is None:
+            return
+        reads, writes = attempt
+        # Later reads may see the attempt's own buffered writes.
         if address not in reads and address not in writes:
             reads[address] = value
-        return value
 
-    def write(self, thread, address: int, value: int) -> Iterator[Tuple]:
-        yield from self.inner.write(thread, address, value)
-        _, writes = self._attempts[thread.thread_id]
-        writes[address] = value
+    def on_write(self, thread: int, address: int, value) -> None:
+        attempt = self._attempts.get(thread)
+        if attempt is not None:
+            attempt[1][address] = value
 
-    def commit(self, thread) -> Iterator[Tuple]:
-        yield from self.inner.commit(thread)
-        reads, writes = self._attempts.pop(thread.thread_id, ({}, {}))
-        self.recorder.commit(thread.thread_id, reads, writes)
+    def on_commit(self, thread: int) -> None:
+        self.commit(thread, *self._attempts.pop(thread, ({}, {})))
 
-    def on_abort(self, thread) -> Iterator[Tuple]:
-        self._attempts.pop(thread.thread_id, None)
-        yield from self.inner.on_abort(thread)
-
-    # Delegate the runtime plumbing.
-    def check_aborted(self, thread) -> bool:
-        return self.inner.check_aborted(thread)
-
-    def retry_backoff(self, aborts_in_a_row: int) -> int:
-        fallback = getattr(self.inner, "retry_backoff", None)
-        if fallback is None:
-            return min(1 << min(aborts_in_a_row, 8), 256)
-        return fallback(aborts_in_a_row)
-
-    def suspend(self, thread):
-        return self.inner.suspend(thread)
-
-    def resume(self, thread, processor: int, saved):
-        return self.inner.resume(thread, processor, saved)
-
-    def abort_attribution(self, thread):
-        hook = getattr(self.inner, "abort_attribution", None)
-        return None if hook is None else hook(thread)
-
-    def escalation_counters(self):
-        hook = getattr(self.inner, "escalation_counters", None)
-        return {} if hook is None else hook()
+    def on_abort(self, thread: int) -> None:
+        self._attempts.pop(thread, None)
 
 
 def seed_cells(machine, recorder: HistoryRecorder, count: int) -> List[int]:

@@ -25,6 +25,7 @@ from repro.core.machine import FlexTMMachine
 from repro.errors import TransactionAborted
 from repro.harness.runner import SYSTEMS
 from repro.params import small_test_params
+from repro.runtime.api import TMBackend
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.txthread import TxThread
 
@@ -120,7 +121,7 @@ def _bare_run(backend_name, armed):
     for index, cell in enumerate(cells):
         machine.memory.write(cell, index)
         if armed:
-            probe.track(cell, index)
+            probe.note_initial(cell, index)
     backend = SYSTEMS[backend_name](machine, ConflictMode.EAGER)
     unique = itertools.count(1000)
     bodies, script = spec.build(cells, unique)
@@ -154,7 +155,9 @@ def _scheduler(strict):
 
 
 def _thread(descriptor):
-    return types.SimpleNamespace(thread_id=0, descriptor=descriptor)
+    return types.SimpleNamespace(
+        thread_id=0, descriptor=descriptor, backend=TMBackend()
+    )
 
 
 def test_attribution_loss_is_diagnosed_under_strict_invariants():

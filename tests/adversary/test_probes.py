@@ -13,8 +13,8 @@ A, B = 0x100, 0x140
 
 def _probe():
     probe = OpacityProbe()
-    probe.track(A, 0)
-    probe.track(B, 0)
+    probe.note_initial(A, 0)
+    probe.note_initial(B, 0)
     return probe
 
 

@@ -5,12 +5,16 @@ import json
 import pytest
 
 from repro.harness.chaos import (
+    DEFAULT_CYCLE_LIMIT,
+    DEFAULT_THREADS,
+    DEFAULT_TXNS,
     FAILING,
     FAULT_PROFILES,
     CellResult,
     _classify,
     profile_spec,
     render_matrix,
+    run_cell,
     run_chaos_command,
     run_chaos_matrix,
 )
@@ -178,3 +182,15 @@ def test_cli_rejects_unknown_names():
         run_chaos_command(["--backends", "Nope", "--quiet"])
     with pytest.raises(SystemExit):
         run_chaos_command(["--profiles", "Nope", "--quiet"])
+
+
+def test_watchdog_boosts_before_it_kills_in_a_chaos_cell():
+    # The watchdog reaches LogTM-SE's contention manager, so its first
+    # rungs boost the back-off instead of all ending in forced aborts.
+    run = run_cell(
+        "LogTM-SE", 1, profile_spec("coherence", 1, "LogTM-SE"),
+        DEFAULT_THREADS, DEFAULT_TXNS, DEFAULT_CYCLE_LIMIT,
+    )
+    watchdog = run["watchdog"]
+    assert watchdog["escalations"] > 0
+    assert watchdog["forced_aborts"] < watchdog["escalations"]

@@ -5,9 +5,10 @@ import types
 import pytest
 
 from repro.chaos import LivelockWatchdog, WatchdogSpec
-from repro.core.descriptor import TransactionDescriptor
+from repro.core.descriptor import ConflictMode, TransactionDescriptor
 from repro.core.machine import FlexTMMachine
 from repro.core.tsw import TxStatus
+from repro.harness.runner import SYSTEMS
 from repro.params import small_test_params
 from repro.runtime.contention import ConflictManager
 
@@ -139,3 +140,12 @@ def test_forced_abort_skips_resolved_transactions(machine):
     watchdog.observe(scheduler)
     assert watchdog.forced_aborts == 0
     assert machine.read_status(done) is TxStatus.COMMITTED
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_attach_binds_the_backends_manager(machine, system):
+    backend = SYSTEMS[system](machine, ConflictMode.EAGER)
+    watchdog = LivelockWatchdog(WatchdogSpec())
+    watchdog.attach(machine, backend)
+    assert watchdog.manager is backend.manager
+    assert (watchdog.manager is None) == (system in ("CGL", "TL2", "HTM-BE"))

@@ -18,7 +18,12 @@ from repro.params import small_test_params
 from repro.runtime.flextm import FlexTMRuntime
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.txthread import TxThread, WorkItem
-from repro.verify.history import RecordingBackend, check_serializable
+from repro.verify.history import (
+    HistoryRecorder,
+    check_serializable,
+    replays_serially,
+    seed_cells,
+)
 
 NUM_CELLS = 4
 
@@ -41,12 +46,10 @@ def _bits(mask):
 def test_random_mixes_are_serializable(schedule, lazy):
     machine = FlexTMMachine(small_test_params(4))
     mode = ConflictMode.LAZY if lazy else ConflictMode.EAGER
-    backend = RecordingBackend(FlexTMRuntime(machine, mode=mode))
-    line = machine.params.line_bytes
-    cells = [machine.allocate(line, line_aligned=True) for _ in range(NUM_CELLS)]
-    for index, cell in enumerate(cells):
-        machine.memory.write(cell, index)
-        backend.recorder.note_initial(cell, index)
+    recorder = HistoryRecorder()
+    machine.attach(probes=recorder)
+    backend = FlexTMRuntime(machine, mode=mode)
+    cells = seed_cells(machine, recorder, NUM_CELLS)
     unique = itertools.count(100)
 
     def items(per_thread):
@@ -71,9 +74,5 @@ def test_random_mixes_are_serializable(schedule, lazy):
     expected = sum(len(per_thread) for per_thread in schedule)
     assert result.commits == expected
 
-    witness = check_serializable(backend.recorder)
-    replay = dict(backend.recorder.initial_values)
-    for txn in witness:
-        replay.update(txn.writes)
-    for cell in cells:
-        assert machine.memory.read(cell) == replay[cell]
+    witness = check_serializable(recorder)
+    assert replays_serially(machine.memory, recorder, witness, cells)

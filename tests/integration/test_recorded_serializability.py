@@ -1,9 +1,12 @@
 """Every TM system's recorded histories must pass the oracle.
 
-The strongest correctness statement in the suite: wrap each backend in
-the RecordingBackend, run contended random read/write transactions, and
-feed the committed history to the conflict-serializability checker.
+The strongest correctness statement in the suite: arm a HistoryRecorder
+as the machine's probe, run contended random read/write transactions on
+each backend, and feed the committed history to the
+conflict-serializability checker.
 """
+
+import itertools
 
 import pytest
 
@@ -19,7 +22,12 @@ from repro.stm.rstm import RstmRuntime
 from repro.stm.rtmf import RtmfRuntime
 from repro.stm.logtmse import LogTmSeRuntime
 from repro.stm.tl2 import Tl2Runtime
-from repro.verify.history import RecordingBackend, check_serializable
+from repro.verify.history import (
+    HistoryRecorder,
+    check_serializable,
+    replays_serially,
+    seed_cells,
+)
 
 NUM_CELLS = 6
 
@@ -57,14 +65,10 @@ def _random_items(cells, rng, count, unique):
 @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
 def test_recorded_history_is_serializable(name, factory):
     machine = FlexTMMachine(small_test_params(4))
-    backend = RecordingBackend(factory(machine))
-    line = machine.params.line_bytes
-    cells = [machine.allocate(line, line_aligned=True) for _ in range(NUM_CELLS)]
-    for index, cell in enumerate(cells):
-        machine.memory.write(cell, index)
-        backend.recorder.note_initial(cell, index)
-    import itertools
-
+    recorder = HistoryRecorder()
+    machine.attach(probes=recorder)
+    backend = factory(machine)
+    cells = seed_cells(machine, recorder, NUM_CELLS)
     unique = itertools.count(1000)
     threads = [
         TxThread(i, backend, _random_items(cells, DeterministicRng(50 + i), 20, unique))
@@ -72,12 +76,10 @@ def test_recorded_history_is_serializable(name, factory):
     ]
     result = Scheduler(machine, threads).run(cycle_limit=100_000_000)
     assert result.commits == 80, f"{name}: not all transactions committed"
-    assert len(backend.recorder.committed) == 80
-    witness = check_serializable(backend.recorder)
+    assert len(recorder.committed) == 80
+    witness = check_serializable(recorder)
     assert len(witness) == 80
     # Final memory state must equal replaying the witness serially.
-    replay = dict(backend.recorder.initial_values)
-    for txn in witness:
-        replay.update(txn.writes)
-    for cell in cells:
-        assert machine.memory.read(cell) == replay[cell], f"{name}: final state diverges"
+    assert replays_serially(machine.memory, recorder, witness, cells), (
+        f"{name}: final state diverges"
+    )

@@ -11,10 +11,10 @@ correctness on:
 * **hook-site hygiene** (``SIM-H1xx``) — every ``tracer`` / ``chaos`` /
   ``resilience`` use in core/coherence/runtime is guarded, so opt-in
   layers can never become load-bearing;
-* **tracer-event registry** (``SIM-E2xx``) — every literal event name
-  reaching an emit site exists in ``repro.obs.events``, every wound
-  kind staged at a ``stage_wound``/``force_abort`` site exists in
-  ``repro.runtime.tmtypes.WOUND_KIND_REGISTRY``, and no registered
+* **kind registries** (``SIM-E2xx``) — every literal event name
+  reaching an emit site exists in ``repro.obs.events.EVENT_REGISTRY``,
+  every wound kind staged at a ``stage_wound``/``force_abort`` site
+  exists in ``repro.obs.events.WOUND_KIND_REGISTRY``, and no registered
   kind of either registry is dead;
 * **model-checked protocol safety** (``SIM-M4xx``) — an exhaustive
   explicit-state exploration of the ``repro.coherence.spec`` tables
@@ -44,7 +44,6 @@ from repro.analysis import modelcheck  # noqa: F401
 from repro.analysis import rules_determinism  # noqa: F401
 from repro.analysis import rules_events  # noqa: F401
 from repro.analysis import rules_hooks  # noqa: F401
-from repro.analysis import rules_wounds  # noqa: F401
 
 __all__ = [
     "AnalysisReport",

@@ -1,4 +1,4 @@
-"""Central registry of every tracer event kind.
+"""Central registry of every tracer event kind and every wound kind.
 
 The tracer's event taxonomy used to live only in the
 :mod:`repro.obs.tracer` docstring, which meant a typo'd event name at an
@@ -21,6 +21,11 @@ nothing.  This module is the single source of truth:
 Adding an event kind is therefore a two-line change: emit it, and
 register it here (``docs/OBSERVABILITY.md`` is generated prose; the
 registry is the contract).
+
+The abort taxonomy lives here too: :data:`WOUND_KIND_REGISTRY` names
+every kind a wound may be staged with, under the same two rules
+(``SIM-E203`` unregistered, ``SIM-E204`` dead), and
+:data:`UNATTRIBUTED_KIND` is the bucket of an abort that carries none.
 """
 
 from __future__ import annotations
@@ -72,6 +77,47 @@ EVENT_REGISTRY: Dict[str, str] = {
 #: Every registered kind, for membership tests and docs/tests.
 EVENT_KINDS: FrozenSet[str] = frozenset(EVENT_REGISTRY)
 
+#: Central registry of wound/abort-cause kinds.  Every ``kind`` string
+#: that reaches :meth:`~repro.core.machine.FlexTMMachine.stage_wound`
+#: or :meth:`~repro.core.machine.FlexTMMachine.force_abort` — and
+#: therefore every key of ``RunResult.aborts_by_kind`` except the
+#: :data:`UNATTRIBUTED_KIND` fallback — must appear here.  The simcheck
+#: rule ``SIM-E203`` resolves the literal kind argument at every emit
+#: site and fails the build on an unregistered string, the contract
+#: ``SIM-E201`` enforces for the event kinds above.
+WOUND_KIND_REGISTRY: Dict[str, str] = {
+    # -- CST conflict kinds (Figure 1's conflict taxonomy).
+    "R-W": "requestor's read hit an enemy's write signature",
+    "W-R": "requestor's write hit an enemy's exposed read",
+    "W-W": "requestor's write hit an enemy's write signature",
+    # -- strong isolation (Section 3.5).
+    "SI": "non-transactional store aborted a conflicting transaction",
+    # -- OS / runtime interventions.
+    "stall-deadlock": "possible-deadlock trap self-aborted a stalling "
+                      "LogTM-SE transaction",
+    "migration": "descheduled transaction resumed on a different core",
+    "watchdog": "livelock watchdog force-aborted the top wounder",
+    "irrevocable": "serial-irrevocable grant drained an in-flight peer",
+    # -- scripted adversarial schedules (repro.adversary).
+    "adversary": "schedule-script wound directive force-aborted the thread",
+    # -- best-effort HTM backend (repro.stm.htmbe).
+    "capacity": "hardware read/write set exceeded its capacity bound",
+    "htm-conflict": "remote access conflicted with a best-effort HTM "
+                    "attempt (attacker self-aborts)",
+    "explicit": "best-effort HTM attempt cancelled by the runtime "
+                "(context switch / migration kills the hardware state)",
+    "fallback": "software-fallback lock acquisition drained an in-flight "
+                "HTM peer",
+}
+
+#: Every registered wound kind, for membership tests and docs/tests.
+WOUND_KINDS: FrozenSet[str] = frozenset(WOUND_KIND_REGISTRY)
+
+#: The aggregation key used when an abort carries no attribution (the
+#: kind is empty); not a wound kind itself — emit sites must never
+#: stage it.
+UNATTRIBUTED_KIND = "unattributed"
+
 #: The fields of one event-log record, in tuple order (the fields of
 #: :class:`~repro.obs.tracer.TraceEvent`).  ``SIM-E201`` reads the kind
 #: literal of every tuple of this width the tracer appends to its log.
@@ -107,31 +153,6 @@ FIXED_KINDS: Mapping[str, str] = {
     "aou_alert": "aou_alert",
     "stall": "conflict_stall",
 }
-
-#: Position (0-based, after self) of the kind-name argument in each
-#: prefixed method's signature, for emit-site resolution:
-#: ``tx_access(proc, thread, cycle, rw, ...)`` -> index 3, etc.
-KIND_ARG_INDEX: Mapping[str, int] = {
-    "tx_access": 3,
-    "overflow": 2,
-    "sched": 2,
-    "coherence": 2,
-    "watchdog": 1,
-    "degrade": 1,
-    "metrics": 1,
-}
-
-#: Keyword name of the kind argument (emit sites may pass it by name).
-KIND_ARG_NAME: Mapping[str, str] = {
-    "tx_access": "rw",
-    "overflow": "what",
-    "sched": "what",
-    "coherence": "msg",
-    "watchdog": "what",
-    "degrade": "what",
-    "metrics": "what",
-}
-
 
 def is_registered(kind: str) -> bool:
     """True when ``kind`` is a documented tracer event."""

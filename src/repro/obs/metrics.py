@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence
 
 from repro.obs.causality import AbortRecord
-from repro.obs.events import EVENT_KINDS, SCHED_KINDS
+from repro.obs.events import EVENT_KINDS, SCHED_KINDS, UNATTRIBUTED_KIND
 
 #: Percentiles every histogram summary reports.
 PERCENTILES = (0.50, 0.95, 0.99)
@@ -384,7 +384,7 @@ class MetricsHub:
 
     def _fold_abort(self, record: tuple) -> None:
         _, cycle, proc, thread, _, _, _, data = record
-        kind = data.get("conflict") or "unattributed"
+        kind = data.get("conflict") or UNATTRIBUTED_KIND
         self.count("tx.aborts")
         self.count(f"tx.aborts.{kind}")
         self.series("tx.aborts").record(cycle)

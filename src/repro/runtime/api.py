@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Iterator, Tuple
 
-from repro.errors import IllegalOperation
+from repro.errors import IllegalOperation, TransactionAborted
 
 
 def work(cycles: int) -> Iterator[Tuple]:
@@ -89,9 +89,11 @@ class TMBackend:
         """Cycles to back off before the next attempt."""
         return min(1 << min(aborts_in_a_row, 8), 256)
 
-    def abort_attribution(self, thread):
-        """``(by, kind)`` of a descriptor-less thread's abort, or None."""
-        return None
+    def abort_exception(self, thread, cause: str) -> TransactionAborted:
+        """The abort the scheduler delivers (poll, or ``resume`` said
+        ``"aborted"``), carrying the backend's attribution; by default
+        none."""
+        return TransactionAborted(cause)
 
     def escalation_counters(self):
         """Backend-intrinsic escalation counters for the run result."""

@@ -22,7 +22,7 @@ from repro.core.cmt import ConflictManagementTable
 from repro.core.descriptor import ConflictMode, RunState, TransactionDescriptor
 from repro.core.machine import FlexTMMachine
 from repro.core.tsw import TxStatus
-from repro.errors import TransactionAborted
+from repro.errors import InvariantViolation, TransactionAborted
 from repro.runtime.api import TMBackend
 from repro.runtime.contention import ConflictManager, Decision, PolkaManager
 
@@ -88,6 +88,9 @@ class FlexTMRuntime(TMBackend):
             thread.descriptor = descriptor
         descriptor.incarnation += 1
         descriptor.accesses = 0
+        # Fresh attempt: clear stale wound attribution.
+        descriptor.wounded_by = -1
+        descriptor.wound_kind = ""
         # The E/L bit is re-derived per attempt: the degradation ladder
         # may flip a starving lazy transaction to eager (paper §Policy
         # flexibility).  Without a controller this is always self.mode.
@@ -298,6 +301,29 @@ class FlexTMRuntime(TMBackend):
         if alerts.pending:
             alerts.drain()
         return self._words.get(descriptor.tsw_address, 0) == _ABORTED
+
+    def abort_exception(self, thread, cause: str) -> TransactionAborted:
+        """The delivered abort, carrying the wound staged on the descriptor.
+
+        The scheduler delivers an abort only to a thread whose TSW is
+        ABORTED, which every path writes with staged attribution.  Under
+        strict invariants a missing kind is therefore a diagnosable
+        attribution loss, not a silent ``kind=""`` entry in the abort
+        taxonomy.
+        """
+        descriptor = thread.descriptor
+        by = descriptor.wounded_by
+        kind = descriptor.wound_kind
+        if not kind:
+            invariants = self.machine.invariants
+            if invariants is not None and invariants.strict:
+                raise InvariantViolation(
+                    "wound-attribution",
+                    f"thread {thread.thread_id} unwound ({cause}) with a "
+                    f"descriptor carrying no wound attribution "
+                    f"(wounded_by={by})",
+                )
+        return TransactionAborted(cause, by=by, conflict=kind)
 
     def retry_backoff(self, aborts_in_a_row: int) -> int:
         return self.manager.retry_backoff(aborts_in_a_row)

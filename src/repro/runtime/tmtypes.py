@@ -19,50 +19,9 @@ the paper's benchmarks use.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from repro.core.machine import FlexTMMachine, WORD_BYTES
-
-#: Central registry of wound/abort-cause kinds.  Every ``kind`` string
-#: that reaches :meth:`~repro.core.machine.FlexTMMachine.stage_wound`
-#: or :meth:`~repro.core.machine.FlexTMMachine.force_abort` — and
-#: therefore every key of ``RunResult.aborts_by_kind`` except the
-#: :data:`UNATTRIBUTED_KIND` fallback — must appear here.  The simcheck
-#: rule ``SIM-E203`` resolves the literal kind argument at every emit
-#: site and fails the build on an unregistered string, the same
-#: contract the tracer-event registry enforces for event kinds.
-WOUND_KIND_REGISTRY: Dict[str, str] = {
-    # -- CST conflict kinds (Figure 1's conflict taxonomy).
-    "R-W": "requestor's read hit an enemy's write signature",
-    "W-R": "requestor's write hit an enemy's exposed read",
-    "W-W": "requestor's write hit an enemy's write signature",
-    # -- strong isolation (Section 3.5).
-    "SI": "non-transactional store aborted a conflicting transaction",
-    # -- OS / runtime interventions.
-    "stall-deadlock": "possible-deadlock trap self-aborted a stalling "
-                      "LogTM-SE transaction",
-    "migration": "descheduled transaction resumed on a different core",
-    "watchdog": "livelock watchdog force-aborted the top wounder",
-    "irrevocable": "serial-irrevocable grant drained an in-flight peer",
-    # -- scripted adversarial schedules (repro.adversary).
-    "adversary": "schedule-script wound directive force-aborted the thread",
-    # -- best-effort HTM backend (repro.stm.htmbe).
-    "capacity": "hardware read/write set exceeded its capacity bound",
-    "htm-conflict": "remote access conflicted with a best-effort HTM "
-                    "attempt (attacker self-aborts)",
-    "explicit": "best-effort HTM attempt cancelled by the runtime "
-                "(context switch / migration kills the hardware state)",
-    "fallback": "software-fallback lock acquisition drained an in-flight "
-                "HTM peer",
-}
-
-#: Every registered wound kind, for membership tests and docs/tests.
-WOUND_KINDS: FrozenSet[str] = frozenset(WOUND_KIND_REGISTRY)
-
-#: The aggregation key used when an abort carries no attribution (the
-#: kind is empty); not a wound kind itself — emit sites must never
-#: stage it.
-UNATTRIBUTED_KIND = "unattributed"
 
 
 class TVar:

@@ -290,12 +290,12 @@ class HtmBestEffortRuntime(TMBackend):
 
     # ------------------------------------------------- scheduler/probe hooks
 
-    def abort_attribution(self, thread) -> Optional[Tuple[int, str]]:
-        """Attribution for aborts the scheduler delivers (doomed attempts)."""
+    def abort_exception(self, thread, cause: str) -> TransactionAborted:
+        """The delivered abort, attributed from the doomed attempt."""
         state = self._active.get(thread.thread_id)
         if state is not None and state.doomed and state.abort_kind:
-            return state.abort_by, state.abort_kind
-        return None
+            return TransactionAborted(cause, by=state.abort_by, conflict=state.abort_kind)
+        return TransactionAborted(cause)
 
     def escalation_counters(self) -> Dict[str, int]:
         return self.policy.escalation_counters()

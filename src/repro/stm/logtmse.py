@@ -146,7 +146,11 @@ class LogTmSeRuntime(FlexTMRuntime):
                 return
             if result.value != TxStatus.ACTIVE:
                 thread.nest_depth = 0
-                raise TransactionAborted("lost the commit race")
+                raise TransactionAborted(
+                    "lost the commit race",
+                    by=descriptor.wounded_by,
+                    conflict=descriptor.wound_kind,
+                )
 
     # ------------------------------------------------------------------ abort
 

@@ -9,8 +9,8 @@ The heavyweight guarantees of the adversary engine live here:
 * arming the OpacityProbe changes nothing — RunResult and final memory
   are bit-identical to an unarmed run on every backend;
 * strict invariants turn wound-attribution loss into a diagnosable
-  error instead of a silent ``kind=""`` row (the scheduler half of the
-  attribution pipeline).
+  error instead of a silent ``kind=""`` row (the ``abort_exception`` hook that
+  builds every delivered abort).
 """
 
 import types
@@ -25,7 +25,6 @@ from repro.core.machine import FlexTMMachine
 from repro.errors import TransactionAborted
 from repro.harness.runner import SYSTEMS
 from repro.params import small_test_params
-from repro.runtime.api import TMBackend
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.txthread import TxThread
 
@@ -144,48 +143,45 @@ def test_probe_armed_run_is_bit_identical_to_unarmed(backend):
     assert armed_memory == bare_memory
 
 
-# ----------------------------------------- strict wound-attribution (scheduler)
+# ------------------------------------ strict wound-attribution (abort hook)
 
 
-def _scheduler(strict):
+def _backend(strict, system="FlexTM"):
     machine = FlexTMMachine(small_test_params(2))
     machine.attach(invariants=InvariantChecker(strict=strict))
-    backend = SYSTEMS["FlexTM"](machine, ConflictMode.EAGER)
-    return Scheduler(machine, [TxThread(0, backend, [])])
+    return SYSTEMS[system](machine, ConflictMode.EAGER)
 
 
 def _thread(descriptor):
-    return types.SimpleNamespace(
-        thread_id=0, descriptor=descriptor, backend=TMBackend()
-    )
+    return types.SimpleNamespace(thread_id=0, descriptor=descriptor)
 
 
 def test_attribution_loss_is_diagnosed_under_strict_invariants():
-    scheduler = _scheduler(strict=True)
+    backend = _backend(strict=True)
     bare = types.SimpleNamespace(wounded_by=-1, wound_kind="")
     with pytest.raises(InvariantViolation, match="wound-attribution"):
-        scheduler._abort_exception(_thread(bare), "status word changed")
+        backend.abort_exception(_thread(bare), "status word changed")
 
 
 def test_attribution_loss_is_tolerated_without_strict():
-    scheduler = _scheduler(strict=False)
+    backend = _backend(strict=False)
     bare = types.SimpleNamespace(wounded_by=-1, wound_kind="")
-    exc = scheduler._abort_exception(_thread(bare), "status word changed")
+    exc = backend.abort_exception(_thread(bare), "status word changed")
     assert isinstance(exc, TransactionAborted)
     assert exc.conflict == ""
 
 
 def test_staged_attribution_flows_into_the_abort():
-    scheduler = _scheduler(strict=True)
+    backend = _backend(strict=True)
     wounded = types.SimpleNamespace(wounded_by=3, wound_kind="W-W")
-    exc = scheduler._abort_exception(_thread(wounded), "status word changed")
+    exc = backend.abort_exception(_thread(wounded), "status word changed")
     assert (exc.by, exc.conflict) == (3, "W-W")
 
 
 def test_descriptorless_threads_are_exempt_from_strict_attribution():
     # STM backends raise their own aborts; the OS path has nothing to
     # attribute, so strict mode must not fire on a None descriptor.
-    scheduler = _scheduler(strict=True)
-    exc = scheduler._abort_exception(_thread(None), "status word changed")
+    backend = _backend(strict=True, system="TL2")
+    exc = backend.abort_exception(_thread(None), "status word changed")
     assert isinstance(exc, TransactionAborted)
     assert (exc.by, exc.conflict) == (-1, "")

@@ -9,7 +9,7 @@ findings — i.e. the taxonomy and the backend agree exactly.
 """
 
 from repro.analysis import all_rules, run_analysis
-from repro.runtime.tmtypes import WOUND_KIND_REGISTRY
+from repro.obs.events import WOUND_KIND_REGISTRY
 from tests.analysis.helpers import SRC_ROOT, copy_repro_subtree, mutate
 
 HTMBE_KINDS = ("capacity", "htm-conflict", "explicit", "fallback")
@@ -35,7 +35,7 @@ def test_dropping_a_htmbe_emitter_is_caught(tmp_path):
     # Remove htmbe's one staging of the "fallback" kind: the registered
     # kind goes dead and SIM-E204 must notice (proves the acceptance
     # test above cannot pass vacuously).
-    root = copy_repro_subtree(tmp_path, "runtime/tmtypes.py", "stm/htmbe.py")
+    root = copy_repro_subtree(tmp_path, "obs/events.py", "stm/htmbe.py")
     registry = all_rules()
 
     def dead_kinds():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.analysis import all_rules, run_analysis
-from repro.runtime.tmtypes import (
+from repro.obs.events import (
     UNATTRIBUTED_KIND,
     WOUND_KIND_REGISTRY,
     WOUND_KINDS,
@@ -137,23 +137,23 @@ class TestDeadWoundKind:
     def test_registry_alone_flags_every_kind_dead(self, tmp_path):
         # Only the registry module in the file set: no literal uses
         # anywhere, so every kind is dead taxonomy.
-        root = copy_repro_subtree(tmp_path, "runtime/tmtypes.py")
+        root = copy_repro_subtree(tmp_path, "obs/events.py")
         report = self._run(root)
         assert sorted(f.message.split("'")[1] for f in report.findings) == (
             sorted(WOUND_KINDS)
         )
         assert all(f.severity == "warning" for f in report.findings)
         assert all(
-            f.path.endswith("repro/runtime/tmtypes.py")
+            f.path.endswith("repro/obs/events.py")
             for f in report.findings
         )
 
     def test_used_kinds_are_not_flagged(self, tmp_path):
-        root = copy_repro_subtree(tmp_path, "runtime/tmtypes.py")
+        root = copy_repro_subtree(tmp_path, "obs/events.py")
         users = "\n".join(
             f'    KINDS.append("{kind}")' for kind in sorted(WOUND_KINDS)
         )
-        emitters = root / "repro" / "runtime" / "emitters.py"
+        emitters = root / "repro" / "obs" / "emitters.py"
         emitters.write_text(
             "KINDS = []\n\ndef use_all():\n" + users + "\n",
             encoding="utf-8",

@@ -13,7 +13,7 @@ from repro.obs.tracer import (
     Tracer,
     tee,
 )
-from repro.runtime.tmtypes import WOUND_KIND_REGISTRY
+from repro.obs.events import WOUND_KIND_REGISTRY
 
 
 def test_null_tracer_is_disabled_and_silent():

@@ -13,7 +13,7 @@ from repro.core.descriptor import ConflictMode
 from repro.harness.runner import SYSTEMS, ExperimentConfig, run_experiment
 from repro.obs.tracer import EventTracer
 from repro.params import small_test_params
-from repro.runtime.tmtypes import UNATTRIBUTED_KIND, WOUND_KINDS
+from repro.obs.events import UNATTRIBUTED_KIND, WOUND_KINDS
 
 #: The full cause vocabulary (the central registry) plus the bucket for
 #: legacy backends that raise without attribution.

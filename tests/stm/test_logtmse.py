@@ -156,3 +156,22 @@ def test_convoying_behind_descheduled_transaction():
     # FlexTM readers wound the suspended writer and stream through;
     # LogTM-SE readers can only stall/self-abort behind it.
     assert flextm.commits > logtm.commits * 1.5
+
+
+def test_lost_commit_race_carries_the_descriptor_attribution(m):
+    """The commit-time raise reports who wounded the transaction and
+    why, as FlexTM's does: the thread takes attribution from the abort
+    alone."""
+    from repro.errors import TransactionAborted
+
+    runtime = LogTmSeRuntime(m)
+    thread = _thread(runtime, 0, 0)
+    drive(m, 0, runtime.begin(thread))
+    drive(m, 0, runtime.write(thread, m.allocate_words(1), 7))
+    assert m.force_abort(thread.descriptor, by=2, kind="watchdog")
+    with pytest.raises(TransactionAborted, match="lost the commit race") as aborted:
+        drive(m, 0, runtime.commit(thread))
+    assert (aborted.value.by, aborted.value.conflict) == (2, "watchdog")
+    assert (aborted.value.by, aborted.value.conflict) == (
+        thread.descriptor.wounded_by, thread.descriptor.wound_kind
+    )

@@ -194,3 +194,28 @@ def test_watchdog_boosts_before_it_kills_in_a_chaos_cell():
     watchdog = run["watchdog"]
     assert watchdog["escalations"] > 0
     assert watchdog["forced_aborts"] < watchdog["escalations"]
+
+
+def test_a_cell_that_raises_keeps_its_partial_counts(monkeypatch):
+    # Fail the run part-way, after the fifth commit: the cell reports
+    # the counts the threads had reached, not zeros.
+    from repro.chaos.watchdog import LivelockWatchdog
+    from repro.errors import InvariantViolation
+
+    observe = LivelockWatchdog.observe
+
+    def observe_then_fail(self, scheduler):
+        observe(self, scheduler)
+        if sum(slot.thread.commits for slot in scheduler.slots) >= 5:
+            raise InvariantViolation("test", "raised part-way")
+
+    monkeypatch.setattr(LivelockWatchdog, "observe", observe_then_fail)
+    run = run_cell(
+        "FlexTM", 1, profile_spec("coherence", 1, "FlexTM"),
+        DEFAULT_THREADS, DEFAULT_TXNS, DEFAULT_CYCLE_LIMIT,
+    )
+    assert run["error_kind"] == "repro"
+    assert "raised part-way" in run["error"]
+    assert run["commits"] == 5
+    assert run["cycles"] > 0
+    assert sum(run["aborts_by_kind"].values()) == run["aborts"]

@@ -19,7 +19,7 @@ cost structure reproduces RSTM's published profile:
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.core.machine import FlexTMMachine, WORD_BYTES
 from repro.core.tsw import TxStatus
@@ -58,6 +58,10 @@ class RstmRuntime(TMBackend):
         self.manager = manager or PolkaManager()
         self.headers = LockTable(machine, num_orecs)
         self._clone_area = machine.allocate_words(CLONE_COPY_WORDS * 64, line_aligned=True)
+        #: thread id -> status word address, for wounding an owner.
+        self._status_by_thread: Dict[int, int] = {}
+        #: thread id -> the owner's attempt state, for its karma.
+        self._states_by_thread: Dict[int, StmThreadState] = {}
 
     def _state(self, thread) -> StmThreadState:
         if not hasattr(thread, "stm_state") or thread.stm_state is None:
@@ -241,23 +245,6 @@ class RstmRuntime(TMBackend):
             yield ("cas", status_address, TxStatus.ACTIVE, TxStatus.ABORTED)
         else:
             yield ("work", 4)
-
-    @property
-    def _status_by_thread(self):
-        # Built lazily from threads that have begun at least once.
-        mapping = getattr(self, "_status_map", None)
-        if mapping is None:
-            mapping = {}
-            self._status_map = mapping
-        return mapping
-
-    @property
-    def _states_by_thread(self):
-        mapping = getattr(self, "_state_map", None)
-        if mapping is None:
-            mapping = {}
-            self._state_map = mapping
-        return mapping
 
     def register_status(self, thread) -> None:
         self._status_by_thread[thread.thread_id] = self._status_address(thread)

@@ -11,8 +11,6 @@ transaction, and measure the wasted aborts.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine

@@ -10,8 +10,6 @@ the paper's choice of line-granularity signatures accepts.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine

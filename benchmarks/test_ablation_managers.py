@@ -13,8 +13,6 @@ requester's progress on every conflict.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine

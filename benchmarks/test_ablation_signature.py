@@ -8,11 +8,9 @@ the flat part of the curve; this bench regenerates that curve.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.harness.runner import ExperimentConfig, run_experiment
-from repro.params import CacheGeometry, SystemParams
+from repro.params import SystemParams
 
 
 def _params(signature_bits: int) -> SystemParams:

@@ -9,8 +9,6 @@ quantum versus running undisturbed.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine

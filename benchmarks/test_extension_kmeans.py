@@ -8,8 +8,6 @@ Vacation-High-like conflict behaviour with few.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine

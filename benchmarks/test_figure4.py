@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.harness.figure4 import render_figure4, run_figure4, systems_for
+from repro.harness.figure4 import render_figure4, run_figure4
 
 _RESULTS = {}
 

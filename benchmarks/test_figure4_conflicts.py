@@ -8,8 +8,6 @@ beat global arbitration and serialized commits.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.harness.figure4 import render_conflict_table, run_conflict_table
 

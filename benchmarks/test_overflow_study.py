@@ -8,8 +8,6 @@ copy-back; workloads that never overflow lose nothing.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.harness.overflow import render_overflow, run_overflow_study
 

@@ -53,6 +53,10 @@ class TMBackend:
     #: The contention manager the watchdog and degradation ladder boost.
     manager = None
 
+    def thread_state(self):
+        """A new thread's record, ``thread.tm``; allocates no simulated memory."""
+        return None
+
     def begin(self, thread) -> Iterator[Tuple]:
         raise NotImplementedError
         yield  # pragma: no cover

@@ -72,7 +72,7 @@ class FlexTMRuntime(TMBackend):
         # Subsumption nesting (Section 3.5): an inner BEGIN merely
         # deepens the outermost transaction; only depth 0 touches
         # hardware.  An abort unwinds the whole nest.
-        depth = getattr(thread, "nest_depth", 0)
+        depth = thread.nest_depth
         if depth > 0:
             thread.nest_depth = depth + 1
             yield ("work", 1)
@@ -197,7 +197,7 @@ class FlexTMRuntime(TMBackend):
     # ----------------------------------------------------------------- commit
 
     def commit(self, thread) -> Iterator[Tuple]:
-        depth = getattr(thread, "nest_depth", 1)
+        depth = thread.nest_depth
         if depth > 1:
             # Inner commit of a subsumed transaction: nothing to do.
             thread.nest_depth = depth - 1

@@ -42,7 +42,8 @@ class WorkItem:
 
 
 class TxThread:
-    """One simulated thread of execution."""
+    """One simulated thread; a backend keeps its per-thread state only
+    in ``descriptor``, ``nest_depth`` (the FlexTM family) and ``tm``."""
 
     def __init__(
         self,
@@ -66,6 +67,9 @@ class TxThread:
         self.processor: Optional[int] = None
         #: FlexTM descriptor (created lazily by the backend).
         self.descriptor = None
+        self.nest_depth = 0
+        #: The backend's per-thread record (``TMBackend.thread_state``).
+        self.tm = backend.thread_state()
         self.in_transaction = False
         self.commits = 0
         self.aborts = 0

@@ -58,7 +58,7 @@ class LockTable:
 
 @dataclasses.dataclass
 class StmThreadState:
-    """Per-thread, per-attempt software transaction state."""
+    """TL-2's per-thread record, ``thread.tm``; ``reset`` starts an attempt."""
 
     read_version: int = 0
     #: (orec_address, observed_version) pairs, in open order.
@@ -67,8 +67,6 @@ class StmThreadState:
     write_map: Dict[int, int] = dataclasses.field(default_factory=dict)
     #: orec addresses covering the write set, deduplicated, in order.
     write_orecs: List[int] = dataclasses.field(default_factory=list)
-    status_address: int = 0
-    attempts: int = 0
 
     def reset(self) -> None:
         self.read_set = []

@@ -40,7 +40,6 @@ class CglRuntime(TMBackend):
             if observed.value == LOCK_FREE:
                 result = yield ("cas", self.lock_address, LOCK_FREE, LOCK_HELD)
                 if result.success:
-                    thread.in_transaction = True
                     return
             yield ("work", self.rng.randint(1, backoff))
             backoff = min(backoff * 2, 1024)

@@ -24,7 +24,7 @@ makes eager versioning safe without making uncommitted values visible.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine
@@ -55,6 +55,10 @@ class LogTmSeRuntime(FlexTMRuntime):
         super().__init__(machine, mode=ConflictMode.LAZY, clean_r_w=False)
         self.rng = rng or DeterministicRng(0x105)
 
+    def thread_state(self) -> List[int]:
+        """The undo log: the address of every speculative write."""
+        return []
+
     # -------------------------------------------------------------- accesses
 
     def read(self, thread, address: int) -> Iterator[Tuple]:
@@ -64,7 +68,7 @@ class LogTmSeRuntime(FlexTMRuntime):
     def write(self, thread, address: int, value: int) -> Iterator[Tuple]:
         yield from self._stalling_access(thread, ("tstore", address, value))
         # Undo-log insertion on the critical path.
-        thread.logtm_undo_entries = getattr(thread, "logtm_undo_entries", 0) + 1
+        thread.tm.append(address)
         yield ("work", LOG_INSERT_CYCLES)
 
     def _stalling_access(self, thread, op: Tuple) -> Iterator[Tuple]:
@@ -120,7 +124,7 @@ class LogTmSeRuntime(FlexTMRuntime):
     # ----------------------------------------------------------------- commit
 
     def commit(self, thread) -> Iterator[Tuple]:
-        depth = getattr(thread, "nest_depth", 1)
+        depth = thread.nest_depth
         if depth > 1:
             thread.nest_depth = depth - 1
             yield ("work", 1)
@@ -132,16 +136,14 @@ class LogTmSeRuntime(FlexTMRuntime):
         # has no commit-time arbitration at all.
         proc = self.machine.processors[thread.processor]
         descriptor = thread.descriptor
-        self.machine.stats.histogram("cst.conflict_degree").record(
-            len(proc.conflict_partners)
-        )
+        self._conflict_degrees.record(len(proc.conflict_partners))
         while True:
             proc.csts.clear()
             result = yield ("cas_commit",)
             if result.success:
                 thread.nest_depth = 0
                 descriptor.commits += 1
-                thread.logtm_undo_entries = 0  # log discarded, free
+                thread.tm.clear()  # log discarded, free
                 self._finish(thread)
                 return
             if result.value != TxStatus.ACTIVE:
@@ -157,8 +159,7 @@ class LogTmSeRuntime(FlexTMRuntime):
     def on_abort(self, thread) -> Iterator[Tuple]:
         # The undo log must be replayed in reverse, one line at a time —
         # abort cost scales with the write set (vs FlexTM's flash).
-        entries = getattr(thread, "logtm_undo_entries", 0)
-        if entries:
-            yield ("work", entries * UNDO_PER_WRITE_CYCLES)
-        thread.logtm_undo_entries = 0
+        if thread.tm:
+            yield ("work", len(thread.tm) * UNDO_PER_WRITE_CYCLES)
+        thread.tm.clear()
         yield from super().on_abort(thread)

@@ -19,7 +19,8 @@ cost structure reproduces RSTM's published profile:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+import dataclasses
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.machine import FlexTMMachine, WORD_BYTES
 from repro.core.tsw import TxStatus
@@ -41,6 +42,23 @@ CLONE_FIXED_CYCLES = 20
 CLONE_COPY_WORDS = 3
 
 
+@dataclasses.dataclass
+class RstmThreadState(StmThreadState):
+    """The STM record plus RSTM's status word and header ownership."""
+
+    #: The thread's status word, allocated at its first begin.
+    status_address: int = 0
+    #: (header_address, pre-lock word) for headers this attempt owns.
+    owned: List[Tuple[int, int]] = dataclasses.field(default_factory=list)
+    #: A header CAS in flight, booked before it is issued.
+    pending: Optional[Tuple[int, int]] = None
+
+    def reset(self) -> None:
+        super().reset()
+        self.owned = []
+        self.pending = None
+
+
 class RstmRuntime(TMBackend):
     """The RSTM model."""
 
@@ -58,39 +76,26 @@ class RstmRuntime(TMBackend):
         self.manager = manager or PolkaManager()
         self.headers = LockTable(machine, num_orecs)
         self._clone_area = machine.allocate_words(CLONE_COPY_WORDS * 64, line_aligned=True)
-        #: thread id -> status word address, for wounding an owner.
-        self._status_by_thread: Dict[int, int] = {}
-        #: thread id -> the owner's attempt state, for its karma.
-        self._states_by_thread: Dict[int, StmThreadState] = {}
+        #: thread id -> record: a header owner's status word and karma.
+        self._threads: Dict[int, RstmThreadState] = {}
 
-    def _state(self, thread) -> StmThreadState:
-        if not hasattr(thread, "stm_state") or thread.stm_state is None:
-            thread.stm_state = StmThreadState()
-        return thread.stm_state
-
-    def _status_address(self, thread) -> int:
-        if getattr(thread, "stm_status_address", 0) == 0:
-            thread.stm_status_address = self.machine.allocate(
-                self.machine.params.line_bytes, line_aligned=True
-            )
-        return thread.stm_status_address
+    def thread_state(self) -> RstmThreadState:
+        return RstmThreadState()
 
     # --------------------------------------------------------------- lifecycle
 
     def begin(self, thread) -> Iterator[Tuple]:
-        state = self._state(thread)
+        state = thread.tm
         state.reset()
-        state.attempts += 1
-        state.status_address = self._status_address(thread)
-        self.register_status(thread)
-        self._states_by_thread[thread.thread_id] = state
-        #: (orec_address, pre-lock word) for headers we own.
-        thread.rstm_owned = []
-        thread.rstm_pending = None
+        if state.status_address == 0:
+            state.status_address = self.machine.allocate(
+                self.machine.params.line_bytes, line_aligned=True
+            )
+            self._threads[thread.thread_id] = state
         yield ("store", state.status_address, TxStatus.ACTIVE)
 
     def read(self, thread, address: int) -> Iterator[Tuple]:
-        state = self._state(thread)
+        state = thread.tm
         yield ("work", READ_BOOKKEEPING_CYCLES)
         if address in state.write_map:
             return state.write_map[address]
@@ -108,7 +113,7 @@ class RstmRuntime(TMBackend):
             raise TransactionAborted("RSTM open validation failed")
         # Then every earlier entry (the O(R^2) term); its cycle cost is
         # charged below (headers are usually cached).
-        owned = {owned_address for owned_address, _ in thread.rstm_owned}
+        owned = {owned_address for owned_address, _ in state.owned}
         for seen_header, observed in state.read_set:
             if seen_header in owned:
                 continue
@@ -120,7 +125,7 @@ class RstmRuntime(TMBackend):
         return data.value
 
     def write(self, thread, address: int, value: int) -> Iterator[Tuple]:
-        state = self._state(thread)
+        state = thread.tm
         yield ("work", WRITE_BOOKKEEPING_CYCLES)
         header_address = self.headers.orec_address(address)
         if state.note_write_orec(header_address):
@@ -136,8 +141,8 @@ class RstmRuntime(TMBackend):
         state.write_map[address] = value
 
     def commit(self, thread) -> Iterator[Tuple]:
-        state = self._state(thread)
-        owned = {address for address, _ in thread.rstm_owned}
+        state = thread.tm
+        owned = {address for address, _ in state.owned}
         for header_address, observed in state.read_set:
             if header_address in owned:
                 continue
@@ -149,30 +154,27 @@ class RstmRuntime(TMBackend):
             raise TransactionAborted("RSTM lost commit CAS")
         for address, value in state.write_map.items():
             yield ("store", address, value)
-        for header_address, old_word in thread.rstm_owned:
+        for header_address, old_word in state.owned:
             yield ("store", header_address, encode_version(version_of(old_word) + 1))
-        thread.rstm_owned = []
+        state.owned = []
 
     def on_abort(self, thread) -> Iterator[Tuple]:
-        state = self._state(thread)
-        pending = getattr(thread, "rstm_pending", None)
-        if pending is not None:
-            header_address, old_word = pending
+        state = thread.tm
+        if state.pending is not None:
+            header_address, old_word = state.pending
             current = yield ("load", header_address)
             if current.value == encode_locked(thread.thread_id):
                 yield ("store", header_address, old_word)
-            thread.rstm_pending = None
-        for header_address, old_word in getattr(thread, "rstm_owned", []):
+        for header_address, old_word in state.owned:
             yield ("store", header_address, old_word)
-        thread.rstm_owned = []
         state.reset()
         yield ("work", 10)
 
     def check_aborted(self, thread) -> bool:
-        state = getattr(thread, "stm_state", None)
-        if state is None or not thread.in_transaction or state.status_address == 0:
+        status_address = thread.tm.status_address
+        if not thread.in_transaction or status_address == 0:
             return False
-        return self.machine.memory.read(state.status_address) == TxStatus.ABORTED
+        return self.machine.memory.read(status_address) == TxStatus.ABORTED
 
     def retry_backoff(self, aborts_in_a_row: int) -> int:
         return self.manager.retry_backoff(aborts_in_a_row)
@@ -196,22 +198,23 @@ class RstmRuntime(TMBackend):
         Returns the pre-lock header word so the caller can validate
         earlier reads of the same object.
         """
+        state = thread.tm
         while True:
             word = yield from self._wait_unlocked(thread, header_address, role="writer")
             # A wound can be delivered at any yield boundary — including
             # right after this CAS lands.  Record the acquisition intent
             # *before* issuing it so on_abort can release a header whose
             # ownership we won but never got to book.
-            thread.rstm_pending = (header_address, word)
+            state.pending = (header_address, word)
             result = yield ("cas", header_address, word, encode_locked(thread.thread_id))
-            thread.rstm_pending = None
+            state.pending = None
             if result.success:
-                thread.rstm_owned.append((header_address, word))
+                state.owned.append((header_address, word))
                 return word
 
     def _wait_unlocked(self, thread, header_address: int, role: str) -> Iterator[Tuple]:
         """Spin until a header is free (or ours); returns its word."""
-        state = self._state(thread)
+        state = thread.tm
         attempt = 0
         while True:
             current = yield ("load", header_address)
@@ -220,7 +223,7 @@ class RstmRuntime(TMBackend):
                 return word
             owner = word >> 1
             my_karma = len(state.read_set) + len(state.write_map)
-            enemy_state = self._states_by_thread.get(owner)
+            enemy_state = self._threads.get(owner)
             enemy_karma = (
                 len(enemy_state.read_set) + len(enemy_state.write_map)
                 if enemy_state is not None
@@ -233,21 +236,17 @@ class RstmRuntime(TMBackend):
                 continue
             if ruling.decision is Decision.ABORT_SELF:
                 raise TransactionAborted(f"RSTM {role} self-abort", by=owner)
-            yield from self._abort_owner(owner)
+            yield from self._abort_owner(enemy_state)
             # Wounded owner releases the header in its on_abort; give it
             # a beat and re-examine.
             yield ("work", 16)
 
-    def _abort_owner(self, owner_thread_id: int) -> Iterator[Tuple]:
+    def _abort_owner(self, owner: Optional[RstmThreadState]) -> Iterator[Tuple]:
         """Non-blocking enemy abort through its status word."""
-        status_address = self._status_by_thread.get(owner_thread_id, 0)
-        if status_address:
-            yield ("cas", status_address, TxStatus.ACTIVE, TxStatus.ABORTED)
+        if owner is not None:
+            yield ("cas", owner.status_address, TxStatus.ACTIVE, TxStatus.ABORTED)
         else:
             yield ("work", 4)
-
-    def register_status(self, thread) -> None:
-        self._status_by_thread[thread.thread_id] = self._status_address(thread)
 
     def _clone(self, address: int) -> Iterator[Tuple]:
         """Copy-on-write: pull the object and write a private clone."""

@@ -17,7 +17,7 @@ header update per written object at commit time.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.core.descriptor import ConflictMode
 from repro.core.machine import FlexTMMachine
@@ -49,8 +49,12 @@ class RtmfRuntime(FlexTMRuntime):
         super().__init__(machine, mode=mode, manager=manager)
         self.headers = LockTable(machine, num_orecs)
 
+    def thread_state(self) -> List[int]:
+        """The headers the current attempt has written."""
+        return []
+
     def begin(self, thread) -> Iterator[Tuple]:
-        thread.rtmf_written_headers = []
+        thread.tm.clear()
         yield from super().begin(thread)
         # RTM-F's BEGIN also initializes the software descriptor's
         # metadata lists (beyond FlexTM's checkpoint).
@@ -65,7 +69,7 @@ class RtmfRuntime(FlexTMRuntime):
 
     def write(self, thread, address: int, value: int) -> Iterator[Tuple]:
         header = self.headers.orec_address(address)
-        written = thread.rtmf_written_headers
+        written = thread.tm
         if header not in written:
             written.append(header)
             # First write to this object: publish ownership metadata.
@@ -77,9 +81,13 @@ class RtmfRuntime(FlexTMRuntime):
     def commit(self, thread) -> Iterator[Tuple]:
         # Commit-time metadata updates for each written object precede
         # the (hardware) commit itself.
-        for header in getattr(thread, "rtmf_written_headers", []):
+        for header in thread.tm:
             current = yield ("load", header)
             yield ("store", header, encode_version(version_of(current.value) + 1))
             yield ("work", META_COMMIT_CYCLES)
         yield from super().commit(thread)
-        thread.rtmf_written_headers = []
+        thread.tm.clear()
+
+    def on_abort(self, thread) -> Iterator[Tuple]:
+        thread.tm.clear()
+        yield from super().on_abort(thread)

@@ -55,20 +55,17 @@ class Tl2Runtime(TMBackend):
         self.clock_address = machine.allocate(machine.params.line_bytes, line_aligned=True)
         machine.memory.write(self.clock_address, encode_version(1))
 
-    def _state(self, thread) -> StmThreadState:
-        if not hasattr(thread, "stm_state") or thread.stm_state is None:
-            thread.stm_state = StmThreadState()
-        return thread.stm_state
+    def thread_state(self) -> StmThreadState:
+        return StmThreadState()
 
     def begin(self, thread) -> Iterator[Tuple]:
-        state = self._state(thread)
+        state = thread.tm
         state.reset()
-        state.attempts += 1
         clock = yield ("load", self.clock_address)
         state.read_version = version_of(clock.value)
 
     def read(self, thread, address: int) -> Iterator[Tuple]:
-        state = self._state(thread)
+        state = thread.tm
         yield ("work", READ_BOOKKEEPING_CYCLES)
         if address in state.write_map:
             return state.write_map[address]
@@ -86,13 +83,13 @@ class Tl2Runtime(TMBackend):
         return data.value
 
     def write(self, thread, address: int, value: int) -> Iterator[Tuple]:
-        state = self._state(thread)
+        state = thread.tm
         yield ("work", WRITE_BOOKKEEPING_CYCLES)
         state.write_map[address] = value
         state.note_write_orec(self.orecs.orec_address(address))
 
     def commit(self, thread) -> Iterator[Tuple]:
-        state = self._state(thread)
+        state = thread.tm
         if not state.write_map:
             return  # read-only fast path: reads already validated
         held = []
@@ -150,7 +147,7 @@ class Tl2Runtime(TMBackend):
             yield ("store", orec_address, old_word if encode is None else encode)
 
     def on_abort(self, thread) -> Iterator[Tuple]:
-        state = self._state(thread)
+        state = thread.tm
         state.reset()
         yield ("work", 10)
 

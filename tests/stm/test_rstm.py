@@ -93,7 +93,7 @@ def test_writer_wounds_conflicting_owner(m):
     drive(m, 0, runtime.begin(owner))
     drive(m, 0, runtime.write(owner, address, 1))
     drive(m, 1, runtime.begin(challenger))
-    owner_status = owner.stm_status_address
+    owner_status = owner.tm.status_address
 
     # The challenger spins; the owner must eventually be wounded, at
     # which point its (simulated) cleanup releases the header.  We
@@ -121,7 +121,7 @@ def test_check_aborted_polls_status(m):
     drive(m, 0, runtime.begin(thread))
     thread.in_transaction = True
     assert not runtime.check_aborted(thread)
-    m.memory.write(thread.stm_status_address, TxStatus.ABORTED)
+    m.memory.write(thread.tm.status_address, TxStatus.ABORTED)
     assert runtime.check_aborted(thread)
 
 

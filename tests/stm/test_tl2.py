@@ -125,5 +125,5 @@ def test_on_abort_resets_state(m):
     drive(m, 0, runtime.begin(thread))
     drive(m, 0, runtime.write(thread, address, 1))
     drive(m, 0, runtime.on_abort(thread))
-    assert thread.stm_state.write_map == {}
-    assert thread.stm_state.read_set == []
+    assert thread.tm.write_map == {}
+    assert thread.tm.read_set == []
